@@ -14,20 +14,23 @@ input relations), redundant pairs included.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     CodomainMismatchError,
     CyclicIncidenceError,
     DuplicateElementError,
+    InvalidElementIdError,
+    InvalidOptionError,
     MapTotalityError,
     NotContinuousError,
     QuotientCycleError,
     SeparatorCollisionError,
     UnknownElementError,
+    UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import Pair, Space
+from .space import Pair, Space, covers, strongly_connected_components
 
 DEFAULT_SEPARATOR = "×"
 PRODUCT_WARN_LIMIT = 10 ** 6
@@ -41,7 +44,7 @@ class Partition:
         bad = sorted(e for e, label in table.items()
                      if not isinstance(label, str) or not label)
         if bad:
-            raise ValueError(f"empty or non-string class labels for {bad}")
+            raise InvalidElementIdError(f"empty or non-string class labels for {bad}")
         self.classes = table
 
     @classmethod
@@ -123,17 +126,6 @@ def pair_id(left: str, right: str, separator: str = DEFAULT_SEPARATOR) -> str:
     return f"{left}{separator}{right}"
 
 
-def _covers(ids: Iterable[str], below_of: Callable[[str], frozenset[str]]) -> set[Pair]:
-    # covering pairs of a strict order given as per-element strict down sets
-    pairs = set()
-    for a in ids:
-        below = below_of(a)
-        for b in below:
-            if not any(b in below_of(c) for c in below if c != b):
-                pairs.add((a, b))
-    return pairs
-
-
 def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     """Subspace on a subset of elements, with its inclusion map.
 
@@ -151,63 +143,12 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
         if unknown:
             raise UnknownElementError(
                 f"cannot select {sorted(unknown)}: not elements of {space.name!r}")
-    below = {e: (space.down_set(e) & kept) - {e} for e in kept}
-    incidence = _covers(kept, below.__getitem__)
+    below = {e: space.down_set(e) & kept for e in kept}
+    incidence = covers(below)
     attributes = {e: space.attributes[e] for e in kept if e in space.attributes}
     sub = Space(space.name, kept, incidence, attributes)
     inclusion = SpaceMap(sub, space, {e: e for e in kept})
     return sub, inclusion
-
-
-def _strongly_connected_components(nodes, edges):
-    # Tarjan, iterative
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = [0]
-
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = succ[node]
-            for i in range(child_i, len(children)):
-                child = children[i]
-                if child not in index:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    recurse = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
 
 
 def quotient(space: Space, partition: Partition,
@@ -219,10 +160,11 @@ def quotient(space: Space, partition: Partition,
     can fold the source order into a cycle, which no space may carry:
     with ``on_cycle="error"`` that raises, with ``"collapse"`` each cyclic
     group of classes is merged into a single class named ``scc:<least
-    member label>`` and the quotient is rebuilt, which always succeeds.
+    member label>`` and the quotient is rebuilt.  Collapsing raises when
+    that name is already the label of another class.
     """
     if on_cycle not in ("error", "collapse"):
-        raise ValueError(f"on_cycle must be 'error' or 'collapse', got {on_cycle!r}")
+        raise InvalidOptionError(f"on_cycle must be 'error' or 'collapse', got {on_cycle!r}")
     missing = space.elements - partition.classes.keys()
     if missing:
         raise MapTotalityError(
@@ -250,10 +192,16 @@ def quotient(space: Space, partition: Partition,
                 f"partition of {space.name!r} induces a cycle on its classes "
                 f"({err})") from err
         merged: dict[str, str] = {}
-        for component in _strongly_connected_components(classes, pairs):
+        named: set[str] = set()
+        for component in strongly_connected_components(classes, pairs):
             target = min(component)
             if len(component) > 1:
                 target = "scc:" + target
+            if target in named:
+                raise QuotientCycleError(
+                    f"collapsing a cycle of {space.name!r} would name the merged "
+                    f"class {target!r}, which is already a class label")
+            named.add(target)
             for member in component:
                 merged[member] = target
         label = {e: merged[label[e]] for e in space.elements}
@@ -297,9 +245,8 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
     property.
     """
     common = x.elements & y.elements
-    below = {e: frozenset(b for b in (x.down_set(e) & y.down_set(e) & common) if b != e)
-             for e in common}
-    incidence = _covers(common, below.__getitem__)
+    below = {e: x.down_set(e) & y.down_set(e) & common for e in common}
+    incidence = covers(below)
     attributes: dict[str, dict[str, str]] = {}
     for source in (x, y):
         for element, kv in source.attributes.items():
@@ -359,8 +306,13 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
     product, but computed without materializing the product: the preorder
     of the product is componentwise, so reachability between kept pairs
     is decided directly on the inputs and only the kept pairs are ever
-    touched.
+    touched.  Side names that theta declares must be the names of x and y.
     """
+    for declared, actual, side in ((theta.left_name, x.name, "left"),
+                                   (theta.right_name, y.name, "right")):
+        if declared is not None and declared != actual:
+            raise UnresolvedReferenceError(
+                f"theta {side} side is declared for {declared!r}, not {actual!r}")
     _check_separator(x, separator)
     _check_separator(y, separator)
     for a, b in theta.pairs:
@@ -377,7 +329,7 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
             rendered[(l2, r2)] for l2, r2 in kept
             if (l1, r1) != (l2, r2)
             and x.in_preorder(l1, l2) and y.in_preorder(r1, r2))
-    incidence = _covers(below.keys(), below.__getitem__)
+    incidence = covers(below)
     result = Space(f"{x.name}{separator}{y.name}", below.keys(), incidence)
     left = SpaceMap(result, x, {rendered[p]: p[0] for p in kept})
     right = SpaceMap(result, y, {rendered[p]: p[1] for p in kept})

@@ -55,15 +55,10 @@ def cmd_dim(args) -> int:
     return 0
 
 
-def cmd_closure(args) -> int:
+def cmd_closure_star(args) -> int:
     space = io.load_space(args.space)
-    print(",".join(sorted(space.closure(_split_ids(args.ids)))))
-    return 0
-
-
-def cmd_star(args) -> int:
-    space = io.load_space(args.space)
-    print(",".join(sorted(space.star(_split_ids(args.ids)))))
+    query = space.closure if args.command == "closure" else space.star
+    print(",".join(sorted(query(_split_ids(args.ids)))))
     return 0
 
 
@@ -128,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="closure of a comma-separated element set")
     p.add_argument("space")
     p.add_argument("ids")
-    p.set_defaults(func=cmd_closure)
+    p.set_defaults(func=cmd_closure_star)
 
     p = sub.add_parser("star", help="star of a comma-separated element set")
     p.add_argument("space")
     p.add_argument("ids")
-    p.set_defaults(func=cmd_star)
+    p.set_defaults(func=cmd_closure_star)
 
     p = sub.add_parser("homeo", help="search for a homeomorphism between two spaces")
     p.add_argument("left")

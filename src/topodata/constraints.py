@@ -103,22 +103,7 @@ class ValidationReport:
         return out
 
 
-def _integrity_issue(space_map: SpaceMap) -> str:
-    """Re-verify totality and codomain membership of an already built map."""
-    missing = space_map.domain.elements - space_map.mapping.keys()
-    if missing:
-        return f"misses {sorted(missing)}"
-    stray = sorted(v for v in space_map.mapping.values()
-                   if v not in space_map.codomain.elements)
-    if stray:
-        return f"values outside codomain: {stray}"
-    return ""
-
-
 def _check_constraint(name: str, mode: str, space_map: SpaceMap) -> CheckResult:
-    issue = _integrity_issue(space_map)
-    if issue:
-        return CheckResult(name, mode, False, detail=issue)
     if mode == "continuous":
         verdict = is_continuous(space_map)
         if not verdict:

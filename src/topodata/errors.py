@@ -25,6 +25,10 @@ class CyclicIncidenceError(TopologyError):
     """The incidence relation contains a directed cycle."""
 
 
+class InvalidOptionError(TopologyError):
+    """An operation was given an option value it does not accept."""
+
+
 class UnknownElementError(TopologyError):
     """An id was used that is not an element of the space at hand."""
 

@@ -91,10 +91,6 @@ class SpaceMap:
                 and self.codomain == other.codomain
                 and self.mapping == other.mapping)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return self._hash
 

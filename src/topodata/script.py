@@ -242,12 +242,8 @@ class _Runner:
             loaded = self.lookup(line, stmt.args[1], LoadedPartition)
             if loaded.space_name != space.name:
                 raise UnresolvedReferenceError(
-                    f"line {line}: partition is declared for space "
-                    f"{loaded.space_name!r}, not {space.name!r}")
+                    f"partition is declared for space {loaded.space_name!r}, not {space.name!r}")
             policy = stmt.args[2] if len(stmt.args) == 3 else "error"
-            if policy not in ("error", "collapse"):
-                raise ScriptError(f"line {line}: quotient policy must be "
-                                  f"'error' or 'collapse', got {policy!r}")
             result, projection = quotient(space, loaded.partition, on_cycle=policy)
             self.bind(line, stmt.name, result)
             self.bind(line, f"{stmt.name}.proj", projection)
@@ -273,12 +269,6 @@ class _Runner:
             x = self.lookup(line, stmt.args[0], Space)
             y = self.lookup(line, stmt.args[1], Space)
             theta = self.lookup(line, stmt.args[2], ThetaRelation)
-            for declared, actual, side in ((theta.left_name, x.name, "left"),
-                                           (theta.right_name, y.name, "right")):
-                if declared is not None and declared != actual:
-                    raise UnresolvedReferenceError(
-                        f"line {line}: theta {side} side is declared for "
-                        f"{declared!r}, not {actual!r}")
             result, left, right = theta_join(x, y, theta)
             self.bind(line, stmt.name, result)
             self.bind(line, f"{stmt.name}.pleft", left)
@@ -364,7 +354,7 @@ class _Runner:
             handler = handlers[type(stmt)]
             try:
                 handler(stmt)
-            except (ScriptError, ScriptNameError, UnresolvedReferenceError):
+            except (ScriptError, ScriptNameError):
                 raise
             except TopologyError as err:
                 raise ScriptError(f"line {stmt.line}: {err}") from err

@@ -15,7 +15,7 @@ specialisation preorder), which is what most queries here work on.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     CyclicIncidenceError,
@@ -38,37 +38,82 @@ def check_element_id(token: object) -> str:
     return token
 
 
-def find_cycle(nodes: Iterable[str], successors: Mapping[str, Iterable[str]]) -> list[str] | None:
-    """Return one directed cycle as a node list, or None when acyclic.
+def strongly_connected_components(nodes, edges):
+    """The strongly connected components of a directed graph, as node lists.
 
-    Deterministic: roots and successors are visited in sorted order, so the
-    same graph always yields the same cycle.
+    Tarjan's algorithm, iterative; roots are visited in sorted order.
     """
-    ACTIVE, DONE = 1, 2
-    state: dict[str, int] = {}
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in edges:
+        succ[a].append(b)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = [0]
+
     for root in sorted(nodes):
-        if root in state:
+        if root in index:
             continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(successors.get(root, ()))))]
-        state[root] = ACTIVE
-        path = [root]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if state.get(child) == ACTIVE:
-                    return path[path.index(child):] + [child]
-                if child not in state:
-                    state[child] = ACTIVE
-                    path.append(child)
-                    stack.append((child, iter(sorted(successors.get(child, ())))))
-                    advanced = True
+        work = [(root, 0)]
+        while work:
+            node, child_i = work.pop()
+            if child_i == 0:
+                index[node] = low[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack.add(node)
+            recurse = False
+            children = succ[node]
+            for i in range(child_i, len(children)):
+                child = children[i]
+                if child not in index:
+                    work.append((node, i + 1))
+                    work.append((child, 0))
+                    recurse = True
                     break
-            if not advanced:
-                state[node] = DONE
-                path.pop()
-                stack.pop()
-    return None
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if recurse:
+                continue
+            if low[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return components
+
+
+def covers(down: Mapping[str, frozenset[str]]) -> set[Pair]:
+    """The covering pairs of a partial order given by each element's down set.
+
+    (a, b) is a covering pair when b lies strictly below a and below no
+    other element strictly below a (Aho, Garey & Ullman 1972).  Every
+    element of a down set must be a key of ``down``; the down sets may
+    include or omit the element itself.
+
+    The elements below a are visited by decreasing down-set size and kept
+    unless an element visited before reaches them.  That is exact because
+    an element strictly above b has a strictly larger down set than b, so
+    it is visited first.
+    """
+    size = {e: len(below) for e, below in down.items()}
+    pairs = set()
+    for a, below in down.items():
+        reached: set[str] = set()
+        for b in sorted(below, key=size.__getitem__, reverse=True):
+            if b != a and b not in reached:
+                pairs.add((a, b))
+                reached |= down[b]
+    return pairs
 
 
 class Space:
@@ -115,10 +160,20 @@ class Space:
         self._succ = {e: tuple(sorted(vs)) for e, vs in succ.items()}
         self._pred = {e: tuple(sorted(vs)) for e, vs in pred.items()}
 
-        cycle = find_cycle(self.elements, self._succ)
-        if cycle:
+        # Kahn's sort from the sinks up: an element is placed once
+        # everything it is bounded by is placed, so _order lists every
+        # element after its whole boundary.
+        pending = {e: len(vs) for e, vs in self._succ.items()}
+        order = [e for e, n in pending.items() if not n]
+        for b in order:
+            for a in self._pred[b]:
+                pending[a] -= 1
+                if not pending[a]:
+                    order.append(a)
+        if len(order) < len(self.elements):
             raise CyclicIncidenceError(
-                f"incidence of {self.name!r} has a cycle: {' -> '.join(cycle)}")
+                f"incidence of {self.name!r} has a cycle: {' -> '.join(self._cycle(pairs))}")
+        self._order = order
 
         cleaned: dict[str, dict[str, str]] = {}
         for el, kv in (attributes or {}).items():
@@ -141,6 +196,19 @@ class Space:
         self._up: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
 
+    def _cycle(self, pairs) -> list[str]:
+        # A closed walk inside the cyclic component holding the least
+        # element on any cycle: from that element, always step to the
+        # least successor in the component until an element repeats.
+        component = set(min((c for c in strongly_connected_components(self.elements, pairs)
+                             if len(c) > 1), key=min))
+        walk = [min(component)]
+        position: dict[str, int] = {}
+        while walk[-1] not in position:
+            position[walk[-1]] = len(walk) - 1
+            walk.append(next(b for b in self._succ[walk[-1]] if b in component))
+        return walk[position[walk[-1]]:]
+
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
@@ -150,10 +218,6 @@ class Space:
                 and self.elements == other.elements
                 and self.incidence == other.incidence
                 and self.attributes == other.attributes)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return self._hash
@@ -250,23 +314,13 @@ class Space:
         """
         if element not in self.elements:
             raise UnknownElementError(f"{element!r} is not an element of {self.name!r}")
-        depth = self._depth
-        if element in depth:
-            return depth[element]
-        stack = [element]
-        while stack:
-            current = stack[-1]
-            if current in depth:
-                stack.pop()
-                continue
-            pending = [s for s in self._succ[current] if s not in depth]
-            if pending:
-                stack.extend(pending)
-                continue
-            succ = self._succ[current]
-            depth[current] = 1 + max(depth[s] for s in succ) if succ else 0
-            stack.pop()
-        return depth[element]
+        if not self._depth:
+            depth: dict[str, int] = {}
+            for e in self._order:
+                succ = self._succ[e]
+                depth[e] = 1 + max(map(depth.__getitem__, succ)) if succ else 0
+            self._depth = depth
+        return self._depth[element]
 
     def space_dimension(self) -> int:
         """Maximal element dimension; -1 for the empty space."""
@@ -285,12 +339,7 @@ class Space:
         The reduction keeps exactly the covering pairs of the reachability
         order, so the generated topology is unchanged.
         """
-        reduced = set()
-        for a in self.elements:
-            below = self.down_set(a) - {a}
-            for b in below:
-                if not any(b in self.down_set(c) for c in below if c != b):
-                    reduced.add((a, b))
+        reduced = covers({a: self.down_set(a) for a in self.elements})
         if frozenset(reduced) == self.incidence:
             return self
         return Space(self.name, self.elements, reduced, self.attributes)

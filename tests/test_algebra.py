@@ -19,7 +19,9 @@ from topodata import (
     Space,
     SpaceMap,
     ThetaRelation,
+    TopologyError,
     UnknownElementError,
+    UnresolvedReferenceError,
     compose,
     enumerate_topology,
     fibre_product,
@@ -100,6 +102,21 @@ class TestQuotient:
         assert result.elements == {"scc:b"}
         assert result.incidence == frozenset()
         assert is_continuous(projection)
+
+    def test_collapse_name_clash_is_an_error(self, space_y):
+        # an isolated element already labelled scc:b must not be merged
+        # into the collapsed group that would take the same name
+        space = Space("Y", sorted(space_y.elements | {"z"}), space_y.incidence)
+        partition = Partition.from_classes(space, {"k": ["C", "x"], "scc:b": ["z"]})
+        with pytest.raises(QuotientCycleError, match="scc:b"):
+            quotient(space, partition, on_cycle="collapse")
+
+    def test_bad_labels_and_policy_are_topology_errors(self, space_y):
+        for bad in ("", None):
+            with pytest.raises(TopologyError):
+                Partition({"C": bad})
+        with pytest.raises(TopologyError):
+            quotient(space_y, Partition.from_classes(space_y, {}), on_cycle="merge")
 
     def test_singleton_partition_is_isomorphic_copy(self, space_x):
         partition = Partition.from_classes(space_x, {})
@@ -315,6 +332,13 @@ class TestThetaJoin:
     def test_unknown_theta_ids(self, space_x, space_y):
         with pytest.raises(UnknownElementError):
             theta_join(space_x, space_y, ThetaRelation([("zz", "C")]))
+
+    def test_theta_side_names_must_match(self, space_x, space_y):
+        pairs = [("A", "C")]
+        theta_join(space_x, space_y, ThetaRelation(pairs))
+        for left, right in (("Z", "Y"), ("X", "Z")):
+            with pytest.raises(UnresolvedReferenceError, match="declared for 'Z'"):
+                theta_join(space_x, space_y, ThetaRelation(pairs, left, right))
 
     def test_projection_composition_is_restriction(self, space_x, space_y, theta):
         join, pleft, _ = theta_join(space_x, space_y, theta)

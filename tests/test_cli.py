@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from topodata import Space, SpaceMap
 from topodata.cli import main
 from topodata.io import serialize_map, serialize_space, serialize_theta
+
+DEMO_OVERLAY = Path(__file__).resolve().parents[1] / "demo" / "overlay"
 
 
 @pytest.fixture
@@ -80,6 +84,26 @@ class TestRun:
         bad = tmp_path / "bad.topo"
         bad.write_text("let = zz\n")
         assert main(["run", str(bad)]) == 2
+
+    def test_empty_partition_label_is_input_error(self, files, capsys):
+        folder = Path(files["dir"])
+        (folder / "blank.json").write_text(json.dumps(
+            {"space": "Y", "classes": [{"label": "", "members": ["c", "x"]}]}))
+        (folder / "blank.topo").write_text('load Y "y.json"\nload P "blank.json"\n')
+        assert main(["run", str(folder / "blank.topo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert err.count("\n") == 1
+
+    def test_demo_overlay_reproduces_committed_output(self, tmp_path, capsys):
+        work = tmp_path / "overlay"
+        shutil.copytree(DEMO_OVERLAY, work, ignore=shutil.ignore_patterns("out"))
+        assert main(["run", str(work / "overlay.topo")]) == 0
+        committed = sorted(p.name for p in (DEMO_OVERLAY / "out").iterdir())
+        assert sorted(p.name for p in (work / "out").iterdir()) == committed
+        for name in committed:
+            assert ((work / "out" / name).read_bytes()
+                    == (DEMO_OVERLAY / "out" / name).read_bytes())
 
 
 class TestQueries:

@@ -1,0 +1,98 @@
+"""The graph kernel of ``space``: Kahn order, covers, and cycle reports.
+
+Each fast routine is compared with the naive definition it replaces, on
+a few hundred seeded random graphs small enough for the brute force.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from topodata import CyclicIncidenceError, Space
+from topodata.space import covers
+
+from conftest import brute_dimension
+
+TRIALS = 300
+
+
+def random_dag(rng: random.Random) -> Space:
+    """A random DAG on up to 12 elements whose edge direction is
+    unrelated to the sorted order of the ids."""
+    n = rng.randint(0, 12)
+    ids = rng.sample([f"e{i}" for i in range(12)], n)
+    p = rng.uniform(0.05, 0.6)
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Space("D", ids, pairs)
+
+
+def strict_below(elements, pairs) -> dict[str, set[str]]:
+    """Transitive closure of the pairs by iteration to a fixpoint."""
+    below = {e: set() for e in elements}
+    for a, b in pairs:
+        below[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in below:
+            grown = set().union(below[a], *(below[b] for b in below[a]))
+            if grown != below[a]:
+                below[a] = grown
+                changed = True
+    return below
+
+
+def brute_covers(below: dict[str, set[str]]) -> set[tuple[str, str]]:
+    return {(a, b) for a in below for b in below[a]
+            if not any(b in below[c] for c in below[a])}
+
+
+def old_reduce(space: Space) -> set[tuple[str, str]]:
+    """The transitive reduction as it was defined before the kernel."""
+    reduced = set()
+    for a in space.elements:
+        below = space.down_set(a) - {a}
+        for b in below:
+            if not any(b in space.down_set(c) for c in below if c != b):
+                reduced.add((a, b))
+    return reduced
+
+
+def test_kernel_matches_naive_definitions():
+    rng = random.Random(2024)
+    for _ in range(TRIALS):
+        space = random_dag(rng)
+        below = strict_below(space.elements, space.incidence)
+        expected = brute_covers(below)
+        assert covers({e: frozenset(bs) for e, bs in below.items()}) == expected
+        assert covers({e: frozenset(bs | {e}) for e, bs in below.items()}) == expected
+        assert space.transitive_reduce().incidence == old_reduce(space) == expected
+        for e in space.elements:
+            assert space.dimension(e) == brute_dimension(space, e)
+
+
+def test_cycle_message_names_a_closed_walk_of_input_pairs():
+    rng = random.Random(2025)
+    cyclic = 0
+    for _ in range(TRIALS):
+        n = rng.randint(2, 12)
+        ids = [f"e{i}" for i in range(n)]
+        p = rng.uniform(0.05, 0.3)
+        pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < p]
+        if not any(a in below for a, below in strict_below(ids, pairs).items()):
+            Space("G", ids, pairs)
+            continue
+        cyclic += 1
+        with pytest.raises(CyclicIncidenceError) as err:
+            Space("G", ids, pairs)
+        message = str(err.value)
+        walk = message.split("has a cycle: ", 1)[1].split(" -> ")
+        assert len(walk) >= 3 and walk[0] == walk[-1]
+        assert set(zip(walk, walk[1:])) <= set(pairs)
+        rng.shuffle(pairs)
+        with pytest.raises(CyclicIncidenceError) as again:
+            Space("G", reversed(ids), pairs)
+        assert str(again.value) == message
+    assert cyclic > TRIALS // 4

@@ -165,6 +165,12 @@ class TestRun:
             run_script(script, base_dir=overlay_dir)
         assert "declared for space" in str(err.value)
 
+    def test_theta_side_mismatch_carries_line(self, overlay_dir):
+        script = parse_script('load X "x.json"\nload Y "y.json"\nload T "theta.json"\n'
+                              "let J = theta_join(Y, X, T)\n")
+        with pytest.raises(ScriptError, match="line 4: theta left side is declared for 'X'"):
+            run_script(script, base_dir=overlay_dir)
+
     def test_deterministic_emission(self, overlay_dir):
         text = ('load X "x.json"\nload Y "y.json"\nload T "theta.json"\n'
                 'let J = theta_join(X, Y, T)\nemit J "out/a.json"\n')
