@@ -35,7 +35,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.script)
-    script = parse_script(path.read_text(encoding="utf-8"), source=str(path))
+    script = parse_script(io.read_text(path), source=str(path))
     result = run_script(script, base_dir=path.parent)
     for line in result.output:
         print(line)

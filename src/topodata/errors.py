@@ -81,7 +81,7 @@ class ParseError(TopologyError):
         self.line = line
         prefix = ""
         if source is not None:
-            prefix = f"{source}:" if line is None else f"{source}:{line}: "
+            prefix = f"{source}: " if line is None else f"{source}:{line}: "
         super().__init__(prefix + message if prefix else message)
 
 

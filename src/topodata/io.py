@@ -24,6 +24,8 @@ def _load_json(text: str, source: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, source=source, line=err.lineno) from err
+    except (ValueError, RecursionError) as err:  # an over-long integer, deep nesting
+        raise ParseError(str(err), source=source) from err
 
 
 def _require(doc, key, kind, source):
@@ -187,27 +189,24 @@ def detect_kind(text: str, source: str = "<document>") -> str:
 
 # -- path helpers -----------------------------------------------------------------
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; bytes that do not decode are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as err:  # undecodable bytes, or a NUL in the path
+        raise ParseError(str(err), source=str(path)) from err
+
+
 def load_space(path) -> Space:
-    path = Path(path)
-    return parse_space(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def save_space(space: Space, path) -> None:
-    Path(path).write_text(serialize_space(space), encoding="utf-8")
+    return parse_space(read_text(path), source=str(path))
 
 
 def load_map(path, spaces: Mapping[str, Space]) -> SpaceMap:
-    path = Path(path)
-    return parse_map(path.read_text(encoding="utf-8"), spaces, source=str(path))
-
-
-def save_map(space_map: SpaceMap, path) -> None:
-    Path(path).write_text(serialize_map(space_map), encoding="utf-8")
+    return parse_map(read_text(path), spaces, source=str(path))
 
 
 def load_theta(path) -> ThetaRelation:
-    path = Path(path)
-    return parse_theta(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_theta(read_text(path), source=str(path))
 
 
 # -- dataset manifests ---------------------------------------------------------------
@@ -221,11 +220,16 @@ def load_dataset(manifest_path) -> Dataset:
     """
     manifest_path = Path(manifest_path)
     source = str(manifest_path)
-    doc = _load_json(manifest_path.read_text(encoding="utf-8"), source)
+    doc = _load_json(read_text(manifest_path), source)
     base = manifest_path.parent
 
     dataset = Dataset()
-    for rel in _require(doc, "spaces", list, source):
+    spaces = _require(doc, "spaces", list, source)
+    for key in ("maps", "constraints"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"field {key!r} must be list, "
+                             f"got {type(doc[key]).__name__}", source=source)
+    for rel in spaces:
         if not isinstance(rel, str):
             raise ParseError(f"spaces entries must be paths, got {rel!r}", source=source)
         dataset.add_space(load_space(base / rel))

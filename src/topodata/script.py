@@ -3,39 +3,40 @@
 Grammar (one statement per line, ``#`` starts a comment):
 
     load <name> "<path>"
-    let <name> = <op>(<args>)      op: select quotient union intersect
-                                       product theta_join fibre_product reduce
+    let <name> = <op>(<args>)
     check continuous <map>
     check homeomorphic <space> <space>
     dim <space> [<element>]
     closure <space> <id>[,<id>...]
     emit <name> "<path>"
 
-Names are bound once and must be bound before use.  Operators that
-return linking maps bind them under derived names: ``J.pleft`` and
-``J.pright`` for product, theta_join, and fibre_product; ``S.inc`` for
-select; ``Q.proj`` for quotient; ``U.inl``/``U.inr`` for union and
-intersect.  Relative paths resolve against the script's directory.
+Operators with their arguments, and the linking maps bound besides the
+result (for a result named by the first letter):
+
+    select(X, id, ...)        S.inc              the subspace on the listed ids
+    quotient(X, P[, policy])  Q.proj             policy: error (default) or collapse
+    union(X, Y)               U.inl, U.inr
+    intersect(X, Y)           M.inl, M.inr
+    product(X, Y)             P.pleft, P.pright
+    theta_join(X, Y, T)       J.pleft, J.pright  T a theta relation
+    fibre_product(u, p)       F.pleft, F.pright  u, p maps into one space
+    reduce(X)                 none
+
+Names are bound once and must be bound before use.  Relative paths
+resolve against the script's directory.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import singledispatchmethod
+from math import inf
 from pathlib import Path
 
-from . import io
-from .algebra import (
-    Partition,
-    ThetaRelation,
-    fibre_product,
-    paste_union,
-    product,
-    pullback_intersection,
-    quotient,
-    select_subspace,
-    theta_join,
-)
+from . import algebra, io
+from .algebra import Partition, ThetaRelation
 from .constraints import Dataset
 from .errors import (
     ParseError,
@@ -46,19 +47,6 @@ from .errors import (
 )
 from .maps import SpaceMap, find_homeomorphism, is_continuous
 from .space import Space
-
-OPS = ("select", "quotient", "union", "intersect", "product",
-       "theta_join", "fibre_product", "reduce")
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_REF = rf"{_NAME}(?:\.{_NAME})?"
-_LOAD = re.compile(rf'^load\s+(?P<name>{_NAME})\s+"(?P<path>[^"]+)"$')
-_LET = re.compile(rf'^let\s+(?P<name>{_NAME})\s*=\s*(?P<op>[a-z_]+)\((?P<args>[^)]*)\)$')
-_CHECK_CONTINUOUS = re.compile(rf'^check\s+continuous\s+(?P<map>{_REF})$')
-_CHECK_HOMEO = re.compile(rf'^check\s+homeomorphic\s+(?P<left>{_REF})\s+(?P<right>{_REF})$')
-_DIM = re.compile(rf'^dim\s+(?P<space>{_REF})(?:\s+(?P<element>\S+))?$')
-_CLOSURE = re.compile(rf'^closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)$')
-_EMIT = re.compile(rf'^emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"$')
 
 
 @dataclass(frozen=True)
@@ -115,39 +103,63 @@ class QueryScript:
     statements: tuple
 
 
+@dataclass(frozen=True)
+class LoadedPartition:
+    space_name: str
+    partition: Partition
+
+
+# One row per operator: the name of its function in ``algebra``, looked up at
+# each call so that a replaced module attribute is seen (None for reduce, a
+# Space method); the kinds of its bound arguments; how many literal arguments
+# may follow them; and the suffixes binding the maps returned after the result.
+Op = namedtuple("Op", "function kinds literals maps")
+OPS = {
+    "select": Op("select_subspace", (Space,), inf, ("inc",)),
+    "quotient": Op("quotient", (Space, LoadedPartition), 1, ("proj",)),
+    "union": Op("paste_union", (Space, Space), 0, ("inl", "inr")),
+    "intersect": Op("pullback_intersection", (Space, Space), 0, ("inl", "inr")),
+    "product": Op("product", (Space, Space), 0, ("pleft", "pright")),
+    "theta_join": Op("theta_join", (Space, Space, ThetaRelation), 0, ("pleft", "pright")),
+    "fibre_product": Op("fibre_product", (SpaceMap, SpaceMap), 0, ("pleft", "pright")),
+    "reduce": Op(None, (Space,), 0, ()),
+}
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_REF = rf"{_NAME}(?:\.{_NAME})?"
+# One row per statement; the named groups are the statement's fields.
+_GRAMMAR = [(cls, re.compile(pattern)) for cls, pattern in (
+    (LoadStmt, rf'load\s+(?P<name>{_NAME})\s+"(?P<path>[^"]+)"'),
+    (LetStmt, rf'let\s+(?P<name>{_NAME})\s*=\s*(?P<op>[a-z_]+)\((?P<args>[^)]*)\)'),
+    (CheckContinuousStmt, rf'check\s+continuous\s+(?P<map_name>{_REF})'),
+    (CheckHomeoStmt, rf'check\s+homeomorphic\s+(?P<left>{_REF})\s+(?P<right>{_REF})'),
+    (DimStmt, rf'dim\s+(?P<space>{_REF})(?:\s+(?P<element>\S+))?'),
+    (ClosureStmt, rf'closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)'),
+    (EmitStmt, rf'emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"'),
+)]
+
+
 def parse_script(text: str, source: str = "<script>") -> QueryScript:
     statements = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := _LOAD.match(line):
-            statements.append(LoadStmt(line_no, m["name"], m["path"]))
-        elif m := _LET.match(line):
-            if m["op"] not in OPS:
-                raise ParseError(f"unknown operation {m['op']!r}", source=source, line=line_no)
-            args = tuple(a.strip() for a in m["args"].split(",") if a.strip())
-            statements.append(LetStmt(line_no, m["name"], m["op"], args))
-        elif m := _CHECK_CONTINUOUS.match(line):
-            statements.append(CheckContinuousStmt(line_no, m["map"]))
-        elif m := _CHECK_HOMEO.match(line):
-            statements.append(CheckHomeoStmt(line_no, m["left"], m["right"]))
-        elif m := _DIM.match(line):
-            statements.append(DimStmt(line_no, m["space"], m["element"]))
-        elif m := _CLOSURE.match(line):
-            statements.append(ClosureStmt(line_no, m["space"],
-                                          tuple(m["ids"].split(","))))
-        elif m := _EMIT.match(line):
-            statements.append(EmitStmt(line_no, m["name"], m["path"]))
+        for cls, pattern in _GRAMMAR:
+            if m := pattern.fullmatch(line):
+                break
         else:
             raise ParseError(f"cannot parse statement {line!r}", source=source, line=line_no)
+        fields = m.groupdict()
+        if cls is LetStmt:
+            if fields["op"] not in OPS:
+                raise ParseError(f"unknown operation {fields['op']!r}",
+                                 source=source, line=line_no)
+            fields["args"] = tuple(a.strip() for a in fields["args"].split(",") if a.strip())
+        elif cls is ClosureStmt:
+            fields["ids"] = tuple(fields["ids"].split(","))
+        statements.append(cls(line_no, **fields))
     return QueryScript(tuple(statements))
-
-
-@dataclass(frozen=True)
-class LoadedPartition:
-    space_name: str
-    partition: Partition
 
 
 @dataclass
@@ -166,10 +178,8 @@ class _Runner:
     def __init__(self, dataset: Dataset | None, base_dir):
         self.base_dir = Path(base_dir)
         self.dataset = dataset if dataset is not None else Dataset()
-        self.env: dict = {}
+        self.env: dict = dict(self.dataset.spaces)
         self.registry: dict[str, Space] = dict(self.dataset.spaces)
-        for name, space in self.dataset.spaces.items():
-            self.env.setdefault(name, space)
         for name, space_map in self.dataset.maps.items():
             self.env.setdefault(name, space_map)
         self.failures: list[str] = []
@@ -190,139 +200,101 @@ class _Runner:
                 f"expected {kind.__name__}")
         return value
 
-    def emit_line(self, text: str) -> None:
-        self.output.append(text)
-
     # -- statement execution ------------------------------------------------
 
+    @singledispatchmethod
+    def execute(self, stmt) -> None:
+        raise TypeError(f"not a statement: {stmt!r}")
+
+    @execute.register
     def run_load(self, stmt: LoadStmt) -> None:
         path = self.base_dir / stmt.path
+        source = str(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = io.read_text(path)
         except OSError as err:
             raise ScriptError(f"line {stmt.line}: cannot read {stmt.path!r}: {err}") from err
-        kind = io.detect_kind(text, source=str(path))
+        kind = io.detect_kind(text, source=source)
         if kind == "space":
-            space = io.parse_space(text, source=str(path))
-            known = self.registry.get(space.name)
-            if known is not None and known != space:
+            value = io.parse_space(text, source=source)
+            known = self.registry.get(value.name)
+            if known is not None and known != value:
                 raise ScriptNameError(
-                    f"line {stmt.line}: space name {space.name!r} already loaded "
+                    f"line {stmt.line}: space name {value.name!r} already loaded "
                     "with different content")
-            self.registry[space.name] = space
-            self.bind(stmt.line, stmt.name, space)
+            self.registry[value.name] = value
         elif kind == "map":
-            self.bind(stmt.line, stmt.name,
-                      io.parse_map(text, self.registry, source=str(path)))
+            value = io.parse_map(text, self.registry, source=source)
         elif kind == "theta":
-            self.bind(stmt.line, stmt.name, io.parse_theta(text, source=str(path)))
+            value = io.parse_theta(text, source=source)
         else:
-            space_name, partition = io.parse_partition(text, self.registry, source=str(path))
-            self.bind(stmt.line, stmt.name, LoadedPartition(space_name, partition))
+            value = LoadedPartition(*io.parse_partition(text, self.registry, source=source))
+        self.bind(stmt.line, stmt.name, value)
 
-    def _expect_args(self, stmt: LetStmt, low: int, high: int | None = None) -> None:
-        high = low if high is None else high
-        if not (low <= len(stmt.args) <= high):
-            wanted = str(low) if low == high else f"{low}..{high}"
+    @execute.register
+    def run_let(self, stmt: LetStmt) -> None:
+        op = OPS[stmt.op]
+        low, high = len(op.kinds), len(op.kinds) + op.literals
+        if not low <= len(stmt.args) <= high:
+            wanted = (low if high == low else f"at least {low}" if high == inf
+                      else f"{low}..{high}")
             raise ScriptError(f"line {stmt.line}: {stmt.op} takes {wanted} arguments, "
                               f"got {len(stmt.args)}")
-
-    def run_let(self, stmt: LetStmt) -> None:
-        line = stmt.line
-        if stmt.op == "select":
-            if not stmt.args:
-                raise ScriptError(f"line {line}: select needs a space argument")
-            space = self.lookup(line, stmt.args[0], Space)
-            sub, inclusion = select_subspace(space, stmt.args[1:])
-            self.bind(line, stmt.name, sub)
-            self.bind(line, f"{stmt.name}.inc", inclusion)
-        elif stmt.op == "quotient":
-            self._expect_args(stmt, 2, 3)
-            space = self.lookup(line, stmt.args[0], Space)
-            loaded = self.lookup(line, stmt.args[1], LoadedPartition)
+        args = [self.lookup(stmt.line, name, kind)
+                for name, kind in zip(stmt.args, op.kinds)]
+        literals = stmt.args[low:]
+        if stmt.op == "quotient":
+            space, loaded = args
             if loaded.space_name != space.name:
                 raise UnresolvedReferenceError(
                     f"partition is declared for space {loaded.space_name!r}, not {space.name!r}")
-            policy = stmt.args[2] if len(stmt.args) == 3 else "error"
-            result, projection = quotient(space, loaded.partition, on_cycle=policy)
-            self.bind(line, stmt.name, result)
-            self.bind(line, f"{stmt.name}.proj", projection)
-        elif stmt.op in ("union", "intersect"):
-            self._expect_args(stmt, 2)
-            x = self.lookup(line, stmt.args[0], Space)
-            y = self.lookup(line, stmt.args[1], Space)
-            operation = paste_union if stmt.op == "union" else pullback_intersection
-            result, left, right = operation(x, y)
-            self.bind(line, stmt.name, result)
-            self.bind(line, f"{stmt.name}.inl", left)
-            self.bind(line, f"{stmt.name}.inr", right)
-        elif stmt.op == "product":
-            self._expect_args(stmt, 2)
-            x = self.lookup(line, stmt.args[0], Space)
-            y = self.lookup(line, stmt.args[1], Space)
-            result, left, right = product(x, y)
-            self.bind(line, stmt.name, result)
-            self.bind(line, f"{stmt.name}.pleft", left)
-            self.bind(line, f"{stmt.name}.pright", right)
-        elif stmt.op == "theta_join":
-            self._expect_args(stmt, 3)
-            x = self.lookup(line, stmt.args[0], Space)
-            y = self.lookup(line, stmt.args[1], Space)
-            theta = self.lookup(line, stmt.args[2], ThetaRelation)
-            result, left, right = theta_join(x, y, theta)
-            self.bind(line, stmt.name, result)
-            self.bind(line, f"{stmt.name}.pleft", left)
-            self.bind(line, f"{stmt.name}.pright", right)
-        elif stmt.op == "fibre_product":
-            self._expect_args(stmt, 2)
-            u = self.lookup(line, stmt.args[0], SpaceMap)
-            p = self.lookup(line, stmt.args[1], SpaceMap)
-            result, left, right = fibre_product(u, p)
-            self.bind(line, stmt.name, result)
-            self.bind(line, f"{stmt.name}.pleft", left)
-            self.bind(line, f"{stmt.name}.pright", right)
-        elif stmt.op == "reduce":
-            self._expect_args(stmt, 1)
-            space = self.lookup(line, stmt.args[0], Space)
-            self.bind(line, stmt.name, space.transitive_reduce())
-        else:  # pragma: no cover - parser rejects unknown ops
-            raise ScriptError(f"line {line}: unknown operation {stmt.op!r}")
-
-    def run_check_continuous(self, stmt: CheckContinuousStmt) -> None:
-        space_map = self.lookup(stmt.line, stmt.map_name, SpaceMap)
-        verdict = is_continuous(space_map)
-        if verdict:
-            self.emit_line(f"check continuous {stmt.map_name}: PASS")
+            args[1] = loaded.partition
+        # select takes its ids as one collection, quotient its policy as is
+        args += [literals] if op.literals == inf else literals
+        if op.function is None:
+            result, maps = args[0].transitive_reduce(), ()
         else:
-            message = f"check continuous {stmt.map_name}: FAIL {verdict.describe()}"
-            self.emit_line(message)
+            result, *maps = getattr(algebra, op.function)(*args)
+        self.bind(stmt.line, stmt.name, result)
+        for suffix, value in zip(op.maps, maps):
+            self.bind(stmt.line, f"{stmt.name}.{suffix}", value)
+
+    def report(self, message: str, passed: bool) -> None:
+        self.output.append(message)
+        if not passed:
             self.failures.append(message)
 
+    @execute.register
+    def run_check_continuous(self, stmt: CheckContinuousStmt) -> None:
+        verdict = is_continuous(self.lookup(stmt.line, stmt.map_name, SpaceMap))
+        outcome = "PASS" if verdict else f"FAIL {verdict.describe()}"
+        self.report(f"check continuous {stmt.map_name}: {outcome}", bool(verdict))
+
+    @execute.register
     def run_check_homeo(self, stmt: CheckHomeoStmt) -> None:
         x = self.lookup(stmt.line, stmt.left, Space)
         y = self.lookup(stmt.line, stmt.right, Space)
-        found = find_homeomorphism(x, y)
-        if found is not None:
-            self.emit_line(f"check homeomorphic {stmt.left} {stmt.right}: PASS")
-        else:
-            message = f"check homeomorphic {stmt.left} {stmt.right}: FAIL"
-            self.emit_line(message)
-            self.failures.append(message)
+        found = find_homeomorphism(x, y) is not None
+        self.report(f"check homeomorphic {stmt.left} {stmt.right}: "
+                    f"{'PASS' if found else 'FAIL'}", found)
 
+    @execute.register
     def run_dim(self, stmt: DimStmt) -> None:
         space = self.lookup(stmt.line, stmt.space, Space)
         if stmt.element is None:
-            self.emit_line(f"dim {stmt.space} = {space.space_dimension()}")
+            self.output.append(f"dim {stmt.space} = {space.space_dimension()}")
         else:
-            self.emit_line(f"dim {stmt.space} {stmt.element} = "
-                           f"{space.dimension(stmt.element)}")
+            self.output.append(f"dim {stmt.space} {stmt.element} = "
+                               f"{space.dimension(stmt.element)}")
 
+    @execute.register
     def run_closure(self, stmt: ClosureStmt) -> None:
         space = self.lookup(stmt.line, stmt.space, Space)
         closed = space.closure(stmt.ids)
-        self.emit_line(f"closure {stmt.space} {','.join(stmt.ids)} = "
-                       f"{','.join(sorted(closed))}")
+        self.output.append(f"closure {stmt.space} {','.join(stmt.ids)} = "
+                           f"{','.join(sorted(closed))}")
 
+    @execute.register
     def run_emit(self, stmt: EmitStmt) -> None:
         value = self.lookup(stmt.line, stmt.name)
         path = self.base_dir / stmt.path
@@ -338,22 +310,12 @@ class _Runner:
             raise ScriptError(f"line {stmt.line}: cannot emit {type(value).__name__}")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-        self.emit_line(f"emit {stmt.name} -> {stmt.path}")
+        self.output.append(f"emit {stmt.name} -> {stmt.path}")
 
     def run(self, script: QueryScript) -> ScriptResult:
-        handlers = {
-            LoadStmt: self.run_load,
-            LetStmt: self.run_let,
-            CheckContinuousStmt: self.run_check_continuous,
-            CheckHomeoStmt: self.run_check_homeo,
-            DimStmt: self.run_dim,
-            ClosureStmt: self.run_closure,
-            EmitStmt: self.run_emit,
-        }
         for stmt in script.statements:
-            handler = handlers[type(stmt)]
             try:
-                handler(stmt)
+                self.execute(stmt)
             except (ScriptError, ScriptNameError):
                 raise
             except TopologyError as err:

@@ -166,3 +166,30 @@ class TestOracle:
                      files["seg.json"], files["seg.json"]])
         assert code == 1
         assert "not continuous" in capsys.readouterr().out
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are malformed input: exit 2, one error line."""
+
+    def assert_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_script(self, files, capsys):
+        path = Path(files["dir"]) / "latin.topo"
+        path.write_bytes(b'load X "x.json"  # caf\xe9\n')
+        self.assert_input_error(["run", str(path)], capsys)
+
+    def test_space(self, files, capsys):
+        path = Path(files["dir"]) / "latin.json"
+        path.write_bytes(b'{"name": "\xff", "elements": [], "incidence": []}')
+        self.assert_input_error(["dim", str(path)], capsys)
+
+    def test_file_loaded_by_script(self, files, capsys):
+        folder = Path(files["dir"])
+        (folder / "latin.json").write_bytes(b'{"name": "\xff"}')
+        (folder / "latin.topo").write_text('load X "latin.json"\n')
+        err = self.assert_input_error(["run", str(folder / "latin.topo")], capsys)
+        assert err.startswith("error: line 1: ")

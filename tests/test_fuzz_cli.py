@@ -1,0 +1,110 @@
+"""Fuzzing of the command line: every input file or script ends in exit 0, 1 or 2.
+
+Exit 0 and 1 are check verdicts and 2 is malformed input; anything else,
+an uncaught exception included, is a defect.  Documents are arbitrary
+bytes or JSON built from the format's own field names; scripts are lines
+built from the grammar's keywords, the operators, a few names and the
+fixture files.  Emitted files go to relative paths under ``out/`` only.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from conftest import THETA_PAIRS, X_NAMED, Y_NAMED
+from topodata import Partition, Space, SpaceMap, ThetaRelation
+from topodata.cli import main
+from topodata.io import serialize_map, serialize_partition, serialize_space, serialize_theta
+from topodata.script import OPS
+
+FUZZ = settings(max_examples=100, deadline=None, database=None)
+
+FIELDS = ["name", "elements", "incidence", "id", "attrs", "domain", "codomain",
+          "pairs", "left", "right", "space", "classes", "label", "members",
+          "spaces", "maps", "constraints", "map", "mode"]
+FILES = ["x.json", "y.json", "theta.json", "merge.json", "ident.json", "swap.json",
+         "manifest.json", "doc.json", "missing.json", "."]
+IDS = ["B", "C", "a", "b", "c", "e", "x", "zz", "B×b", ""]
+NAMES = ["X", "Y", "T", "C", "I", "W", "S", "J", "S.inc", "J.pleft", "J.pright"]
+LITERALS = ["error", "collapse", "bogus"]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    x, y = Space(*X_NAMED), Space(*Y_NAMED)
+    swap = SpaceMap(y, y, {"C": "x", "b": "b", "c": "c", "x": "C"})
+    for name, text in {
+        "x.json": serialize_space(x),
+        "y.json": serialize_space(y),
+        "theta.json": serialize_theta(ThetaRelation(THETA_PAIRS, left_name="X",
+                                                    right_name="Y")),
+        "merge.json": serialize_partition("Y", Partition.from_classes(y, {"m": ["c", "x"]})),
+        "ident.json": serialize_map(SpaceMap(y, y, {e: e for e in y.elements})),
+        "swap.json": serialize_map(swap),
+        "manifest.json": json.dumps({
+            "spaces": ["y.json"], "maps": ["swap.json", "ident.json"],
+            "constraints": [{"name": "s", "map": "swap"}, {"name": "i", "map": "ident"}]}),
+    }.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                    st.sampled_from(FIELDS + FILES + IDS), st.text(max_size=6))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(FIELDS), inner, max_size=5)),
+    max_leaves=20)
+documents = st.one_of(
+    st.binary(max_size=200),
+    json_values.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.sampled_from([b"[" * 5000, b"1" * 5000, b"\xef\xbb\xbf{}", b"\xff\xfe{}"]),
+)
+
+
+@seed(20131008)
+@FUZZ
+@given(document=documents)
+def test_documents_end_in_an_exit_code(fixture_dir, document):
+    path = fixture_dir / "doc.json"
+    path.write_bytes(document)
+    for argv in (["dim", str(path)], ["dim", str(path), "x"], ["validate", str(path)]):
+        assert main(argv) in (0, 1, 2)
+
+
+names = st.sampled_from(NAMES)
+quoted_files = st.sampled_from(FILES).map(lambda name: f'"{name}"')
+outputs = st.sampled_from(['"out/a.json"', '"out/b/c.json"'])
+arguments = st.lists(st.sampled_from(NAMES + IDS + LITERALS), max_size=4).map(", ".join)
+lets = st.builds("let {} = {}({})".format, names, st.sampled_from(list(OPS)), arguments)
+statements = st.one_of(
+    st.builds("load {} {}".format, names, quoted_files),
+    st.builds("check continuous {}".format, names),
+    st.builds("check homeomorphic {} {}".format, names, names),
+    st.builds("dim {} {}".format, names, st.sampled_from(IDS)),
+    st.builds("closure {} {}".format, names, st.lists(st.sampled_from(IDS), min_size=1,
+                                                       max_size=3).map(",".join)),
+    st.builds("emit {} {}".format, names, outputs),
+    # a line of grammar tokens in any order, mostly not a statement
+    st.lists(st.sampled_from(["load", "let", "=", "check", "continuous", "homeomorphic",
+                              "dim", "closure", "emit", "(", ")", ",", "#", '"']
+                             + list(OPS) + NAMES + FILES), max_size=6).map(" ".join),
+)
+# Two operator lines at most: chained products of the fixtures stay small.
+scripts = st.tuples(st.lists(statements, max_size=6), st.lists(lets, max_size=2)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1])).map("\n".join)
+
+
+@seed(20131008)
+@FUZZ
+@given(script=scripts)
+def test_scripts_end_in_an_exit_code(fixture_dir, script):
+    path = fixture_dir / "fuzz.topo"
+    path.write_text(script, encoding="utf-8")
+    assert main(["run", str(path)]) in (0, 1, 2)

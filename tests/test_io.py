@@ -22,6 +22,7 @@ from topodata.io import (
     parse_partition,
     parse_space,
     parse_theta,
+    read_text,
     serialize_map,
     serialize_partition,
     serialize_space,
@@ -166,3 +167,32 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(UnresolvedReferenceError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["maps", "constraints"])
+    def test_non_list_field_named(self, tmp_path, field):
+        path = self.write_dataset(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = "part_of.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"field '{field}' must be list, got str"):
+            load_dataset(path)
+
+
+class TestParseDiagnostics:
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000],
+                             ids=["deep-nesting", "long-integer"])
+    def test_unparsable_json_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_space(text)
+
+    def test_source_without_line_is_spaced(self):
+        with pytest.raises(ParseError) as err:
+            parse_space('{"elements": [], "incidence": []}', source="noel.json")
+        assert str(err.value) == "noel.json: missing field 'name'"
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ParseError) as err:
+            read_text(path)
+        assert err.value.source == str(path)

@@ -155,6 +155,11 @@ class TestRun:
             run_script(script, base_dir=overlay_dir)
         assert "line 2" in str(err.value)
 
+    def test_nul_in_load_path_carries_line(self, overlay_dir):
+        script = parse_script('load X "x.json"\nload Y "y\x00.json"\n')
+        with pytest.raises(ScriptError, match="^line 2: "):
+            run_script(script, base_dir=overlay_dir)
+
     def test_partition_for_other_space_rejected(self, overlay_dir):
         script = parse_script(
             'load X "x.json"\n'
@@ -198,3 +203,64 @@ class TestRun:
             "check homeomorphic A B\n")
         result = run_script(script, base_dir=overlay_dir)
         assert result.ok
+
+
+# One row per operator: good arguments and the names they bind, an argument
+# list of the wrong length on each side (None where the op has no bound), and
+# arguments with one value of the wrong kind.
+OP_SURFACE = [
+    ("select", "X, B, e", {"S", "S.inc"}, "", None, "T, B"),
+    ("quotient", "Y, C, collapse", {"Q", "Q.proj"}, "Y", "Y, C, error, x", "Y, X"),
+    ("union", "X, Y", {"U", "U.inl", "U.inr"}, "X", "X, Y, X", "X, T"),
+    ("intersect", "X, X", {"M", "M.inl", "M.inr"}, "X", "X, X, X", "C, X"),
+    ("product", "X, Y", {"P", "P.pleft", "P.pright"}, "X", "X, Y, Y", "X, I"),
+    ("theta_join", "X, Y, T", {"J", "J.pleft", "J.pright"}, "X, Y", "X, Y, T, T",
+     "X, Y, Y"),
+    ("fibre_product", "I, I", {"F", "F.pleft", "F.pright"}, "I", "I, I, I", "X, I"),
+    ("reduce", "X", {"R"}, "", "X, Y", "T"),
+]
+PRELUDE = ('load X "x.json"\nload Y "y.json"\nload T "theta.json"\n'
+           'load C "merge.json"\nload I "ident.json"\n')
+
+
+class TestOperatorSurface:
+    @pytest.fixture
+    def op_dir(self, overlay_dir, space_y):
+        identity = SpaceMap(space_y, space_y, {e: e for e in space_y.elements})
+        (overlay_dir / "ident.json").write_text(serialize_map(identity))
+        return overlay_dir
+
+    def run_let(self, op_dir, name, op, args):
+        text = PRELUDE + f"let {name} = {op}({args})\n"
+        return run_script(parse_script(text), base_dir=op_dir)
+
+    @pytest.mark.parametrize("op, good, names, few, many, wrong", OP_SURFACE)
+    def test_binds_documented_names(self, op_dir, op, good, names, few, many, wrong):
+        name = min(names, key=len)
+        before = set(run_script(parse_script(PRELUDE), base_dir=op_dir).env)
+        result = self.run_let(op_dir, name, op, good)
+        assert set(result.env) - before == names
+
+    @pytest.mark.parametrize("op, good, names, few, many, wrong", OP_SURFACE)
+    def test_arity_errors_carry_line(self, op_dir, op, good, names, few, many, wrong):
+        for args in (few, many):
+            if args is None:
+                continue
+            with pytest.raises(ScriptError, match="^line 6: "):
+                self.run_let(op_dir, "Z", op, args)
+
+    @pytest.mark.parametrize("op, good, names, few, many, wrong", OP_SURFACE)
+    def test_wrong_kind_is_script_error(self, op_dir, op, good, names, few, many, wrong):
+        with pytest.raises(ScriptError, match="^line 6: "):
+            self.run_let(op_dir, "Z", op, wrong)
+
+    def test_quotient_policy_literal(self, op_dir):
+        result = self.run_let(op_dir, "Q", "quotient", "Y, C, error")
+        assert len(result.env["Q"]) == 3
+        with pytest.raises(ScriptError, match="^line 6: .*'bogus'"):
+            self.run_let(op_dir, "Q", "quotient", "Y, C, bogus")
+
+    def test_fibre_product_of_identities(self, op_dir):
+        result = self.run_let(op_dir, "F", "fibre_product", "I, I")
+        assert len(result.env["F"]) == 4
+        assert result.env["F.pleft"].codomain.name == "Y"
