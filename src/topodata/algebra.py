@@ -306,7 +306,12 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
     product, but computed without materializing the product: the preorder
     of the product is componentwise, so reachability between kept pairs
     is decided directly on the inputs and only the kept pairs are ever
-    touched.  Side names that theta declares must be the names of x and y.
+    touched.  Theta is indexed by left id, and each kept pair (l1, r1)
+    walks the down set of l1 through that index, keeping the partners
+    that lie below r1: the cost is about the sum over kept pairs of
+    |down(l1)| times the partners per left id, not the square of the
+    number of kept pairs.  Side names that theta declares must be the
+    names of x and y.
     """
     for declared, actual, side in ((theta.left_name, x.name, "left"),
                                    (theta.right_name, y.name, "right")):
@@ -322,13 +327,17 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
             raise UnknownElementError(f"theta right id {b!r} is not in {y.name!r}")
     kept = sorted(theta.pairs)
     rendered = {pair: pair_id(pair[0], pair[1], separator) for pair in kept}
+    partners: dict[str, list[str]] = {}
+    for a, b in kept:
+        partners.setdefault(a, []).append(b)
 
     below: dict[str, frozenset[str]] = {}
     for l1, r1 in kept:
+        right_below = y.down_set(r1)
         below[rendered[(l1, r1)]] = frozenset(
-            rendered[(l2, r2)] for l2, r2 in kept
-            if (l1, r1) != (l2, r2)
-            and x.in_preorder(l1, l2) and y.in_preorder(r1, r2))
+            rendered[(l2, r2)] for l2 in x.down_set(l1)
+            for r2 in partners.get(l2, ())
+            if r2 in right_below)
     incidence = covers(below)
     result = Space(f"{x.name}{separator}{y.name}", below.keys(), incidence)
     left = SpaceMap(result, x, {rendered[p]: p[0] for p in kept})
@@ -357,8 +366,11 @@ def fibre_product(u: SpaceMap, p: SpaceMap,
                 f"{tag} map {mapping.domain.name!r} -> {mapping.codomain.name!r} "
                 f"is not continuous: {verdict.describe()}",
                 witness=verdict.witness, image=verdict.image)
+    fibres: dict[str, list[str]] = {}
+    for b in p.domain.elements:
+        fibres.setdefault(p(b), []).append(b)
     theta = ThetaRelation(
-        ((a, b) for a in u.domain.elements for b in p.domain.elements if u(a) == p(b)),
+        ((a, b) for a in u.domain.elements for b in fibres.get(u(a), ())),
         left_name=u.domain.name, right_name=p.domain.name)
     return theta_join(u.domain, p.domain, theta, separator)
 

@@ -308,8 +308,11 @@ class _Runner:
             text = io.serialize_partition(value.space_name, value.partition)
         else:  # pragma: no cover - env only ever holds the above
             raise ScriptError(f"line {stmt.line}: cannot emit {type(value).__name__}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+            raise ScriptError(f"line {stmt.line}: cannot write {stmt.path!r}: {err}") from err
         self.output.append(f"emit {stmt.name} -> {stmt.path}")
 
     def run(self, script: QueryScript) -> ScriptResult:

@@ -37,8 +37,9 @@ from topodata import (
     select_subspace,
     theta_join,
 )
+from topodata.io import serialize_space
 
-from conftest import random_space
+from conftest import random_layered_space, random_space
 
 
 def same_structure(a: Space, b: Space) -> bool:
@@ -368,6 +369,81 @@ class TestThetaJoin:
                      for _ in range(rng.randint(0, 8))}
             theta = ThetaRelation(pairs)
             assert theta_join(x, y, theta) == naive_theta_join(x, y, theta)
+
+
+def random_join_input(rng, name):
+    """A random layered or random DAG of 1 to 25 elements."""
+    if rng.random() < 0.5:
+        return random_layered_space(rng, rng.randint(1, 25), name=name)
+    return random_space(rng, max_elements=25, name=name, min_elements=1)
+
+
+def scan_fibre_product(u, p):
+    """The fibre product with theta found by testing every domain pair."""
+    theta = ThetaRelation(
+        ((a, b) for a in u.domain.elements for b in p.domain.elements if u(a) == p(b)),
+        left_name=u.domain.name, right_name=p.domain.name)
+    return theta_join(u.domain, p.domain, theta)
+
+
+def random_continuous_map(rng, domain, index):
+    """A random continuous map into a discrete or a chain index space.
+
+    Into a discrete space each connected component goes to one point;
+    into the chain i0 < i1 < ... (each i(k+1) bounded by i(k)) an element
+    goes no lower than anything on its boundary.
+    """
+    points = sorted(sorted(index.elements), key=index.dimension)
+    ordered = sorted(sorted(domain.elements), key=domain.dimension)
+    if not index.incidence:
+        root = {e: e for e in domain.elements}
+
+        def find(e):
+            while root[e] != e:
+                e = root[e]
+            return e
+        for a, b in domain.incidence:
+            root[find(a)] = find(b)
+        spot: dict[str, str] = {}
+        for e in ordered:
+            if find(e) not in spot:
+                spot[find(e)] = rng.choice(points)
+        return SpaceMap(domain, index, {e: spot[find(e)] for e in domain.elements})
+    level: dict[str, int] = {}
+    for e in ordered:
+        floor = max((level[b] for b in domain.down_set(e) - {e}), default=0)
+        level[e] = min(floor + rng.randint(0, 1), len(points) - 1)
+    return SpaceMap(domain, index, {e: points[k] for e, k in level.items()})
+
+
+def same_join(fast, slow) -> bool:
+    return (fast == slow and serialize_space(fast[0]) == serialize_space(slow[0]))
+
+
+class TestDenseThetaDifferential:
+    """Dense theta makes left ids repeat, so the partner index is exercised."""
+
+    def test_theta_join_matches_selection_from_product(self):
+        rng = random.Random(4004)
+        for trial in range(60):
+            x = random_join_input(rng, "X")
+            y = random_join_input(rng, "Y")
+            density = 0.0 if trial % 10 == 0 else rng.uniform(0.1, 1.0)
+            theta = ThetaRelation((a, b) for a in sorted(x.elements)
+                                  for b in sorted(y.elements) if rng.random() < density)
+            assert same_join(theta_join(x, y, theta), naive_theta_join(x, y, theta)), trial
+
+    def test_fibre_product_matches_pair_scan(self):
+        rng = random.Random(4005)
+        for trial in range(60):
+            size = rng.randint(1, 5)
+            points = [f"i{k}" for k in range(size)]
+            chain = [(points[k + 1], points[k]) for k in range(size - 1)]
+            index = Space("I", points, chain if trial % 2 else [])
+            u = random_continuous_map(rng, random_join_input(rng, "X"), index)
+            p = random_continuous_map(rng, random_join_input(rng, "Y"), index)
+            assert is_continuous(u) and is_continuous(p)
+            assert same_join(fibre_product(u, p), scan_fibre_product(u, p)), trial
 
 
 class TestFibreProduct:

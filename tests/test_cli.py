@@ -95,6 +95,15 @@ class TestRun:
         assert err.startswith("error: line 2: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["o\x00.json", "x.json/sub.json"])
+    def test_unwritable_emit_is_input_error(self, files, capsys, target):
+        script = Path(files["dir"]) / "emit.topo"
+        script.write_text(f'load X "x.json"\nemit X "{target}"\n', encoding="utf-8")
+        assert main(["run", str(script)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: cannot write ")
+        assert err.count("\n") == 1
+
     def test_demo_overlay_reproduces_committed_output(self, tmp_path, capsys):
         work = tmp_path / "overlay"
         shutil.copytree(DEMO_OVERLAY, work, ignore=shutil.ignore_patterns("out"))
