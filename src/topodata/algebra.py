@@ -37,15 +37,19 @@ PRODUCT_WARN_LIMIT = 10 ** 6
 
 
 class Partition:
-    """Assignment of each element of a space to a class label."""
+    """Assignment of each element of a space to a class label.
 
-    def __init__(self, classes: Mapping[str, str]):
+    ``space_name`` records which space the partition classifies when known.
+    """
+
+    def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
         table = dict(classes)
         bad = sorted(e for e, label in table.items()
                      if not isinstance(label, str) or not label)
         if bad:
             raise InvalidElementIdError(f"empty or non-string class labels for {bad}")
         self.classes = table
+        self.space_name = space_name
 
     @classmethod
     def from_classes(cls, space: Space, labelled: Mapping[str, Iterable[str]]) -> "Partition":
@@ -63,7 +67,7 @@ class Partition:
                 table[member] = label
         for element in space.elements:
             table.setdefault(element, element)
-        return cls(table)
+        return cls(table, space.name)
 
     def label_of(self, element: str) -> str:
         try:
@@ -161,8 +165,12 @@ def quotient(space: Space, partition: Partition,
     with ``on_cycle="error"`` that raises, with ``"collapse"`` each cyclic
     group of classes is merged into a single class named ``scc:<least
     member label>`` and the quotient is rebuilt.  Collapsing raises when
-    that name is already the label of another class.
+    that name is already the label of another class.  A space name that
+    the partition declares must be the name of ``space``.
     """
+    if partition.space_name is not None and partition.space_name != space.name:
+        raise UnresolvedReferenceError(
+            f"partition is declared for space {partition.space_name!r}, not {space.name!r}")
     if on_cycle not in ("error", "collapse"):
         raise InvalidOptionError(f"on_cycle must be 'error' or 'collapse', got {on_cycle!r}")
     missing = space.elements - partition.classes.keys()
@@ -385,4 +393,4 @@ def partition_by_attribute(space: Space, key: str) -> Partition:
     for element in space.elements:
         value = space.attributes.get(element, {}).get(key)
         classes[element] = value if value is not None else element
-    return Partition(classes)
+    return Partition(classes, space.name)

@@ -10,24 +10,23 @@ dataset can stage its migration to checked references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
-from .errors import DomainMismatchError, UnresolvedReferenceError
-from .maps import SpaceMap, compose, is_continuous
+from .errors import DomainMismatchError, InvalidOptionError, UnresolvedReferenceError
+from .maps import SpaceMap, is_continuous
 from .space import Pair, Space
 
 MODES = ("continuous", "plain")
 
 
-@dataclass(frozen=True)
-class ForeignKeyConstraint:
-    name: str
-    map_name: str
-    mode: str = "continuous"
+class ForeignKeyConstraint(namedtuple("ForeignKeyConstraint", "name map_name mode")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"constraint mode must be one of {MODES}, got {self.mode!r}")
+    def __new__(cls, name: str, map_name: str, mode: str = "continuous"):
+        if mode not in MODES:
+            raise InvalidOptionError(f"constraint mode must be one of {MODES}, got {mode!r}")
+        return super().__new__(cls, name, map_name, mode)
 
 
 class Dataset:
@@ -63,8 +62,7 @@ class Dataset:
                 f"{len(self.constraints)} constraints)")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     mode: str
     ok: bool
@@ -78,8 +76,7 @@ class CheckResult:
         return f"{verdict} {self.name} ({self.mode}){suffix}"
 
 
-@dataclass(frozen=True)
-class StageProfile:
+class StageProfile(NamedTuple):
     space_name: str
     dimensions: tuple[tuple[int, int], ...]  # (dimension, element count)
 
@@ -88,8 +85,7 @@ class StageProfile:
         return f"stage {self.space_name}: {profile}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     stages: tuple[StageProfile, ...] = ()
 
@@ -134,10 +130,9 @@ def validate(dataset: Dataset) -> ValidationReport:
 def validate_chain(dataset: Dataset, chain: list[str]) -> ValidationReport:
     """Check a chain of maps linking successive levels of detail.
 
-    Each link must be continuous, and so must every composite from the
-    finest space onward (implied by the links, verified anyway as defense
-    in depth).  The report also profiles the element dimensions of every
-    stage along the chain, finest first.
+    Each link must be continuous, which makes every composite from the
+    finest space onward continuous as well.  The report also profiles the
+    element dimensions of every stage along the chain, finest first.
     """
     maps = [dataset.resolve_map(name) for name in chain]
     for left, right in zip(maps, maps[1:]):
@@ -154,9 +149,4 @@ def validate_chain(dataset: Dataset, chain: list[str]) -> ValidationReport:
     checks = []
     for i, (name, space_map) in enumerate(zip(chain, maps)):
         checks.append(_check_constraint(f"link[{i}] {name}", "continuous", space_map))
-    running = None
-    for i, space_map in enumerate(maps):
-        running = space_map if running is None else compose(space_map, running)
-        if i > 0:
-            checks.append(_check_constraint(f"composite[0..{i}]", "continuous", running))
     return ValidationReport(tuple(checks), tuple(stages))

@@ -25,8 +25,12 @@ class CyclicIncidenceError(TopologyError):
     """The incidence relation contains a directed cycle."""
 
 
-class InvalidOptionError(TopologyError):
+class InvalidOptionError(TopologyError, ValueError):
     """An operation was given an option value it does not accept."""
+
+
+class InvalidAttributeError(TopologyError):
+    """Element attributes are not a mapping of strings to strings."""
 
 
 class UnknownElementError(TopologyError):

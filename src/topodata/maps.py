@@ -11,7 +11,7 @@ is used by the tests to confirm agreement.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainMismatchError,
@@ -22,8 +22,7 @@ from .errors import (
 from .space import Pair, Space
 
 
-@dataclass(frozen=True)
-class ContinuityResult:
+class ContinuityResult(NamedTuple):
     """Outcome of a continuity check, truthy iff the map is continuous.
 
     On failure ``witness`` is one violating domain pair (a, b) and
@@ -71,7 +70,6 @@ class SpaceMap:
         self.domain = domain
         self.codomain = codomain
         self.mapping = table
-        self._hash = hash((domain, codomain, tuple(sorted(table.items()))))
 
     def __call__(self, element: str) -> str:
         try:
@@ -92,7 +90,7 @@ class SpaceMap:
                 and self.mapping == other.mapping)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.domain, self.codomain, frozenset(self.mapping.items())))
 
     def __repr__(self):
         return f"SpaceMap({self.domain.name!r} -> {self.codomain.name!r}, {len(self.mapping)} entries)"

@@ -10,17 +10,15 @@ beats speed; size guards keep the cost explicit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import SizeBoundError
 from .maps import SpaceMap
 from .space import Space
 
 
-@dataclass(frozen=True)
-class SizeGuard:
+class SizeGuard(NamedTuple):
     """Upper bound on the number of elements an exhaustive run accepts."""
 
     max_elements: int = 12
@@ -88,8 +86,7 @@ def oracle_is_continuous(f: SpaceMap, guard: SizeGuard = ENUMERATION_GUARD) -> b
     return True
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Result of checking the topology axioms on an enumerated family."""
 
     space_name: str

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import singledispatchmethod
 from math import inf
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from . import algebra, io
 from .algebra import Partition, ThetaRelation
@@ -43,70 +43,19 @@ from .errors import (
     ScriptError,
     ScriptNameError,
     TopologyError,
-    UnresolvedReferenceError,
 )
 from .maps import SpaceMap, find_homeomorphism, is_continuous
 from .space import Space
 
 
-@dataclass(frozen=True)
-class LoadStmt:
-    line: int
-    name: str
-    path: str
-
-
-@dataclass(frozen=True)
-class LetStmt:
-    line: int
-    name: str
-    op: str
-    args: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CheckContinuousStmt:
-    line: int
-    map_name: str
-
-
-@dataclass(frozen=True)
-class CheckHomeoStmt:
-    line: int
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
-class DimStmt:
-    line: int
-    space: str
-    element: str | None
-
-
-@dataclass(frozen=True)
-class ClosureStmt:
-    line: int
-    space: str
-    ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class EmitStmt:
-    line: int
-    name: str
-    path: str
-
-
-@dataclass(frozen=True)
-class QueryScript:
-    statements: tuple
-
-
-@dataclass(frozen=True)
-class LoadedPartition:
-    space_name: str
-    partition: Partition
+LoadStmt = namedtuple("LoadStmt", "line name path")
+LetStmt = namedtuple("LetStmt", "line name op args")
+CheckContinuousStmt = namedtuple("CheckContinuousStmt", "line map_name")
+CheckHomeoStmt = namedtuple("CheckHomeoStmt", "line left right")
+DimStmt = namedtuple("DimStmt", "line space element")
+ClosureStmt = namedtuple("ClosureStmt", "line space ids")
+EmitStmt = namedtuple("EmitStmt", "line name path")
+QueryScript = namedtuple("QueryScript", "statements")
 
 
 # One row per operator: the name of its function in ``algebra``, looked up at
@@ -116,7 +65,7 @@ class LoadedPartition:
 Op = namedtuple("Op", "function kinds literals maps")
 OPS = {
     "select": Op("select_subspace", (Space,), inf, ("inc",)),
-    "quotient": Op("quotient", (Space, LoadedPartition), 1, ("proj",)),
+    "quotient": Op("quotient", (Space, Partition), 1, ("proj",)),
     "union": Op("paste_union", (Space, Space), 0, ("inl", "inr")),
     "intersect": Op("pullback_intersection", (Space, Space), 0, ("inl", "inr")),
     "product": Op("product", (Space, Space), 0, ("pleft", "pright")),
@@ -162,12 +111,11 @@ def parse_script(text: str, source: str = "<script>") -> QueryScript:
     return QueryScript(tuple(statements))
 
 
-@dataclass
-class ScriptResult:
+class ScriptResult(NamedTuple):
     env: dict
     dataset: Dataset
-    failures: list[str] = field(default_factory=list)
-    output: list[str] = field(default_factory=list)
+    failures: Sequence[str] = ()
+    output: Sequence[str] = ()
 
     @property
     def ok(self) -> bool:
@@ -228,7 +176,7 @@ class _Runner:
         elif kind == "theta":
             value = io.parse_theta(text, source=source)
         else:
-            value = LoadedPartition(*io.parse_partition(text, self.registry, source=source))
+            _, value = io.parse_partition(text, self.registry, source=source)
         self.bind(stmt.line, stmt.name, value)
 
     @execute.register
@@ -243,12 +191,6 @@ class _Runner:
         args = [self.lookup(stmt.line, name, kind)
                 for name, kind in zip(stmt.args, op.kinds)]
         literals = stmt.args[low:]
-        if stmt.op == "quotient":
-            space, loaded = args
-            if loaded.space_name != space.name:
-                raise UnresolvedReferenceError(
-                    f"partition is declared for space {loaded.space_name!r}, not {space.name!r}")
-            args[1] = loaded.partition
         # select takes its ids as one collection, quotient its policy as is
         args += [literals] if op.literals == inf else literals
         if op.function is None:
@@ -304,8 +246,8 @@ class _Runner:
             text = io.serialize_map(value)
         elif isinstance(value, ThetaRelation):
             text = io.serialize_theta(value)
-        elif isinstance(value, LoadedPartition):
-            text = io.serialize_partition(value.space_name, value.partition)
+        elif isinstance(value, Partition):
+            text = io.serialize_partition(value.space_name, value)
         else:  # pragma: no cover - env only ever holds the above
             raise ScriptError(f"line {stmt.line}: cannot emit {type(value).__name__}")
         try:

@@ -21,6 +21,7 @@ from .errors import (
     CyclicIncidenceError,
     DanglingIncidenceError,
     DuplicateElementError,
+    InvalidAttributeError,
     InvalidElementIdError,
     SelfLoopError,
     UnknownElementError,
@@ -141,7 +142,11 @@ class Space:
 
         pairs = set()
         for pair in incidence:
-            a, b = pair
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise InvalidElementIdError(
+                    f"incidence entry in {self.name!r} is not a pair: {pair!r}") from None
             if a == b:
                 raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {self.name!r}")
             for endpoint in (a, b):
@@ -180,17 +185,19 @@ class Space:
             if el not in self.elements:
                 raise UnknownElementError(
                     f"attributes given for unknown element {el!r} in {self.name!r}")
-            entry = {}
-            for k, v in dict(kv).items():
+            try:
+                entry = dict(kv)
+            except (TypeError, ValueError):
+                raise InvalidAttributeError(
+                    f"attributes of {el!r} in {self.name!r} are not a mapping: {kv!r}") from None
+            for k, v in entry.items():
                 if not isinstance(k, str) or not isinstance(v, str):
-                    raise TypeError(f"attribute keys and values must be strings: {k!r}={v!r}")
-                entry[k] = v
+                    raise InvalidAttributeError(
+                        f"attribute keys and values must be strings: {k!r}={v!r}")
             if entry:
                 cleaned[el] = entry
         self.attributes = cleaned
 
-        attr_key = tuple(sorted((el, tuple(sorted(kv.items()))) for el, kv in cleaned.items()))
-        self._hash = hash((self.name, self.elements, self.incidence, attr_key))
         # lazily filled caches; recomputation under a race is benign
         self._down: dict[str, frozenset[str]] = {}
         self._up: dict[str, frozenset[str]] = {}
@@ -220,7 +227,8 @@ class Space:
                 and self.attributes == other.attributes)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.name, self.elements, self.incidence,
+                     frozenset((el, frozenset(kv.items())) for el, kv in self.attributes.items())))
 
     def __len__(self):
         return len(self.elements)

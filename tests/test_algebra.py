@@ -125,6 +125,14 @@ class TestQuotient:
         assert same_structure(result, space_x)
         assert is_continuous(projection)
 
+    def test_partition_for_other_space_rejected(self, space_y):
+        renamed = Space("Z", space_y.elements, space_y.incidence)
+        partition = Partition.from_classes(space_y, {"m": ["c", "x"]})
+        with pytest.raises(UnresolvedReferenceError, match="declared for space 'Y', not 'Z'"):
+            quotient(renamed, partition, on_cycle="bogus")
+        result, _ = quotient(renamed, Partition(partition.classes))
+        assert result.elements == {"C", "b", "m"}
+
     def test_partition_must_be_total(self, space_y):
         with pytest.raises(MapTotalityError):
             quotient(space_y, Partition({"C": "C"}))
@@ -509,6 +517,7 @@ class TestConveniences:
                       {"w1": {"kind": "wall"}, "w2": {"kind": "wall"}})
         partition = partition_by_attribute(space, "kind")
         assert partition.classes == {"w1": "wall", "w2": "wall", "d": "d"}
+        assert partition.space_name == "s"
 
 
 class TestEmittedMapsAreContinuous:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ from topodata import Space, SpaceMap
 from topodata.cli import main
 from topodata.io import serialize_map, serialize_space, serialize_theta
 
-DEMO_OVERLAY = Path(__file__).resolve().parents[1] / "demo" / "overlay"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_OVERLAY = ROOT / "demo" / "overlay"
 
 
 @pytest.fixture
@@ -202,3 +206,14 @@ class TestUndecodableInput:
         (folder / "latin.topo").write_text('load X "latin.json"\n')
         err = self.assert_input_error(["run", str(folder / "latin.topo")], capsys)
         assert err.startswith("error: line 1: ")
+
+
+def test_startup_does_not_import_dataclasses():
+    # every topo invocation pays for what importing the CLI pulls in, and
+    # dataclasses brings inspect, ast and code generation with it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import topodata.cli, sys; assert 'dataclasses' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -8,6 +8,7 @@ from topodata import (
     Dataset,
     DomainMismatchError,
     ForeignKeyConstraint,
+    InvalidOptionError,
     Partition,
     Space,
     SpaceMap,
@@ -85,6 +86,10 @@ class TestValidate:
         with pytest.raises(ValueError):
             ForeignKeyConstraint("c", "m", "sometimes")
 
+    def test_invalid_mode_is_option_error(self):
+        with pytest.raises(InvalidOptionError, match="sometimes"):
+            ForeignKeyConstraint("c", "m", "sometimes")
+
 
 class TestValidateChain:
     def test_single_link(self, lod_dataset):
@@ -115,7 +120,7 @@ class TestValidateChain:
         with pytest.raises(DomainMismatchError):
             validate_chain(lod_dataset, ["part_of", "part_of"])
 
-    def test_composites_checked(self, lod_dataset):
+    def test_one_check_per_link(self, lod_dataset):
         report = validate_chain(lod_dataset, ["swap", "swap"])
         names = [c.name for c in report.checks]
-        assert "composite[0..1]" in names
+        assert names == ["link[0] swap", "link[1] swap"]

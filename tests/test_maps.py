@@ -83,17 +83,20 @@ class TestCompose:
             compose(identity_map(segment), identity_map(space_y))
 
     def test_preserves_continuity(self):
+        # chains of two and three maps: continuous links, continuous composites
         rng = random.Random(21)
-        found = 0
-        while found < 30:
-            x = random_space(rng, max_elements=5, name="X", min_elements=1)
-            y = random_space(rng, max_elements=5, name="Y", min_elements=1)
-            z = random_space(rng, max_elements=5, name="Z", min_elements=1)
-            f = random_total_map(rng, x, y)
-            g = random_total_map(rng, y, z)
-            if is_continuous(f) and is_continuous(g):
-                assert is_continuous(compose(g, f))
-                found += 1
+        for links in (2, 3):
+            found = 0
+            while found < 30:
+                spaces = [random_space(rng, max_elements=5, name=f"S{i}", min_elements=1)
+                          for i in range(links + 1)]
+                maps = [random_total_map(rng, a, b) for a, b in zip(spaces, spaces[1:])]
+                if all(is_continuous(m) for m in maps):
+                    running = maps[0]
+                    for m in maps[1:]:
+                        running = compose(m, running)
+                        assert is_continuous(running)
+                    found += 1
 
 
 class TestIsContinuous:

@@ -117,6 +117,12 @@ class TestRun:
         assert result.ok
         assert "dim Q = 2" in result.output
 
+    def test_emit_loaded_partition(self, overlay_dir):
+        script = parse_script('load Y "y.json"\nload P "merge.json"\nemit P "out/p.json"\n')
+        run_script(script, base_dir=overlay_dir)
+        assert ((overlay_dir / "out" / "p.json").read_bytes()
+                == (overlay_dir / "merge.json").read_bytes())
+
     def test_select_union_intersect_product_reduce(self, overlay_dir):
         script = parse_script(
             'load X "x.json"\n'

@@ -12,9 +12,11 @@ from topodata import (
     CyclicIncidenceError,
     DanglingIncidenceError,
     DuplicateElementError,
+    InvalidAttributeError,
     InvalidElementIdError,
     SelfLoopError,
     Space,
+    SpaceMap,
     UnknownElementError,
     enumerate_topology,
 )
@@ -88,6 +90,27 @@ class TestConstruction:
         assert twin == space_x
         assert hash(twin) == hash(space_x)
         assert twin != Space("X2", space_x.elements, space_x.incidence)
+
+    def test_equal_values_hash_equal(self):
+        # the same content given in different orders
+        x = Space("s", ["a", "b", "c"], [("a", "b"), ("b", "c")],
+                  {"a": {"k": "1", "m": "2"}, "b": {"k": "3"}})
+        y = Space("s", ["c", "b", "a"], [("b", "c"), ("a", "b")],
+                  {"b": {"k": "3"}, "a": {"m": "2", "k": "1"}})
+        assert x == y and hash(x) == hash(y)
+        f = SpaceMap(x, x, {"a": "a", "b": "b", "c": "c"})
+        g = SpaceMap(y, y, {"c": "c", "b": "b", "a": "a"})
+        assert f == g and hash(f) == hash(g)
+
+    @pytest.mark.parametrize("entry", [("a",), None])
+    def test_malformed_incidence_entry(self, entry):
+        with pytest.raises(InvalidElementIdError, match="not a pair"):
+            Space("s", ["a"], [entry])
+
+    @pytest.mark.parametrize("attrs", [{"k": 1}, 5])
+    def test_bad_attributes(self, attrs):
+        with pytest.raises(InvalidAttributeError):
+            Space("s", ["a"], [], {"a": attrs})
 
 
 class TestIsOpen:
