@@ -30,7 +30,7 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import Pair, Space, covers, strongly_connected_components
+from .space import Pair, Space, check_element_id, check_pairs, covers, strongly_connected_components
 
 DEFAULT_SEPARATOR = "×"
 PRODUCT_WARN_LIMIT = 10 ** 6
@@ -58,7 +58,7 @@ class Partition:
         table: dict[str, str] = {}
         for label, members in labelled.items():
             for member in members:
-                if member not in space.elements:
+                if check_element_id(member) not in space.elements:
                     raise UnknownElementError(
                         f"partition member {member!r} is not in {space.name!r}")
                 if member in table:
@@ -94,7 +94,7 @@ class ThetaRelation:
 
     def __init__(self, pairs: Iterable[Pair], left_name: str | None = None,
                  right_name: str | None = None):
-        self.pairs = frozenset((a, b) for a, b in pairs)
+        self.pairs = frozenset(check_pairs(pairs, "theta relation"))
         self.left_name = left_name
         self.right_name = right_name
 
@@ -142,11 +142,7 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     if callable(keep):
         kept = frozenset(e for e in space.elements if keep(space.attributes.get(e, {})))
     else:
-        kept = frozenset(keep)
-        unknown = kept - space.elements
-        if unknown:
-            raise UnknownElementError(
-                f"cannot select {sorted(unknown)}: not elements of {space.name!r}")
+        kept = space._subset(keep)
     below = {e: space.down_set(e) & kept for e in kept}
     incidence = covers(below)
     attributes = {e: space.attributes[e] for e in kept if e in space.attributes}

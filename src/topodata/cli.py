@@ -163,10 +163,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TopologyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TopologyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,14 +9,16 @@ serializing is idempotent on its own output.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
 from .algebra import Partition, ThetaRelation
 from .constraints import Dataset, ForeignKeyConstraint
-from .errors import ParseError, UnresolvedReferenceError
+from .errors import (InvalidAttributeError, InvalidElementIdError, ParseError,
+                     UnresolvedReferenceError)
 from .maps import SpaceMap
-from .space import Space
+from .space import Space, check_pairs
 
 
 def _load_json(text: str, source: str):
@@ -40,15 +42,12 @@ def _require(doc, key, kind, source):
     return value
 
 
-def _id_pairs(value, field, source):
-    pairs = []
-    for entry in value:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(v, str) for v in entry)):
-            raise ParseError(f"{field} entries must be [string, string], "
-                             f"got {entry!r}", source=source)
-        pairs.append((entry[0], entry[1]))
-    return pairs
+def _build(source, constructor, *args, **kwargs):
+    """Call a constructor; a malformed id or attribute is a ParseError of the file."""
+    try:
+        return constructor(*args, **kwargs)
+    except (InvalidElementIdError, InvalidAttributeError) as err:
+        raise ParseError(str(err), source=source) from err
 
 
 # -- spaces ------------------------------------------------------------------
@@ -60,19 +59,15 @@ def parse_space(text: str, source: str = "<space>") -> Space:
     ids = []
     attributes = {}
     for entry in raw_elements:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ParseError(f"elements entries must be objects with an 'id', "
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise ParseError(f"elements entries must be objects with a string 'id', "
                              f"got {entry!r}", source=source)
         ids.append(entry["id"])
         attrs = entry.get("attrs")
         if attrs is not None:
-            if not isinstance(attrs, dict) or not all(
-                    isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()):
-                raise ParseError(f"attrs of {entry['id']!r} must map strings to strings",
-                                 source=source)
             attributes[entry["id"]] = attrs
-    incidence = _id_pairs(_require(doc, "incidence", list, source), "incidence", source)
-    return Space(name, ids, incidence, attributes)
+    incidence = _require(doc, "incidence", list, source)
+    return _build(source, Space, name, ids, incidence, attributes)
 
 
 def serialize_space(space: Space) -> str:
@@ -100,8 +95,12 @@ def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> 
     for name in (domain_name, codomain_name):
         if name not in spaces:
             raise UnresolvedReferenceError(f"{source}: unknown space {name!r}")
-    pairs = _id_pairs(_require(doc, "pairs", list, source), "pairs", source)
-    return SpaceMap(spaces[domain_name], spaces[codomain_name], dict(pairs))
+    pairs = _build(source, check_pairs, _require(doc, "pairs", list, source), "map pairs")
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+        raise ParseError(f"map pairs list source ids more than once: {repeated}", source=source)
+    return SpaceMap(spaces[domain_name], spaces[codomain_name], table)
 
 
 def serialize_map(space_map: SpaceMap) -> str:
@@ -119,8 +118,8 @@ def parse_theta(text: str, source: str = "<theta>") -> ThetaRelation:
     doc = _load_json(text, source)
     left = _require(doc, "left", str, source)
     right = _require(doc, "right", str, source)
-    pairs = _id_pairs(_require(doc, "pairs", list, source), "pairs", source)
-    return ThetaRelation(pairs, left_name=left, right_name=right)
+    pairs = _require(doc, "pairs", list, source)
+    return _build(source, ThetaRelation, pairs, left_name=left, right_name=right)
 
 
 def serialize_theta(theta: ThetaRelation) -> str:
@@ -151,7 +150,7 @@ def parse_partition(text: str, spaces: Mapping[str, Space],
         if entry["label"] in labelled:
             raise ParseError(f"class label {entry['label']!r} listed twice", source=source)
         labelled[entry["label"]] = entry["members"]
-    return space_name, Partition.from_classes(spaces[space_name], labelled)
+    return space_name, _build(source, Partition.from_classes, spaces[space_name], labelled)
 
 
 def serialize_partition(space_name: str, partition: Partition) -> str:

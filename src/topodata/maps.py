@@ -115,14 +115,15 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
 
     f is continuous iff the image of every incidence pair of the domain
     lies in the preorder (reflexive-transitive closure) of the codomain.
-    The witness is the first violation in sorted pair order, so repeated
-    checks of the same map report the same pair.
+    The witness is the least violating pair, so repeated checks of the
+    same map report the same pair.
     """
-    for a, b in sorted(f.domain.incidence):
-        fa, fb = f(a), f(b)
-        if not f.codomain.in_preorder(fa, fb):
-            return ContinuityResult(False, (a, b), (fa, fb))
-    return ContinuityResult(True)
+    image = f.mapping
+    bad = min(((a, b) for a, b in f.domain.incidence
+               if not f.codomain.in_preorder(image[a], image[b])), default=None)
+    if bad is None:
+        return ContinuityResult(True)
+    return ContinuityResult(False, bad, (image[bad[0]], image[bad[1]]))
 
 
 def is_homeomorphism(f: SpaceMap, g: SpaceMap) -> bool:

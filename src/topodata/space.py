@@ -15,7 +15,7 @@ specialisation preorder), which is what most queries here work on.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import (
     CyclicIncidenceError,
@@ -37,6 +37,17 @@ def check_element_id(token: object) -> str:
     if "," in token or any(ch.isspace() for ch in token):
         raise InvalidElementIdError(f"element id contains whitespace or a comma: {token!r}")
     return token
+
+
+def check_pairs(entries: Iterable, what: str) -> list[Pair]:
+    """The entries as id pairs; each must be a two-item list or tuple of strings."""
+    pairs = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise InvalidElementIdError(f"{what}: entry {entry!r} is not a pair of string ids")
+        pairs.append((entry[0], entry[1]))
+    return pairs
 
 
 def strongly_connected_components(nodes, edges):
@@ -141,12 +152,7 @@ class Space:
         self.elements = frozenset(ids)
 
         pairs = set()
-        for pair in incidence:
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                raise InvalidElementIdError(
-                    f"incidence entry in {self.name!r} is not a pair: {pair!r}") from None
+        for a, b in check_pairs(incidence, f"incidence of {self.name!r}"):
             if a == b:
                 raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {self.name!r}")
             for endpoint in (a, b):
@@ -162,8 +168,8 @@ class Space:
         for a, b in pairs:
             succ[a].append(b)
             pred[b].append(a)
-        self._succ = {e: tuple(sorted(vs)) for e, vs in succ.items()}
-        self._pred = {e: tuple(sorted(vs)) for e, vs in pred.items()}
+        self._succ = {e: tuple(vs) for e, vs in succ.items()}
+        self._pred = {e: tuple(vs) for e, vs in pred.items()}
 
         # Kahn's sort from the sinks up: an element is placed once
         # everything it is bounded by is placed, so _order lists every
@@ -180,22 +186,22 @@ class Space:
                 f"incidence of {self.name!r} has a cycle: {' -> '.join(self._cycle(pairs))}")
         self._order = order
 
+        if attributes is not None and not isinstance(attributes, Mapping):
+            raise InvalidAttributeError(f"attributes of {self.name!r} are not a mapping")
         cleaned: dict[str, dict[str, str]] = {}
         for el, kv in (attributes or {}).items():
             if el not in self.elements:
                 raise UnknownElementError(
                     f"attributes given for unknown element {el!r} in {self.name!r}")
-            try:
-                entry = dict(kv)
-            except (TypeError, ValueError):
+            if not isinstance(kv, Mapping):
                 raise InvalidAttributeError(
-                    f"attributes of {el!r} in {self.name!r} are not a mapping: {kv!r}") from None
-            for k, v in entry.items():
+                    f"attributes of {el!r} in {self.name!r} are not a mapping: {kv!r}")
+            for k, v in kv.items():
                 if not isinstance(k, str) or not isinstance(v, str):
                     raise InvalidAttributeError(
                         f"attribute keys and values must be strings: {k!r}={v!r}")
-            if entry:
-                cleaned[el] = entry
+            if kv:
+                cleaned[el] = dict(kv)
         self.attributes = cleaned
 
         # lazily filled caches; recomputation under a race is benign
@@ -213,7 +219,7 @@ class Space:
         position: dict[str, int] = {}
         while walk[-1] not in position:
             position[walk[-1]] = len(walk) - 1
-            walk.append(next(b for b in self._succ[walk[-1]] if b in component))
+            walk.append(min(b for b in self._succ[walk[-1]] if b in component))
         return walk[position[walk[-1]]:]
 
     # -- value semantics ---------------------------------------------------
@@ -242,10 +248,16 @@ class Space:
     # -- fundamental queries -----------------------------------------------
 
     def _subset(self, subset: Iterable[str]) -> frozenset[str]:
-        sub = frozenset(subset)
+        if isinstance(subset, str):  # iterating one id would split it into characters
+            raise InvalidElementIdError(f"expected a collection of ids, got the string {subset!r}")
+        try:
+            sub = frozenset(subset)
+        except TypeError:  # not iterable, or an unhashable id
+            raise InvalidElementIdError(
+                f"not a collection of element ids of {self.name!r}: {subset!r}") from None
         unknown = sub - self.elements
         if unknown:
-            raise UnknownElementError(f"not elements of {self.name!r}: {sorted(unknown)}")
+            raise UnknownElementError(f"not elements of {self.name!r}: {sorted(unknown, key=str)}")
         return sub
 
     def is_open(self, subset: Iterable[str]) -> bool:

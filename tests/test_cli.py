@@ -208,6 +208,40 @@ class TestUndecodableInput:
         assert err.startswith("error: line 1: ")
 
 
+class TestMalformedFiles:
+    """A malformed id, pair or attribute table: exit 2, one line naming the file."""
+
+    @pytest.mark.parametrize("elements, incidence", [
+        ([{"id": ["a"], "attrs": {}}], []),
+        ([{"id": "a b"}], []),
+        ([{"id": "a", "attrs": [["k", "v"]]}], []),
+        ([{"id": "a", "attrs": {"k": 1}}], []),
+        ([{"id": "a"}, {"id": "b"}], ["ab"]),
+        ([{"id": "a"}, {"id": "b"}], [["a", 2]]),
+    ], ids=["list-id", "spaced-id", "list-attrs", "number-attr", "string-pair", "number-pair"])
+    def test_space_file(self, tmp_path, capsys, elements, incidence):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"name": "s", "elements": elements, "incidence": incidence}))
+        assert main(["dim", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"domain": "Y", "codomain": "Y",
+         "pairs": [["C", "C"], ["b", "b"], ["c", "c"], ["x", "x"], ["C", "x"]]},
+        {"left": "X", "right": "Y", "pairs": [{"A": 1, "C": 2}]},
+        {"space": "Y", "classes": [{"label": "m", "members": [["c"]]}]},
+    ], ids=["map-repeated-source", "theta-non-pair", "partition-list-member"])
+    def test_file_loaded_by_script(self, files, capsys, doc):
+        folder = Path(files["dir"])
+        (folder / "doc.json").write_text(json.dumps(doc))
+        (folder / "doc.topo").write_text('load Y "y.json"\nload D "doc.json"\n')
+        assert main(["run", str(folder / "doc.topo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {folder / 'doc.json'}: ")
+        assert err.count("\n") == 1
+
+
 def test_startup_does_not_import_dataclasses():
     # every topo invocation pays for what importing the CLI pulls in, and
     # dataclasses brings inspect, ast and code generation with it

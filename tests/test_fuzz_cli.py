@@ -55,16 +55,23 @@ def fixture_dir(tmp_path_factory):
 
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
-                    st.sampled_from(FIELDS + FILES + IDS), st.text(max_size=6))
+                    st.sampled_from(FIELDS + FILES + IDS + NAMES), st.text(max_size=6))
 json_values = st.recursive(
     scalars,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(st.sampled_from(FIELDS), inner, max_size=5)),
     max_leaves=20)
+MALFORMED = [
+    {"domain": "Y", "codomain": "Y", "pairs": [["C", "C"], ["b", "b"], ["c", "c"],
+                                               ["x", "x"], ["C", "x"]]},
+    {"space": "Y", "classes": [{"label": "m", "members": [["c"]]}]},
+    {"name": "Y", "elements": [{"id": ["a"], "attrs": {}}], "incidence": []},
+]
 documents = st.one_of(
     st.binary(max_size=200),
     json_values.map(lambda value: json.dumps(value).encode("utf-8")),
-    st.sampled_from([b"[" * 5000, b"1" * 5000, b"\xef\xbb\xbf{}", b"\xff\xfe{}"]),
+    st.sampled_from([b"[" * 5000, b"1" * 5000, b"\xef\xbb\xbf{}", b"\xff\xfe{}"]
+                    + [json.dumps(doc).encode("utf-8") for doc in MALFORMED]),
 )
 
 
@@ -76,6 +83,12 @@ def test_documents_end_in_an_exit_code(fixture_dir, document):
     path.write_bytes(document)
     for argv in (["dim", str(path)], ["dim", str(path), "x"], ["validate", str(path)]):
         assert main(argv) in (0, 1, 2)
+    # the map, theta and partition parsers, reached through a script's load
+    script = fixture_dir / "doc.topo"
+    for last in ("dim D", 'emit D "out/doc.json"'):
+        script.write_text(f'load X "x.json"\nload Y "y.json"\nload D "doc.json"\n{last}\n',
+                          encoding="utf-8")
+        assert main(["run", str(script)]) in (0, 1, 2)
 
 
 names = st.sampled_from(NAMES)

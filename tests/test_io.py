@@ -72,6 +72,10 @@ class TestSpaceFiles:
         with pytest.raises(ParseError):
             parse_space(json.dumps(doc))
 
+    def test_null_attrs_mean_none(self):
+        doc = {"name": "s", "elements": [{"id": "a", "attrs": None}], "incidence": []}
+        assert parse_space(json.dumps(doc)) == Space("s", ["a"], [])
+
 
 class TestMapFiles:
     def test_round_trip(self, segment):
@@ -83,6 +87,13 @@ class TestMapFiles:
         text = json.dumps({"domain": "seg", "codomain": "other", "pairs": []})
         with pytest.raises(UnresolvedReferenceError):
             parse_map(text, {"seg": segment})
+
+    def test_repeated_source_rejected(self, segment):
+        pairs = [["e", "e"], ["v1", "v1"], ["v2", "v2"], ["v2", "e"], ["v1", "e"]]
+        text = json.dumps({"domain": "seg", "codomain": "seg", "pairs": pairs})
+        with pytest.raises(ParseError, match=r"\['v1', 'v2'\]") as err:
+            parse_map(text, {"seg": segment}, source="twice.json")
+        assert err.value.source == "twice.json"
 
 
 class TestThetaFiles:

@@ -120,6 +120,34 @@ class TestIsContinuous:
             f = random_total_map(rng, x, y)
             assert bool(is_continuous(f)) == oracle_is_continuous(f)
 
+    def test_witness_is_first_violation_in_sorted_order(self):
+        rng = random.Random(33)
+        verdicts = Counter()
+        for _ in range(300):
+            x = random_space(rng, max_elements=8, name="X", min_elements=1)
+            y = random_space(rng, max_elements=8, name="Y", min_elements=1)
+            f = random_total_map(rng, x, y)
+            preorder = naive_preorder(y)
+            witness = next(((a, b) for a, b in sorted(x.incidence)
+                            if (f(a), f(b)) not in preorder), None)
+            verdict = is_continuous(f)
+            assert verdict.ok == (witness is None)
+            assert verdict.witness == witness
+            if witness is not None:
+                assert verdict.image == (f(witness[0]), f(witness[1]))
+            verdicts[verdict.ok] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+def naive_preorder(space: Space) -> set:
+    """The reflexive-transitive closure of incidence, by joining pairs until nothing changes."""
+    closure = {(e, e) for e in space.elements} | set(space.incidence)
+    while True:
+        grown = closure | {(a, d) for a, b in closure for c, d in closure if b == c}
+        if grown == closure:
+            return closure
+        closure = grown
+
 
 class TestIsHomeomorphism:
     def test_identity_pair(self, space_x):

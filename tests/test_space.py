@@ -17,8 +17,11 @@ from topodata import (
     SelfLoopError,
     Space,
     SpaceMap,
+    ThetaRelation,
+    TopologyError,
     UnknownElementError,
     enumerate_topology,
+    select_subspace,
 )
 
 from conftest import brute_closure, brute_dimension, brute_star, random_space
@@ -102,15 +105,33 @@ class TestConstruction:
         g = SpaceMap(y, y, {"c": "c", "b": "b", "a": "a"})
         assert f == g and hash(f) == hash(g)
 
-    @pytest.mark.parametrize("entry", [("a",), None])
+    @pytest.mark.parametrize("entry", [("a",), None, "ab", {"a": 1, "b": 2}, {"a", "b"},
+                                       (["a"], "b")])
     def test_malformed_incidence_entry(self, entry):
         with pytest.raises(InvalidElementIdError, match="not a pair"):
-            Space("s", ["a"], [entry])
+            Space("s", ["a", "b"], [entry])
+        with pytest.raises(InvalidElementIdError, match="not a pair"):
+            ThetaRelation([entry])
 
-    @pytest.mark.parametrize("attrs", [{"k": 1}, 5])
-    def test_bad_attributes(self, attrs):
+    @pytest.mark.parametrize("attributes", [
+        pytest.param({"a": {"k": 1}}, id="attrs0"),
+        pytest.param({"a": 5}, id="5"),
+        pytest.param({"a": [("k", "v")]}, id="list-of-items"),
+        pytest.param(5, id="argument-5"),
+        pytest.param([("a", {})], id="argument-list-of-items"),
+    ])
+    def test_bad_attributes(self, attributes):
         with pytest.raises(InvalidAttributeError):
-            Space("s", ["a"], [], {"a": attrs})
+            Space("s", ["a"], [], attributes)
+
+    @pytest.mark.parametrize("query", ["closure", "star", "is_open", "select"])
+    @pytest.mark.parametrize("ids", [[["a"]], [{"a"}], 5, ["zz", 5], "e"],
+                             ids=["list-id", "set-id", "not-iterable", "mixed-unknown", "string"])
+    def test_ids_that_are_not_elements(self, segment, query, ids):
+        run = ((lambda keep: select_subspace(segment, keep)) if query == "select"
+               else getattr(segment, query))
+        with pytest.raises(TopologyError):
+            run(ids)
 
 
 class TestIsOpen:
