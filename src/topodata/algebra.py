@@ -144,9 +144,9 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     else:
         kept = space._subset(keep)
     below = {e: space.down_set(e) & kept for e in kept}
-    incidence = covers(below)
-    attributes = {e: space.attributes[e] for e in kept if e in space.attributes}
-    sub = Space(space.name, kept, incidence, attributes)
+    incidence = frozenset(covers(below))
+    attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
+    sub = Space._trusted(space.name, kept, incidence, attributes)
     inclusion = SpaceMap(sub, space, {e: e for e in kept})
     return sub, inclusion
 
@@ -250,24 +250,51 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
     """
     common = x.elements & y.elements
     below = {e: x.down_set(e) & y.down_set(e) & common for e in common}
-    incidence = covers(below)
+    incidence = frozenset(covers(below))
     attributes: dict[str, dict[str, str]] = {}
     for source in (x, y):
         for element, kv in source.attributes.items():
             if element in common:
                 attributes.setdefault(element, {}).update(kv)
-    result = Space(f"{x.name}∩{y.name}", common, incidence, attributes)
+    result = Space._trusted(f"{x.name}∩{y.name}", common, incidence, attributes)
     include_x = SpaceMap(result, x, {e: e for e in common})
     include_y = SpaceMap(result, y, {e: e for e in common})
     return result, include_x, include_y
 
 
-def _check_separator(space: Space, separator: str) -> None:
-    clashing = sorted(e for e in space.elements if separator in e)
-    if clashing:
-        raise SeparatorCollisionError(
-            f"elements of {space.name!r} already contain the separator "
-            f"{separator!r}: {clashing}")
+def _check_separator(separator: str, *spaces: Space) -> None:
+    """The separator must be usable inside an id, and in no id of the spaces."""
+    try:
+        check_element_id(separator)
+    except InvalidElementIdError:
+        raise InvalidOptionError(f"separator must be a non-empty string without "
+                                 f"whitespace or a comma, got {separator!r}") from None
+    for space in spaces:
+        clashing = sorted(e for e in space.elements if separator in e)
+        if clashing:
+            raise SeparatorCollisionError(
+                f"elements of {space.name!r} already contain the separator "
+                f"{separator!r}: {clashing}")
+
+
+def _pair_ids(pairs: list[Pair], separator: str) -> dict[str, Pair]:
+    """Each of the distinct pairs by its rendered id.
+
+    A separator that overlaps the ends of the ids can render two pairs as
+    one id (``xa`` + ``aa`` + ``y`` and ``x`` + ``aa`` + ``ay``); that
+    raises SeparatorCollisionError rather than merging the two.
+    """
+    rendered = {f"{a}{separator}{b}": (a, b) for a, b in pairs}
+    if len(rendered) < len(pairs):
+        seen: dict[str, Pair] = {}
+        for pair in sorted(pairs):
+            rid = pair_id(*pair, separator)
+            if rid in seen:
+                raise SeparatorCollisionError(
+                    f"pairs {seen[rid]} and {pair} both render as {rid!r} "
+                    f"with the separator {separator!r}")
+            seen[rid] = pair
+    return rendered
 
 
 def product(x: Space, y: Space, separator: str = DEFAULT_SEPARATOR,
@@ -281,14 +308,12 @@ def product(x: Space, y: Space, separator: str = DEFAULT_SEPARATOR,
     elements are the sums of the component dimensions.  This is the
     topological generalisation of extrusion.
     """
-    _check_separator(x, separator)
-    _check_separator(y, separator)
+    _check_separator(separator, x, y)
     total = len(x.elements) * len(y.elements)
     if total > warn_limit:
         warnings.warn(f"product has {total} elements, above the advisory "
                       f"limit {warn_limit}", RuntimeWarning, stacklevel=2)
-    components = {pair_id(t, u, separator): (t, u)
-                  for t in x.elements for u in y.elements}
+    components = _pair_ids([(t, u) for t in x.elements for u in y.elements], separator)
     incidence: set[Pair] = set()
     for t in x.elements:
         for a, b in y.incidence:
@@ -296,7 +321,8 @@ def product(x: Space, y: Space, separator: str = DEFAULT_SEPARATOR,
     for c, d in x.incidence:
         for u in y.elements:
             incidence.add((pair_id(c, u, separator), pair_id(d, u, separator)))
-    result = Space(f"{x.name}{separator}{y.name}", components.keys(), incidence)
+    result = Space._trusted(f"{x.name}{separator}{y.name}", frozenset(components),
+                            frozenset(incidence), {})
     left = SpaceMap(result, x, {rid: lr[0] for rid, lr in components.items()})
     right = SpaceMap(result, y, {rid: lr[1] for rid, lr in components.items()})
     return result, left, right
@@ -322,15 +348,14 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
         if declared is not None and declared != actual:
             raise UnresolvedReferenceError(
                 f"theta {side} side is declared for {declared!r}, not {actual!r}")
-    _check_separator(x, separator)
-    _check_separator(y, separator)
+    _check_separator(separator, x, y)
     for a, b in theta.pairs:
         if a not in x.elements:
             raise UnknownElementError(f"theta left id {a!r} is not in {x.name!r}")
         if b not in y.elements:
             raise UnknownElementError(f"theta right id {b!r} is not in {y.name!r}")
     kept = sorted(theta.pairs)
-    rendered = {pair: pair_id(pair[0], pair[1], separator) for pair in kept}
+    rendered = {pair: rid for rid, pair in _pair_ids(kept, separator).items()}
     partners: dict[str, list[str]] = {}
     for a, b in kept:
         partners.setdefault(a, []).append(b)
@@ -342,8 +367,8 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
             rendered[(l2, r2)] for l2 in x.down_set(l1)
             for r2 in partners.get(l2, ())
             if r2 in right_below)
-    incidence = covers(below)
-    result = Space(f"{x.name}{separator}{y.name}", below.keys(), incidence)
+    incidence = frozenset(covers(below))
+    result = Space._trusted(f"{x.name}{separator}{y.name}", frozenset(below), incidence, {})
     left = SpaceMap(result, x, {rendered[p]: p[0] for p in kept})
     right = SpaceMap(result, y, {rendered[p]: p[1] for p in kept})
     return result, left, right

@@ -4,12 +4,18 @@ All documents are JSON.  Serializers emit a canonical form: fixed key
 order, element ids and pairs sorted, two-space indentation, trailing
 newline.  Parsing a serialized value returns an equal value, and
 serializing is idempotent on its own output.
+
+The serializers write that layout directly, with the C string escaper
+of the ``json`` module; the bytes are those of
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``, which for an
+indented document runs the pure-Python encoder instead.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring as _string  # the escaper of ensure_ascii=False
 from pathlib import Path
 from typing import Mapping
 
@@ -40,6 +46,32 @@ def _require(doc, key, kind, source):
         raise ParseError(f"field {key!r} must be {kind.__name__}, "
                          f"got {type(value).__name__}", source=source)
     return value
+
+
+def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered items as one JSON array (or object) starting on a line at ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _object(fields: list[tuple[str, str]], indent: str) -> str:
+    return _layout([f"{_string(key)}: {value}" for key, value in fields], indent, "{}")
+
+
+def _document(fields: list[tuple[str, str]]) -> str:
+    return _object(fields, "") + "\n"
+
+
+# the two repeated shapes, as line templates: an element entry without
+# attributes, and an id pair, each an item of a top-level field's list
+_ELEMENT = '{\n      "id": %s\n    }'
+_PAIR = '[\n      %s,\n      %s\n    ]'
+
+
+def _pairs(pairs) -> str:
+    return _layout([_PAIR % (_string(a), _string(b)) for a, b in pairs], "  ")
 
 
 def _build(source, constructor, *args, **kwargs):
@@ -73,17 +105,16 @@ def parse_space(text: str, source: str = "<space>") -> Space:
 def serialize_space(space: Space) -> str:
     elements = []
     for element in sorted(space.elements):
-        entry: dict = {"id": element}
         attrs = space.attributes.get(element)
         if attrs:
-            entry["attrs"] = dict(sorted(attrs.items()))
-        elements.append(entry)
-    doc = {
-        "name": space.name,
-        "elements": elements,
-        "incidence": [list(pair) for pair in sorted(space.incidence)],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            values = [(key, _string(value)) for key, value in sorted(attrs.items())]
+            elements.append(_object([("id", _string(element)),
+                                     ("attrs", _object(values, "      "))], "    "))
+        else:
+            elements.append(_ELEMENT % _string(element))
+    return _document([("name", _string(space.name)),
+                      ("elements", _layout(elements, "  ")),
+                      ("incidence", _pairs(sorted(space.incidence)))])
 
 
 # -- maps --------------------------------------------------------------------
@@ -104,12 +135,9 @@ def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> 
 
 
 def serialize_map(space_map: SpaceMap) -> str:
-    doc = {
-        "domain": space_map.domain.name,
-        "codomain": space_map.codomain.name,
-        "pairs": [list(pair) for pair in space_map.pairs()],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _document([("domain", _string(space_map.domain.name)),
+                      ("codomain", _string(space_map.codomain.name)),
+                      ("pairs", _pairs(space_map.pairs()))])
 
 
 # -- theta relations -----------------------------------------------------------
@@ -125,12 +153,9 @@ def parse_theta(text: str, source: str = "<theta>") -> ThetaRelation:
 def serialize_theta(theta: ThetaRelation) -> str:
     if theta.left_name is None or theta.right_name is None:
         raise ValueError("theta relation has no space names to serialize")
-    doc = {
-        "left": theta.left_name,
-        "right": theta.right_name,
-        "pairs": [list(pair) for pair in sorted(theta.pairs)],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _document([("left", _string(theta.left_name)),
+                      ("right", _string(theta.right_name)),
+                      ("pairs", _pairs(sorted(theta.pairs)))])
 
 
 # -- partitions ----------------------------------------------------------------
@@ -162,9 +187,9 @@ def serialize_partition(space_name: str, partition: Partition) -> str:
         members = sorted(by_label[label])
         if members == [label]:
             continue  # singleton default, implied
-        classes.append({"label": label, "members": members})
-    doc = {"space": space_name, "classes": classes}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        listed = _layout([_string(member) for member in members], "      ")
+        classes.append(_object([("label", _string(label)), ("members", listed)], "    "))
+    return _document([("space", _string(space_name)), ("classes", _layout(classes, "  "))])
 
 
 # -- document detection ----------------------------------------------------------

@@ -14,6 +14,7 @@ specialisation preorder), which is what most queries here work on.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 
@@ -24,25 +25,37 @@ from .errors import (
     InvalidAttributeError,
     InvalidElementIdError,
     SelfLoopError,
+    TopologyError,
     UnknownElementError,
 )
 
 Pair = tuple[str, str]
+
+# \s matches exactly the characters for which str.isspace() is true
+_WHITESPACE_OR_COMMA = re.compile(r"[\s,]")
 
 
 def check_element_id(token: object) -> str:
     """Validate an element id: non-empty string, no whitespace, no comma."""
     if not isinstance(token, str) or not token:
         raise InvalidElementIdError(f"element id must be a non-empty string, got {token!r}")
-    if "," in token or any(ch.isspace() for ch in token):
+    if _WHITESPACE_OR_COMMA.search(token):
         raise InvalidElementIdError(f"element id contains whitespace or a comma: {token!r}")
     return token
+
+
+def _iterate(collection: object, what: str):
+    """An iterator over a collection given from outside; anything else is an id error."""
+    try:
+        return iter(collection)
+    except TypeError:
+        raise InvalidElementIdError(f"{what} must be a collection, got {collection!r}") from None
 
 
 def check_pairs(entries: Iterable, what: str) -> list[Pair]:
     """The entries as id pairs; each must be a two-item list or tuple of strings."""
     pairs = []
-    for entry in entries:
+    for entry in _iterate(entries, what):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise InvalidElementIdError(f"{what}: entry {entry!r} is not a pair of string ids")
@@ -142,30 +155,68 @@ class Space:
     """
 
     def __init__(self, name, elements, incidence=(), attributes=None):
-        self.name = str(name)
+        name = str(name)
 
-        ids = [check_element_id(e) for e in elements]
+        ids = [check_element_id(e) for e in _iterate(elements, f"elements of {name!r}")]
         counts = Counter(ids)
         dupes = sorted(e for e, n in counts.items() if n > 1)
         if dupes:
-            raise DuplicateElementError(f"duplicate element ids in {self.name!r}: {dupes}")
-        self.elements = frozenset(ids)
+            raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
+        elements = frozenset(ids)
 
         pairs = set()
-        for a, b in check_pairs(incidence, f"incidence of {self.name!r}"):
+        for a, b in check_pairs(incidence, f"incidence of {name!r}"):
             if a == b:
-                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {self.name!r}")
+                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
             for endpoint in (a, b):
-                if endpoint not in self.elements:
+                if endpoint not in elements:
                     raise DanglingIncidenceError(
-                        f"incidence pair ({a!r}, {b!r}) in {self.name!r} "
+                        f"incidence pair ({a!r}, {b!r}) in {name!r} "
                         f"references unknown element {endpoint!r}")
             pairs.add((a, b))
-        self.incidence = frozenset(pairs)
 
-        succ: dict[str, list[str]] = {e: [] for e in self.elements}
-        pred: dict[str, list[str]] = {e: [] for e in self.elements}
-        for a, b in pairs:
+        if attributes is not None and not isinstance(attributes, Mapping):
+            raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")
+        cleaned: dict[str, dict[str, str]] = {}
+        for el, kv in (attributes or {}).items():
+            if el not in elements:
+                raise UnknownElementError(
+                    f"attributes given for unknown element {el!r} in {name!r}")
+            if not isinstance(kv, Mapping):
+                raise InvalidAttributeError(
+                    f"attributes of {el!r} in {name!r} are not a mapping: {kv!r}")
+            for k, v in kv.items():
+                if not isinstance(k, str) or not isinstance(v, str):
+                    raise InvalidAttributeError(
+                        f"attribute keys and values must be strings: {k!r}={v!r}")
+            if kv:
+                cleaned[el] = dict(kv)
+
+        self._build(name, elements, frozenset(pairs), cleaned)
+
+    @classmethod
+    def _trusted(cls, name: str, elements: frozenset[str], incidence: frozenset[Pair],
+                 attributes: dict[str, dict[str, str]]) -> "Space":
+        """A space from parts that are valid by construction, unchecked.
+
+        For operator results only: the ids must be valid and distinct, the
+        pairs must join two distinct elements, and every attribute dict
+        must be a non-empty str-to-str dict of an element.  The parts are
+        kept, not copied.  Acyclicity is still checked, by the Kahn order.
+        """
+        space = cls.__new__(cls)
+        space._build(name, elements, incidence, attributes)
+        return space
+
+    def _build(self, name, elements, incidence, attributes):
+        self.name = name
+        self.elements = elements
+        self.incidence = incidence
+        self.attributes = attributes
+
+        succ: dict[str, list[str]] = {e: [] for e in elements}
+        pred: dict[str, list[str]] = {e: [] for e in elements}
+        for a, b in incidence:
             succ[a].append(b)
             pred[b].append(a)
         self._succ = {e: tuple(vs) for e, vs in succ.items()}
@@ -181,28 +232,10 @@ class Space:
                 pending[a] -= 1
                 if not pending[a]:
                     order.append(a)
-        if len(order) < len(self.elements):
+        if len(order) < len(elements):
             raise CyclicIncidenceError(
-                f"incidence of {self.name!r} has a cycle: {' -> '.join(self._cycle(pairs))}")
+                f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle(incidence))}")
         self._order = order
-
-        if attributes is not None and not isinstance(attributes, Mapping):
-            raise InvalidAttributeError(f"attributes of {self.name!r} are not a mapping")
-        cleaned: dict[str, dict[str, str]] = {}
-        for el, kv in (attributes or {}).items():
-            if el not in self.elements:
-                raise UnknownElementError(
-                    f"attributes given for unknown element {el!r} in {self.name!r}")
-            if not isinstance(kv, Mapping):
-                raise InvalidAttributeError(
-                    f"attributes of {el!r} in {self.name!r} are not a mapping: {kv!r}")
-            for k, v in kv.items():
-                if not isinstance(k, str) or not isinstance(v, str):
-                    raise InvalidAttributeError(
-                        f"attribute keys and values must be strings: {k!r}={v!r}")
-            if kv:
-                cleaned[el] = dict(kv)
-        self.attributes = cleaned
 
         # lazily filled caches; recomputation under a race is benign
         self._down: dict[str, frozenset[str]] = {}
@@ -282,13 +315,21 @@ class Space:
         cache[start] = got
         return got
 
+    def _not_an_element(self, element) -> TopologyError:
+        """The error for a query id that fails ``isinstance(element, str)
+        and element in self.elements``; the type is tested first because
+        an unhashable id cannot be looked up."""
+        if isinstance(element, str):
+            return UnknownElementError(f"{element!r} is not an element of {self.name!r}")
+        return InvalidElementIdError(f"element ids are strings, got {element!r}")
+
     def down_set(self, element: str) -> frozenset[str]:
         """All elements reachable from ``element``, itself included.
 
         This is the closure of the singleton {element}.
         """
-        if element not in self.elements:
-            raise UnknownElementError(f"{element!r} is not an element of {self.name!r}")
+        if not (isinstance(element, str) and element in self.elements):
+            raise self._not_an_element(element)
         return self._reach(self._succ, self._down, element)
 
     def up_set(self, element: str) -> frozenset[str]:
@@ -296,8 +337,8 @@ class Space:
 
         This is the star (minimal open superset) of the singleton {element}.
         """
-        if element not in self.elements:
-            raise UnknownElementError(f"{element!r} is not an element of {self.name!r}")
+        if not (isinstance(element, str) and element in self.elements):
+            raise self._not_an_element(element)
         return self._reach(self._pred, self._up, element)
 
     def in_preorder(self, a: str, b: str) -> bool:
@@ -326,32 +367,32 @@ class Space:
             opened |= self.up_set(element)
         return frozenset(opened)
 
-    def dimension(self, element: str) -> int:
-        """Length of the longest strictly descending chain starting at ``element``.
-
-        Sinks (elements with empty boundary) have dimension 0; an edge with
-        vertices has dimension 1, and so on.
-        """
-        if element not in self.elements:
-            raise UnknownElementError(f"{element!r} is not an element of {self.name!r}")
+    def _depths(self) -> dict[str, int]:
         if not self._depth:
             depth: dict[str, int] = {}
             for e in self._order:
                 succ = self._succ[e]
                 depth[e] = 1 + max(map(depth.__getitem__, succ)) if succ else 0
             self._depth = depth
-        return self._depth[element]
+        return self._depth
+
+    def dimension(self, element: str) -> int:
+        """Length of the longest strictly descending chain starting at ``element``.
+
+        Sinks (elements with empty boundary) have dimension 0; an edge with
+        vertices has dimension 1, and so on.
+        """
+        if not (isinstance(element, str) and element in self.elements):
+            raise self._not_an_element(element)
+        return self._depths()[element]
 
     def space_dimension(self) -> int:
         """Maximal element dimension; -1 for the empty space."""
-        if not self.elements:
-            return -1
-        return max(self.dimension(e) for e in self.elements)
+        return max(self._depths().values(), default=-1)
 
     def dimension_histogram(self) -> dict[int, int]:
         """Mapping dimension -> number of elements of that dimension."""
-        counts = Counter(self.dimension(e) for e in self.elements)
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(self._depths().values()).items()))
 
     def transitive_reduce(self) -> "Space":
         """The same space with the unique minimal incidence relation.
@@ -359,7 +400,7 @@ class Space:
         The reduction keeps exactly the covering pairs of the reachability
         order, so the generated topology is unchanged.
         """
-        reduced = covers({a: self.down_set(a) for a in self.elements})
-        if frozenset(reduced) == self.incidence:
+        reduced = frozenset(covers({a: self.down_set(a) for a in self.elements}))
+        if reduced == self.incidence:
             return self
-        return Space(self.name, self.elements, reduced, self.attributes)
+        return Space._trusted(self.name, self.elements, reduced, self.attributes)

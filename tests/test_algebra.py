@@ -11,6 +11,7 @@ from topodata import (
     CodomainMismatchError,
     CyclicIncidenceError,
     DuplicateElementError,
+    InvalidOptionError,
     MapTotalityError,
     NotContinuousError,
     Partition,
@@ -377,6 +378,32 @@ class TestThetaJoin:
                      for _ in range(rng.randint(0, 8))}
             theta = ThetaRelation(pairs)
             assert theta_join(x, y, theta) == naive_theta_join(x, y, theta)
+
+
+def join_all(x, y, separator):
+    """theta_join on every pair, which renders the same ids as the product."""
+    theta = ThetaRelation((a, b) for a in x.elements for b in y.elements)
+    return theta_join(x, y, theta, separator)
+
+
+@pytest.mark.parametrize("operator", [product, join_all], ids=["product", "theta_join"])
+class TestSeparator:
+    def test_separator_inside_an_id(self, operator):
+        with pytest.raises(SeparatorCollisionError, match="already contain"):
+            operator(Space("X", ["a-b", "c"]), Space("Y", ["d"]), "-")
+
+    def test_two_pairs_rendering_one_id(self, operator):
+        # xa + aa + y and x + aa + ay are both "xaaay"
+        x = Space("X", ["xa", "x"])
+        y = Space("Y", ["y", "ay"])
+        with pytest.raises(SeparatorCollisionError, match="'xaaay'"):
+            operator(x, y, "aa")
+        assert len(operator(x, y, "+")[0]) == 4
+
+    @pytest.mark.parametrize("separator", [5, None, "", " ", "a b", "\u3000", ","])
+    def test_separator_that_cannot_sit_in_an_id(self, operator, separator):
+        with pytest.raises(InvalidOptionError, match="separator"):
+            operator(Space("X", ["a"]), Space("Y", ["b"]), separator)
 
 
 def random_join_input(rng, name):

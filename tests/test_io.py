@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -124,6 +125,93 @@ class TestPartitionFiles:
         ]}
         with pytest.raises(ParseError):
             parse_partition(json.dumps(doc), {"Y": space_y})
+
+
+# -- the canonical writer against json.dumps ------------------------------------------
+
+# quotes, backslashes, control characters, whitespace, non-ASCII text, an
+# astral character and lone surrogates
+ALPHABET = ['"', "\\", "/", "\x00", "\x07", "\b", "\t", "\n", "\x1f", "\x7f", " ", ",",
+            "a", "Z", "0", "é", "×", "∩", "\u2028", "\u3000", "😀", "\ud800", "\udfff"]
+ID_ALPHABET = [ch for ch in ALPHABET if ch != "," and not ch.isspace()]
+
+
+def text(rng, alphabet=ALPHABET, min_size=0):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(min_size, 6)))
+
+
+def dumped(doc) -> str:
+    """The canonical form as the json module writes it."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def space_doc(space):
+    elements = []
+    for element in sorted(space.elements):
+        entry: dict = {"id": element}
+        attrs = space.attributes.get(element)
+        if attrs:
+            entry["attrs"] = dict(sorted(attrs.items()))
+        elements.append(entry)
+    return {"name": space.name, "elements": elements,
+            "incidence": [list(pair) for pair in sorted(space.incidence)]}
+
+
+def partition_doc(space_name, partition):
+    by_label: dict[str, list[str]] = {}
+    for element, label in partition.classes.items():
+        by_label.setdefault(label, []).append(element)
+    classes = [{"label": label, "members": sorted(by_label[label])} for label in sorted(by_label)
+               if sorted(by_label[label]) != [label]]
+    return {"space": space_name, "classes": classes}
+
+
+def random_documents(rng):
+    """One random space, map, theta relation and partition; any may be empty."""
+    ids = sorted({text(rng, ID_ALPHABET, 1) for _ in range(rng.randint(0, 12))})
+    rng.shuffle(ids)
+    pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
+             if rng.random() < 0.3]
+    attributes = {e: {text(rng): text(rng) for _ in range(rng.randint(1, 3))}
+                  for e in ids if rng.random() < 0.4}
+    space = Space(text(rng), ids, pairs, attributes)
+    space_map = SpaceMap(space, space, {e: rng.choice(ids) for e in ids})
+    theta = ThetaRelation([(text(rng), text(rng)) for _ in range(rng.randint(0, 8))],
+                          left_name=text(rng), right_name=text(rng))
+    labels = [text(rng, min_size=1) for _ in range(3)]
+    labelled: dict[str, list[str]] = {}
+    for e in ids:
+        if rng.random() < 0.6:
+            labelled.setdefault(rng.choice(labels), []).append(e)
+    partition = Partition.from_classes(space, labelled)
+    return space, space_map, theta, partition
+
+
+class TestWriterMatchesJsonDumps:
+    def test_seeded_documents(self):
+        rng = random.Random(7007)
+        for trial in range(300):
+            space, space_map, theta, partition = random_documents(rng)
+            name = text(rng)
+            assert serialize_space(space) == dumped(space_doc(space)), trial
+            assert serialize_map(space_map) == dumped(
+                {"domain": space.name, "codomain": space.name,
+                 "pairs": [list(pair) for pair in space_map.pairs()]}), trial
+            assert serialize_theta(theta) == dumped(
+                {"left": theta.left_name, "right": theta.right_name,
+                 "pairs": [list(pair) for pair in sorted(theta.pairs)]}), trial
+            assert serialize_partition(name, partition) == dumped(
+                partition_doc(name, partition)), trial
+
+    def test_empty_lists(self):
+        empty = Space("", [], [])
+        assert serialize_space(empty) == dumped(space_doc(empty))
+        assert serialize_map(SpaceMap(empty, empty, {})) == dumped(
+            {"domain": "", "codomain": "", "pairs": []})
+        assert serialize_theta(ThetaRelation([], "l", "r")) == dumped(
+            {"left": "l", "right": "r", "pairs": []})
+        assert serialize_partition("s", Partition({"a": "a"})) == dumped(
+            {"space": "s", "classes": []})
 
 
 class TestDetectKind:

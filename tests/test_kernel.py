@@ -2,6 +2,8 @@
 
 Each fast routine is compared with the naive definition it replaces, on
 a few hundred seeded random graphs small enough for the brute force.
+Operator results, which skip the input checks, are compared with the
+same data built through the validating constructor.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import random
 
 import pytest
 
-from topodata import CyclicIncidenceError, Space
+from topodata import (CyclicIncidenceError, Space, ThetaRelation, product,
+                      pullback_intersection, select_subspace, theta_join)
 from topodata.space import covers
 
 from conftest import brute_dimension
@@ -18,14 +21,14 @@ from conftest import brute_dimension
 TRIALS = 300
 
 
-def random_dag(rng: random.Random) -> Space:
+def random_dag(rng: random.Random, name: str = "D") -> Space:
     """A random DAG on up to 12 elements whose edge direction is
     unrelated to the sorted order of the ids."""
     n = rng.randint(0, 12)
     ids = rng.sample([f"e{i}" for i in range(12)], n)
     p = rng.uniform(0.05, 0.6)
     pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Space("D", ids, pairs)
+    return Space(name, ids, pairs)
 
 
 def strict_below(elements, pairs) -> dict[str, set[str]]:
@@ -96,3 +99,35 @@ def test_cycle_message_names_a_closed_walk_of_input_pairs():
             Space("G", reversed(ids), pairs)
         assert str(again.value) == message
     assert cyclic > TRIALS // 4
+
+
+def with_attributes(rng: random.Random, space: Space) -> Space:
+    attributes = {e: {"k": str(rng.randrange(3)), "side": space.name}
+                  for e in space.elements if rng.random() < 0.5}
+    return Space(space.name, space.elements, space.incidence, attributes)
+
+
+def trusted_results(rng: random.Random, x: Space, y: Space):
+    """The results of every operator that builds them without the input checks."""
+    yield x.transitive_reduce()
+    yield select_subspace(x, rng.sample(sorted(x.elements), rng.randint(0, len(x))))[0]
+    yield select_subspace(x, lambda attrs: attrs.get("k") == "1")[0]
+    yield pullback_intersection(x, y)[0]
+    yield product(x, y)[0]
+    theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
+                          if rng.random() < 0.3)
+    yield theta_join(x, y, theta)[0]
+
+
+def test_trusted_results_equal_validated_rebuilds():
+    rng = random.Random(2026)
+    for trial in range(TRIALS // 2):
+        x = with_attributes(rng, random_dag(rng))
+        y = with_attributes(rng, random_dag(rng, "E"))
+        for result in trusted_results(rng, x, y):
+            rebuilt = Space(result.name, result.elements, result.incidence, result.attributes)
+            assert result == rebuilt, trial
+            assert type(result.elements) is type(result.incidence) is frozenset
+            position = {e: i for i, e in enumerate(result._order)}
+            assert sorted(position) == sorted(result.elements)
+            assert all(position[b] < position[a] for a, b in result.incidence), trial

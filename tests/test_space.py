@@ -23,6 +23,7 @@ from topodata import (
     enumerate_topology,
     select_subspace,
 )
+from topodata.space import check_element_id
 
 from conftest import brute_closure, brute_dimension, brute_star, random_space
 
@@ -76,9 +77,16 @@ class TestConstruction:
             Space("c", ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_bad_tokens_rejected(self):
-        for bad in ("", "a b", "a,b", None, 7):
+        # among them the less common whitespace: separators \x1c-\x1f,
+        # no-break, line separator and ideographic spaces
+        for bad in ("", "a b", "a,b", None, 7,
+                    *(f"a{ch}b" for ch in "\x1c\x1d\x1e\x1f\xa0\u2028\u3000")):
             with pytest.raises(InvalidElementIdError):
                 Space("t", [bad], [])
+
+    def test_non_whitespace_controls_accepted(self):
+        for token in ("a\x00b", "a\x1bb", "a\u200bb", "\ud800", 'q"\\'):
+            assert check_element_id(token) == token
 
     def test_attributes_for_unknown_element(self):
         with pytest.raises(UnknownElementError):
@@ -113,6 +121,13 @@ class TestConstruction:
         with pytest.raises(InvalidElementIdError, match="not a pair"):
             ThetaRelation([entry])
 
+    @pytest.mark.parametrize("elements, incidence", [
+        (None, ()), (5, ()), ([], 5), ([], None)],
+        ids=["elements-None", "elements-5", "incidence-5", "incidence-None"])
+    def test_arguments_that_are_not_collections(self, elements, incidence):
+        with pytest.raises(InvalidElementIdError, match="must be a collection"):
+            Space("s", elements, incidence)
+
     @pytest.mark.parametrize("attributes", [
         pytest.param({"a": {"k": 1}}, id="attrs0"),
         pytest.param({"a": 5}, id="5"),
@@ -132,6 +147,14 @@ class TestConstruction:
                else getattr(segment, query))
         with pytest.raises(TopologyError):
             run(ids)
+
+    @pytest.mark.parametrize("query", ["down_set", "up_set", "dimension", "in_preorder"])
+    @pytest.mark.parametrize("element", [["e"], {"e"}, {"e": "v1"}],
+                             ids=["list", "set", "dict"])
+    def test_unhashable_id(self, segment, query, element):
+        run = getattr(segment, query)
+        with pytest.raises(InvalidElementIdError):
+            run(element, "e") if query == "in_preorder" else run(element)
 
 
 class TestIsOpen:
