@@ -30,10 +30,18 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import Pair, Space, check_element_id, check_pairs, covers, strongly_connected_components
+from .space import (Pair, Space, _iterate, check_element_id, check_pairs, check_table, covers,
+                    strongly_connected_components)
 
-DEFAULT_SEPARATOR = "×"
-PRODUCT_WARN_LIMIT = 10 ** 6
+SEPARATOR = "×"  # joins the two ids of a pair element; no input id may contain it
+PRODUCT_WARN_LIMIT = 10 ** 6  # product sizes above this warn
+
+
+def _space_name(name, what: str) -> str | None:
+    """A declared space name: a string, or None when unknown."""
+    if name is not None and not isinstance(name, str):
+        raise UnresolvedReferenceError(f"{what} must be a space name or None, got {name!r}")
+    return name
 
 
 class Partition:
@@ -43,21 +51,22 @@ class Partition:
     """
 
     def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
-        table = dict(classes)
-        bad = sorted(e for e, label in table.items()
-                     if not isinstance(label, str) or not label)
+        table = check_table(classes, "partition classes")
+        for element in table:
+            check_element_id(element)
+        bad = sorted(e for e, label in table.items() if not isinstance(label, str) or not label)
         if bad:
             raise InvalidElementIdError(f"empty or non-string class labels for {bad}")
         self.classes = table
-        self.space_name = space_name
+        self.space_name = _space_name(space_name, "partition space name")
 
     @classmethod
     def from_classes(cls, space: Space, labelled: Mapping[str, Iterable[str]]) -> "Partition":
         """Build a partition from explicit classes; unlisted elements become
         singleton classes labelled by their own id."""
         table: dict[str, str] = {}
-        for label, members in labelled.items():
-            for member in members:
+        for label, members in check_table(labelled, "partition classes").items():
+            for member in _iterate(members, f"members of class {label!r}"):
                 if check_element_id(member) not in space.elements:
                     raise UnknownElementError(
                         f"partition member {member!r} is not in {space.name!r}")
@@ -95,8 +104,8 @@ class ThetaRelation:
     def __init__(self, pairs: Iterable[Pair], left_name: str | None = None,
                  right_name: str | None = None):
         self.pairs = frozenset(check_pairs(pairs, "theta relation"))
-        self.left_name = left_name
-        self.right_name = right_name
+        self.left_name = _space_name(left_name, "theta left name")
+        self.right_name = _space_name(right_name, "theta right name")
 
     @classmethod
     def from_attribute_equality(cls, x: Space, y: Space, key: str) -> "ThetaRelation":
@@ -125,9 +134,9 @@ class ThetaRelation:
         return f"ThetaRelation({len(self.pairs)} pairs)"
 
 
-def pair_id(left: str, right: str, separator: str = DEFAULT_SEPARATOR) -> str:
+def pair_id(left: str, right: str) -> str:
     """Render the id of a product element."""
-    return f"{left}{separator}{right}"
+    return f"{left}{SEPARATOR}{right}"
 
 
 def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
@@ -262,43 +271,17 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
     return result, include_x, include_y
 
 
-def _check_separator(separator: str, *spaces: Space) -> None:
-    """The separator must be usable inside an id, and in no id of the spaces."""
-    try:
-        check_element_id(separator)
-    except InvalidElementIdError:
-        raise InvalidOptionError(f"separator must be a non-empty string without "
-                                 f"whitespace or a comma, got {separator!r}") from None
+def _check_separator(*spaces: Space) -> None:
+    """No id may contain the separator, so each pair id splits back one way only."""
     for space in spaces:
-        clashing = sorted(e for e in space.elements if separator in e)
+        clashing = sorted(e for e in space.elements if SEPARATOR in e)
         if clashing:
             raise SeparatorCollisionError(
                 f"elements of {space.name!r} already contain the separator "
-                f"{separator!r}: {clashing}")
+                f"{SEPARATOR!r}: {clashing}")
 
 
-def _pair_ids(pairs: list[Pair], separator: str) -> dict[str, Pair]:
-    """Each of the distinct pairs by its rendered id.
-
-    A separator that overlaps the ends of the ids can render two pairs as
-    one id (``xa`` + ``aa`` + ``y`` and ``x`` + ``aa`` + ``ay``); that
-    raises SeparatorCollisionError rather than merging the two.
-    """
-    rendered = {f"{a}{separator}{b}": (a, b) for a, b in pairs}
-    if len(rendered) < len(pairs):
-        seen: dict[str, Pair] = {}
-        for pair in sorted(pairs):
-            rid = pair_id(*pair, separator)
-            if rid in seen:
-                raise SeparatorCollisionError(
-                    f"pairs {seen[rid]} and {pair} both render as {rid!r} "
-                    f"with the separator {separator!r}")
-            seen[rid] = pair
-    return rendered
-
-
-def product(x: Space, y: Space, separator: str = DEFAULT_SEPARATOR,
-            warn_limit: int = PRODUCT_WARN_LIMIT) -> tuple[Space, SpaceMap, SpaceMap]:
+def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
     """Product space on all element pairs, with the two projections.
 
     The relation is the union of the two tagged copies of the input
@@ -308,28 +291,27 @@ def product(x: Space, y: Space, separator: str = DEFAULT_SEPARATOR,
     elements are the sums of the component dimensions.  This is the
     topological generalisation of extrusion.
     """
-    _check_separator(separator, x, y)
+    _check_separator(x, y)
     total = len(x.elements) * len(y.elements)
-    if total > warn_limit:
+    if total > PRODUCT_WARN_LIMIT:
         warnings.warn(f"product has {total} elements, above the advisory "
-                      f"limit {warn_limit}", RuntimeWarning, stacklevel=2)
-    components = _pair_ids([(t, u) for t in x.elements for u in y.elements], separator)
+                      f"limit {PRODUCT_WARN_LIMIT}", RuntimeWarning, stacklevel=2)
+    components = {pair_id(t, u): (t, u) for t in x.elements for u in y.elements}
     incidence: set[Pair] = set()
     for t in x.elements:
         for a, b in y.incidence:
-            incidence.add((pair_id(t, a, separator), pair_id(t, b, separator)))
+            incidence.add((pair_id(t, a), pair_id(t, b)))
     for c, d in x.incidence:
         for u in y.elements:
-            incidence.add((pair_id(c, u, separator), pair_id(d, u, separator)))
-    result = Space._trusted(f"{x.name}{separator}{y.name}", frozenset(components),
+            incidence.add((pair_id(c, u), pair_id(d, u)))
+    result = Space._trusted(pair_id(x.name, y.name), frozenset(components),
                             frozenset(incidence), {})
     left = SpaceMap(result, x, {rid: lr[0] for rid, lr in components.items()})
     right = SpaceMap(result, y, {rid: lr[1] for rid, lr in components.items()})
     return result, left, right
 
 
-def theta_join(x: Space, y: Space, theta: ThetaRelation,
-               separator: str = DEFAULT_SEPARATOR) -> tuple[Space, SpaceMap, SpaceMap]:
+def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMap, SpaceMap]:
     """Join of two spaces on an explicit pair relation, with projections.
 
     Equal by construction to selecting theta's pairs out of the full
@@ -348,14 +330,14 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
         if declared is not None and declared != actual:
             raise UnresolvedReferenceError(
                 f"theta {side} side is declared for {declared!r}, not {actual!r}")
-    _check_separator(separator, x, y)
+    _check_separator(x, y)
     for a, b in theta.pairs:
         if a not in x.elements:
             raise UnknownElementError(f"theta left id {a!r} is not in {x.name!r}")
         if b not in y.elements:
             raise UnknownElementError(f"theta right id {b!r} is not in {y.name!r}")
     kept = sorted(theta.pairs)
-    rendered = {pair: rid for rid, pair in _pair_ids(kept, separator).items()}
+    rendered = {pair: pair_id(*pair) for pair in kept}
     partners: dict[str, list[str]] = {}
     for a, b in kept:
         partners.setdefault(a, []).append(b)
@@ -368,14 +350,13 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation,
             for r2 in partners.get(l2, ())
             if r2 in right_below)
     incidence = frozenset(covers(below))
-    result = Space._trusted(f"{x.name}{separator}{y.name}", frozenset(below), incidence, {})
+    result = Space._trusted(pair_id(x.name, y.name), frozenset(below), incidence, {})
     left = SpaceMap(result, x, {rendered[p]: p[0] for p in kept})
     right = SpaceMap(result, y, {rendered[p]: p[1] for p in kept})
     return result, left, right
 
 
-def fibre_product(u: SpaceMap, p: SpaceMap,
-                  separator: str = DEFAULT_SEPARATOR) -> tuple[Space, SpaceMap, SpaceMap]:
+def fibre_product(u: SpaceMap, p: SpaceMap) -> tuple[Space, SpaceMap, SpaceMap]:
     """Join of two map domains on pairs where the maps agree, with projections.
 
     Both maps must be continuous into the same index space; the result is
@@ -401,7 +382,7 @@ def fibre_product(u: SpaceMap, p: SpaceMap,
     theta = ThetaRelation(
         ((a, b) for a in u.domain.elements for b in fibres.get(u(a), ())),
         left_name=u.domain.name, right_name=p.domain.name)
-    return theta_join(u.domain, p.domain, theta, separator)
+    return theta_join(u.domain, p.domain, theta)
 
 
 def partition_by_attribute(space: Space, key: str) -> Partition:

@@ -74,6 +74,13 @@ def _pairs(pairs) -> str:
     return _layout([_PAIR % (_string(a), _string(b)) for a, b in pairs], "  ")
 
 
+def _declared(name: str | None, what: str) -> str:
+    """A record's space name, rendered; a record that names no space cannot be written."""
+    if name is None:
+        raise UnresolvedReferenceError(f"{what} names no space to serialize")
+    return _string(name)
+
+
 def _build(source, constructor, *args, **kwargs):
     """Call a constructor; a malformed id or attribute is a ParseError of the file."""
     try:
@@ -151,17 +158,15 @@ def parse_theta(text: str, source: str = "<theta>") -> ThetaRelation:
 
 
 def serialize_theta(theta: ThetaRelation) -> str:
-    if theta.left_name is None or theta.right_name is None:
-        raise ValueError("theta relation has no space names to serialize")
-    return _document([("left", _string(theta.left_name)),
-                      ("right", _string(theta.right_name)),
+    return _document([("left", _declared(theta.left_name, "theta left side")),
+                      ("right", _declared(theta.right_name, "theta right side")),
                       ("pairs", _pairs(sorted(theta.pairs)))])
 
 
 # -- partitions ----------------------------------------------------------------
 
 def parse_partition(text: str, spaces: Mapping[str, Space],
-                    source: str = "<partition>") -> tuple[str, Partition]:
+                    source: str = "<partition>") -> Partition:
     doc = _load_json(text, source)
     space_name = _require(doc, "space", str, source)
     if space_name not in spaces:
@@ -175,10 +180,10 @@ def parse_partition(text: str, spaces: Mapping[str, Space],
         if entry["label"] in labelled:
             raise ParseError(f"class label {entry['label']!r} listed twice", source=source)
         labelled[entry["label"]] = entry["members"]
-    return space_name, _build(source, Partition.from_classes, spaces[space_name], labelled)
+    return _build(source, Partition.from_classes, spaces[space_name], labelled)
 
 
-def serialize_partition(space_name: str, partition: Partition) -> str:
+def serialize_partition(partition: Partition) -> str:
     by_label: dict[str, list[str]] = {}
     for element, label in partition.classes.items():
         by_label.setdefault(label, []).append(element)
@@ -189,7 +194,8 @@ def serialize_partition(space_name: str, partition: Partition) -> str:
             continue  # singleton default, implied
         listed = _layout([_string(member) for member in members], "      ")
         classes.append(_object([("label", _string(label)), ("members", listed)], "    "))
-    return _document([("space", _string(space_name)), ("classes", _layout(classes, "  "))])
+    return _document([("space", _declared(partition.space_name, "partition")),
+                      ("classes", _layout(classes, "  "))])
 
 
 # -- document detection ----------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import (
     SizeBoundError,
     UnknownElementError,
 )
-from .space import Pair, Space
+from .space import Pair, Space, check_table
 
 
 class ContinuityResult(NamedTuple):
@@ -53,7 +53,7 @@ class SpaceMap:
     """
 
     def __init__(self, domain: Space, codomain: Space, mapping):
-        table = dict(mapping)
+        table = check_table(mapping, f"table of map {domain.name!r} -> {codomain.name!r}")
         missing = domain.elements - table.keys()
         if missing:
             raise MapTotalityError(
@@ -61,12 +61,13 @@ class SpaceMap:
         extra = table.keys() - domain.elements
         if extra:
             raise UnknownElementError(
-                f"map {domain.name!r} -> {codomain.name!r} maps unknown keys {sorted(extra)}")
-        bad = sorted(v for v in table.values() if v not in codomain.elements)
+                f"map {domain.name!r} -> {codomain.name!r} maps unknown keys "
+                f"{sorted(extra, key=str)}")
+        bad = [v for v in table.values() if not isinstance(v, str) or v not in codomain.elements]
         if bad:
             raise UnknownElementError(
                 f"map {domain.name!r} -> {codomain.name!r} has values outside "
-                f"the codomain: {bad}")
+                f"the codomain: {sorted(bad, key=str)}")
         self.domain = domain
         self.codomain = codomain
         self.mapping = table

@@ -176,7 +176,7 @@ class _Runner:
         elif kind == "theta":
             value = io.parse_theta(text, source=source)
         else:
-            _, value = io.parse_partition(text, self.registry, source=source)
+            value = io.parse_partition(text, self.registry, source=source)
         self.bind(stmt.line, stmt.name, value)
 
     @execute.register
@@ -247,7 +247,7 @@ class _Runner:
         elif isinstance(value, ThetaRelation):
             text = io.serialize_theta(value)
         elif isinstance(value, Partition):
-            text = io.serialize_partition(value.space_name, value)
+            text = io.serialize_partition(value)
         else:  # pragma: no cover - env only ever holds the above
             raise ScriptError(f"line {stmt.line}: cannot emit {type(value).__name__}")
         try:

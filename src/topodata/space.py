@@ -45,11 +45,17 @@ def check_element_id(token: object) -> str:
 
 
 def _iterate(collection: object, what: str):
-    """An iterator over a collection given from outside; anything else is an id error."""
-    try:
-        return iter(collection)
-    except TypeError:
-        raise InvalidElementIdError(f"{what} must be a collection, got {collection!r}") from None
+    """An iterator over a collection given from outside; anything else is an id error.
+
+    A plain string is refused too: iterating it would split one id into
+    its characters.
+    """
+    if not isinstance(collection, str):
+        try:
+            return iter(collection)
+        except TypeError:
+            pass
+    raise InvalidElementIdError(f"{what} must be a collection, got {collection!r}")
 
 
 def check_pairs(entries: Iterable, what: str) -> list[Pair]:
@@ -61,6 +67,13 @@ def check_pairs(entries: Iterable, what: str) -> list[Pair]:
             raise InvalidElementIdError(f"{what}: entry {entry!r} is not a pair of string ids")
         pairs.append((entry[0], entry[1]))
     return pairs
+
+
+def check_table(entries: object, what: str) -> dict:
+    """The entries as a dict: a copy of a mapping, or else pairs of string ids."""
+    if isinstance(entries, Mapping):
+        return dict(entries)
+    return dict(check_pairs(entries, what))
 
 
 def strongly_connected_components(nodes, edges):

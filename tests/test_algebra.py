@@ -11,7 +11,6 @@ from topodata import (
     CodomainMismatchError,
     CyclicIncidenceError,
     DuplicateElementError,
-    InvalidOptionError,
     MapTotalityError,
     NotContinuousError,
     Partition,
@@ -38,6 +37,7 @@ from topodata import (
     select_subspace,
     theta_join,
 )
+from topodata import algebra
 from topodata.io import serialize_space
 
 from conftest import random_layered_space, random_space
@@ -281,6 +281,7 @@ class TestProduct:
             x = random_space(rng, max_elements=4, name="X", min_elements=1)
             y = random_space(rng, max_elements=4, name="Y", min_elements=1)
             prod, _, _ = product(x, y)
+            assert len(prod) == len(x) * len(y)
             for a in x.elements:
                 for b in y.elements:
                     for c in x.elements:
@@ -303,12 +304,13 @@ class TestProduct:
         with pytest.raises(SeparatorCollisionError):
             product(clashing, space_y)
 
-    def test_size_warning(self):
+    def test_size_warning(self, monkeypatch):
         x = Space("x", [f"a{i}" for i in range(3)], [])
         y = Space("y", [f"b{i}" for i in range(3)], [])
+        monkeypatch.setattr(algebra, "PRODUCT_WARN_LIMIT", 5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            product(x, y, warn_limit=5)
+            product(x, y)
         assert any("advisory limit" in str(w.message) for w in caught)
 
     def test_empty_factor(self, space_y):
@@ -380,30 +382,32 @@ class TestThetaJoin:
             assert theta_join(x, y, theta) == naive_theta_join(x, y, theta)
 
 
-def join_all(x, y, separator):
+def join_all(x, y):
     """theta_join on every pair, which renders the same ids as the product."""
     theta = ThetaRelation((a, b) for a in x.elements for b in y.elements)
-    return theta_join(x, y, theta, separator)
+    return theta_join(x, y, theta)
 
 
-@pytest.mark.parametrize("operator", [product, join_all], ids=["product", "theta_join"])
+def fibre_all(x, y):
+    """fibre_product over a one-point index, which renders the same ids as the product."""
+    point = Space("pt", ["p"])
+    return fibre_product(SpaceMap(x, point, {e: "p" for e in x.elements}),
+                         SpaceMap(y, point, {e: "p" for e in y.elements}))
+
+
+@pytest.mark.parametrize("operator", [product, join_all, fibre_all],
+                         ids=["product", "theta_join", "fibre_product"])
 class TestSeparator:
     def test_separator_inside_an_id(self, operator):
         with pytest.raises(SeparatorCollisionError, match="already contain"):
-            operator(Space("X", ["a-b", "c"]), Space("Y", ["d"]), "-")
+            operator(Space("X", ["a×b", "c"]), Space("Y", ["d"]))
 
     def test_two_pairs_rendering_one_id(self, operator):
-        # xa + aa + y and x + aa + ay are both "xaaay"
+        # with a separator that could sit inside an id, xa+aa+y and x+aa+ay
+        # would both be xaaay; no id contains ×, so every pair keeps its own id
         x = Space("X", ["xa", "x"])
         y = Space("Y", ["y", "ay"])
-        with pytest.raises(SeparatorCollisionError, match="'xaaay'"):
-            operator(x, y, "aa")
-        assert len(operator(x, y, "+")[0]) == 4
-
-    @pytest.mark.parametrize("separator", [5, None, "", " ", "a b", "\u3000", ","])
-    def test_separator_that_cannot_sit_in_an_id(self, operator, separator):
-        with pytest.raises(InvalidOptionError, match="separator"):
-            operator(Space("X", ["a"]), Space("Y", ["b"]), separator)
+        assert len(operator(x, y)[0]) == 4
 
 
 def random_join_input(rng, name):
@@ -545,6 +549,16 @@ class TestConveniences:
         partition = partition_by_attribute(space, "kind")
         assert partition.classes == {"w1": "wall", "w2": "wall", "d": "d"}
         assert partition.space_name == "s"
+
+
+@pytest.mark.parametrize("build", [
+    lambda name: ThetaRelation([], left_name=name),
+    lambda name: ThetaRelation([], right_name=name),
+    lambda name: Partition({}, name)], ids=["theta-left", "theta-right", "partition"])
+@pytest.mark.parametrize("name", [5, ["X"], b"X"], ids=["int", "list", "bytes"])
+def test_declared_space_name_must_be_a_string(build, name):
+    with pytest.raises(UnresolvedReferenceError, match="must be a space name or None"):
+        build(name)
 
 
 class TestEmittedMapsAreContinuous:

@@ -1,0 +1,75 @@
+"""Fuzzing of the library constructors: each one succeeds or raises a TopologyError.
+
+The data arguments of ``Space``, ``SpaceMap``, ``Partition``,
+``Partition.from_classes`` and ``ThetaRelation`` are arbitrary Python
+values: scalars, element ids of a small space, strings with whitespace
+or the pair-id separator, and lists, tuples, sets and dicts of those.
+Any other exception, a ``TypeError`` or ``AttributeError`` from inside
+the library included, is a defect.  The space arguments themselves are
+real spaces.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from topodata import Partition, Space, SpaceMap, ThetaRelation, TopologyError
+
+FUZZ = settings(max_examples=100, deadline=None, database=None)
+
+SEGMENT = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
+IDS = ["e", "v1", "v2", "zz", "", "a b", "a,b", "e×v1", "seg"]
+
+hashables = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                      st.sampled_from(IDS), st.text(max_size=4), st.binary(max_size=3))
+values = st.recursive(
+    hashables,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(hashables, max_size=4),
+        st.dictionaries(hashables, inner, max_size=4)),
+    max_leaves=12)
+
+
+def builds_or_refuses(build) -> None:
+    try:
+        build()
+    except TopologyError:
+        pass
+
+
+@seed(20131008)
+@FUZZ
+@given(name=values, elements=values, incidence=values, attributes=values)
+def test_space(name, elements, incidence, attributes):
+    builds_or_refuses(lambda: Space(name, elements, incidence, attributes))
+
+
+@seed(20131008)
+@FUZZ
+@given(table=values)
+def test_space_map(table):
+    builds_or_refuses(lambda: SpaceMap(SEGMENT, SEGMENT, table))
+
+
+@seed(20131008)
+@FUZZ
+@given(classes=values, space_name=values)
+def test_partition(classes, space_name):
+    builds_or_refuses(lambda: Partition(classes, space_name))
+
+
+@seed(20131008)
+@FUZZ
+@given(labelled=values)
+def test_partition_from_classes(labelled):
+    builds_or_refuses(lambda: Partition.from_classes(SEGMENT, labelled))
+
+
+@seed(20131008)
+@FUZZ
+@given(pairs=values, left_name=values, right_name=values)
+def test_theta_relation(pairs, left_name, right_name):
+    builds_or_refuses(lambda: ThetaRelation(pairs, left_name, right_name))

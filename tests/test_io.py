@@ -104,16 +104,20 @@ class TestThetaFiles:
         assert parsed.left_name == "X" and parsed.right_name == "Y"
 
     def test_nameless_theta_cannot_serialize(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnresolvedReferenceError, match="names no space"):
             serialize_theta(ThetaRelation([("a", "b")]))
 
 
 class TestPartitionFiles:
+    def test_nameless_partition_cannot_serialize(self):
+        with pytest.raises(UnresolvedReferenceError, match="names no space"):
+            serialize_partition(Partition({"a": "a"}))
+
     def test_round_trip_with_singletons(self, space_y):
         partition = Partition.from_classes(space_y, {"m": ["c", "x"]})
-        text = serialize_partition("Y", partition)
-        name, parsed = parse_partition(text, {"Y": space_y})
-        assert name == "Y"
+        text = serialize_partition(partition)
+        parsed = parse_partition(text, {"Y": space_y})
+        assert parsed.space_name == "Y"
         assert parsed == partition
         # unlisted elements fall back to singleton classes
         assert parsed.label_of("C") == "C"
@@ -183,7 +187,8 @@ def random_documents(rng):
     for e in ids:
         if rng.random() < 0.6:
             labelled.setdefault(rng.choice(labels), []).append(e)
-    partition = Partition.from_classes(space, labelled)
+    # a partition may declare any space name, not only its space's
+    partition = Partition(Partition.from_classes(space, labelled).classes, text(rng))
     return space, space_map, theta, partition
 
 
@@ -192,7 +197,6 @@ class TestWriterMatchesJsonDumps:
         rng = random.Random(7007)
         for trial in range(300):
             space, space_map, theta, partition = random_documents(rng)
-            name = text(rng)
             assert serialize_space(space) == dumped(space_doc(space)), trial
             assert serialize_map(space_map) == dumped(
                 {"domain": space.name, "codomain": space.name,
@@ -200,8 +204,8 @@ class TestWriterMatchesJsonDumps:
             assert serialize_theta(theta) == dumped(
                 {"left": theta.left_name, "right": theta.right_name,
                  "pairs": [list(pair) for pair in sorted(theta.pairs)]}), trial
-            assert serialize_partition(name, partition) == dumped(
-                partition_doc(name, partition)), trial
+            assert serialize_partition(partition) == dumped(
+                partition_doc(partition.space_name, partition)), trial
 
     def test_empty_lists(self):
         empty = Space("", [], [])
@@ -210,7 +214,7 @@ class TestWriterMatchesJsonDumps:
             {"domain": "", "codomain": "", "pairs": []})
         assert serialize_theta(ThetaRelation([], "l", "r")) == dumped(
             {"left": "l", "right": "r", "pairs": []})
-        assert serialize_partition("s", Partition({"a": "a"})) == dumped(
+        assert serialize_partition(Partition({"a": "a"}, "s")) == dumped(
             {"space": "s", "classes": []})
 
 
@@ -220,7 +224,7 @@ class TestDetectKind:
         flip = SpaceMap(space_y, space_y, {e: e for e in space_y.elements})
         assert detect_kind(serialize_map(flip)) == "map"
         assert detect_kind(serialize_theta(theta)) == "theta"
-        part = serialize_partition("Y", Partition.from_classes(space_y, {}))
+        part = serialize_partition(Partition.from_classes(space_y, {}))
         assert detect_kind(part) == "partition"
 
     def test_unclassifiable(self):

@@ -45,6 +45,15 @@ class TestSpaceMap:
         with pytest.raises(UnknownElementError):
             SpaceMap(segment, segment, {"e": "e", "v1": "v1", "v2": "zz"})
 
+    @pytest.mark.parametrize("value", [["a"], {"e"}, 5, None], ids=["list", "set", "int", "None"])
+    def test_value_that_is_not_an_id(self, segment, value):
+        with pytest.raises(UnknownElementError, match="outside the codomain"):
+            SpaceMap(segment, segment, {"e": "e", "v1": "v1", "v2": value})
+
+    def test_key_that_is_not_an_id(self, segment):
+        with pytest.raises(UnknownElementError, match=r"unknown keys \[5, 'zz'\]"):
+            SpaceMap(segment, segment, {"e": "e", "v1": "v1", "v2": "v2", 5: "e", "zz": "e"})
+
     def test_call_and_pairs(self, segment):
         ident = identity_map(segment)
         assert ident("e") == "e"

@@ -33,7 +33,7 @@ def overlay_dir(tmp_path, space_x, space_y, theta):
     broken = SpaceMap(space_y, space_y, {"C": "x", "b": "b", "c": "c", "x": "C"})
     (tmp_path / "broken.json").write_text(serialize_map(broken))
     merge = Partition.from_classes(space_y, {"m": ["c", "x"]})
-    (tmp_path / "merge.json").write_text(serialize_partition("Y", merge))
+    (tmp_path / "merge.json").write_text(serialize_partition(merge))
     return tmp_path
 
 

@@ -14,6 +14,7 @@ from topodata import (
     DuplicateElementError,
     InvalidAttributeError,
     InvalidElementIdError,
+    Partition,
     SelfLoopError,
     Space,
     SpaceMap,
@@ -114,19 +115,24 @@ class TestConstruction:
         assert f == g and hash(f) == hash(g)
 
     @pytest.mark.parametrize("entry", [("a",), None, "ab", {"a": 1, "b": 2}, {"a", "b"},
-                                       (["a"], "b")])
+                                       (["a"], "b"), ("m", ["a"])])
     def test_malformed_incidence_entry(self, entry):
         with pytest.raises(InvalidElementIdError, match="not a pair"):
             Space("s", ["a", "b"], [entry])
         with pytest.raises(InvalidElementIdError, match="not a pair"):
             ThetaRelation([entry])
+        with pytest.raises(InvalidElementIdError, match="not a pair"):
+            Partition.from_classes(Space("s", ["a", "b"]), [entry])
 
-    @pytest.mark.parametrize("elements, incidence", [
-        (None, ()), (5, ()), ([], 5), ([], None)],
-        ids=["elements-None", "elements-5", "incidence-5", "incidence-None"])
-    def test_arguments_that_are_not_collections(self, elements, incidence):
+    @pytest.mark.parametrize("build", [
+        lambda: Space("s", None), lambda: Space("s", 5), lambda: Space("s", [], 5),
+        lambda: Space("s", [], None), lambda: Space("s", "ab"),
+        lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5), lambda: Partition(5)],
+        ids=["elements-None", "elements-5", "incidence-5", "incidence-None",
+             "elements-string", "map-table-5", "partition-classes-5"])
+    def test_arguments_that_are_not_collections(self, build):
         with pytest.raises(InvalidElementIdError, match="must be a collection"):
-            Space("s", elements, incidence)
+            build()
 
     @pytest.mark.parametrize("attributes", [
         pytest.param({"a": {"k": 1}}, id="attrs0"),
