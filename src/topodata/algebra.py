@@ -81,7 +81,7 @@ class Partition:
     def label_of(self, element: str) -> str:
         try:
             return self.classes[element]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable element
             raise UnknownElementError(f"partition has no class for {element!r}") from None
 
     def __eq__(self, other):

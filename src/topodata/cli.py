@@ -16,8 +16,7 @@ from .constraints import validate
 from .errors import TopologyError
 from .maps import find_homeomorphism
 from .oracle import (
-    ENUMERATION_GUARD,
-    SizeGuard,
+    ENUMERATION_LIMIT,
     enumerate_topology,
     oracle_axiom_check,
     oracle_is_continuous,
@@ -76,7 +75,7 @@ def cmd_homeo(args) -> int:
 
 def cmd_oracle_topology(args) -> int:
     space = io.load_space(args.space)
-    family = enumerate_topology(space, SizeGuard(args.max_elements))
+    family = enumerate_topology(space, args.max_elements)
     for open_set in family:
         print("{" + ",".join(sorted(open_set)) + "}")
     return 0
@@ -84,7 +83,7 @@ def cmd_oracle_topology(args) -> int:
 
 def cmd_oracle_axioms(args) -> int:
     space = io.load_space(args.space)
-    report = oracle_axiom_check(space, SizeGuard(args.max_elements))
+    report = oracle_axiom_check(space, args.max_elements)
     print(f"{space.name}: {report.open_set_count} open sets")
     for violation in report.violations:
         print(f"violation: {violation}")
@@ -96,7 +95,7 @@ def cmd_oracle_continuous(args) -> int:
     codomain = io.load_space(args.codomain)
     spaces = {domain.name: domain, codomain.name: codomain}
     space_map = io.load_map(args.map, spaces)
-    ok = oracle_is_continuous(space_map, SizeGuard(args.max_elements))
+    ok = oracle_is_continuous(space_map, args.max_elements)
     print("continuous" if ok else "not continuous")
     return 0 if ok else 1
 
@@ -141,19 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = oracle_sub.add_parser("topology", help="enumerate all open sets")
     p.add_argument("space")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_GUARD.max_elements)
+    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
     p.set_defaults(func=cmd_oracle_topology)
 
     p = oracle_sub.add_parser("axioms", help="check the topology axioms exhaustively")
     p.add_argument("space")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_GUARD.max_elements)
+    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
     p.set_defaults(func=cmd_oracle_axioms)
 
     p = oracle_sub.add_parser("continuous", help="open-preimage continuity check")
     p.add_argument("map")
     p.add_argument("domain")
     p.add_argument("codomain")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_GUARD.max_elements)
+    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
     p.set_defaults(func=cmd_oracle_continuous)
 
     return parser

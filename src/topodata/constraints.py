@@ -54,7 +54,7 @@ class Dataset:
     def resolve_map(self, name: str) -> SpaceMap:
         try:
             return self.maps[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnresolvedReferenceError(f"no map named {name!r} in the dataset") from None
 
     def __repr__(self):

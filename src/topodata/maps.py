@@ -16,10 +16,9 @@ from typing import NamedTuple
 from .errors import (
     DomainMismatchError,
     MapTotalityError,
-    SizeBoundError,
     UnknownElementError,
 )
-from .space import Pair, Space, check_table
+from .space import Pair, Space, check_size, check_table
 
 
 class ContinuityResult(NamedTuple):
@@ -75,7 +74,7 @@ class SpaceMap:
     def __call__(self, element: str) -> str:
         try:
             return self.mapping[element]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable element
             raise UnknownElementError(
                 f"{element!r} is not an element of {self.domain.name!r}") from None
 
@@ -159,10 +158,7 @@ def find_homeomorphism(x: Space, y: Space, max_elements: int = 10) -> SpaceMap |
     Deterministic: elements are tried in lexicographic order, so the same
     inputs always produce the same map.
     """
-    if len(x.elements) > max_elements or len(y.elements) > max_elements:
-        raise SizeBoundError(
-            f"homeomorphism search limited to {max_elements} elements, "
-            f"got {len(x.elements)} and {len(y.elements)}")
+    check_size(max_elements, x, y)
     if len(x.elements) != len(y.elements):
         return None
     sig_x = {e: _signature(x, e) for e in x.elements}

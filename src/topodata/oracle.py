@@ -4,66 +4,29 @@ Everything here is deliberately naive and exponential: open sets are
 found by testing every subset, continuity by checking every open
 preimage, homeomorphism by trying every bijection.  These definitions
 are the ground truth the optimized code is tested against, so clarity
-beats speed; size guards keep the cost explicit.
+beats speed; an element bound, ``max_elements``, keeps the cost explicit.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .errors import SizeBoundError
 from .maps import SpaceMap
-from .space import Space
+from .space import Space, check_size
+
+ENUMERATION_LIMIT = 12
+SEARCH_LIMIT = 8
 
 
-class SizeGuard(NamedTuple):
-    """Upper bound on the number of elements an exhaustive run accepts."""
-
-    max_elements: int = 12
-
-    def admit(self, *spaces: Space) -> None:
-        for s in spaces:
-            if len(s.elements) > self.max_elements:
-                raise SizeBoundError(
-                    f"space {s.name!r} has {len(s.elements)} elements, "
-                    f"guard allows {self.max_elements}")
-
-
-ENUMERATION_GUARD = SizeGuard(12)
-SEARCH_GUARD = SizeGuard(8)
-SAMPLE_FAMILIES = 64  # larger sub-families checked directly by oracle_axiom_check
-SAMPLE_SEED = 0
-
-
-class OpenSetFamily:
-    """The explicitly materialised family of open subsets of a space."""
-
-    def __init__(self, sets):
-        self.sets = tuple(sets)
-        self._members = frozenset(self.sets)
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __contains__(self, subset) -> bool:
-        return frozenset(subset) in self._members
-
-    def __repr__(self):
-        return f"OpenSetFamily({len(self.sets)} open sets)"
-
-
-def enumerate_topology(space: Space, guard: SizeGuard = ENUMERATION_GUARD) -> OpenSetFamily:
+def enumerate_topology(space: Space,
+                       max_elements: int = ENUMERATION_LIMIT) -> tuple[frozenset[str], ...]:
     """All open subsets, found by testing the openness condition on every subset.
 
     Subsets are emitted in ascending bitmask order over the sorted element
     list, so the family order is canonical.
     """
-    guard.admit(space)
+    check_size(max_elements, space)
     order = sorted(space.elements)
     index = {e: i for i, e in enumerate(order)}
     pairs = [(index[a], index[b]) for a, b in space.incidence]
@@ -71,17 +34,17 @@ def enumerate_topology(space: Space, guard: SizeGuard = ENUMERATION_GUARD) -> Op
     for mask in range(1 << len(order)):
         if all(not (mask >> b) & 1 or (mask >> a) & 1 for a, b in pairs):
             opens.append(frozenset(e for e in order if (mask >> index[e]) & 1))
-    return OpenSetFamily(opens)
+    return tuple(opens)
 
 
-def oracle_is_continuous(f: SpaceMap, guard: SizeGuard = ENUMERATION_GUARD) -> bool:
+def oracle_is_continuous(f: SpaceMap, max_elements: int = ENUMERATION_LIMIT) -> bool:
     """Continuity by the open-preimage definition.
 
     True iff the preimage of every open set of the codomain is open in
     the domain.  Independent of the preorder-based fast path.
     """
-    guard.admit(f.domain, f.codomain)
-    for open_set in enumerate_topology(f.codomain, guard):
+    check_size(max_elements, f.domain, f.codomain)
+    for open_set in enumerate_topology(f.codomain, max_elements):
         preimage = frozenset(e for e in f.domain.elements if f(e) in open_set)
         if not f.domain.is_open(preimage):
             return False
@@ -100,19 +63,18 @@ class AxiomReport(NamedTuple):
         return not self.violations
 
 
-def oracle_axiom_check(space: Space, guard: SizeGuard = ENUMERATION_GUARD) -> AxiomReport:
+def oracle_axiom_check(space: Space, max_elements: int = ENUMERATION_LIMIT) -> AxiomReport:
     """Verify the topology axioms on the enumerated open-set family.
 
     Checks membership of the empty set and the full set, and closure
     under union and intersection of every pair.  For a finite family,
     pairwise closure plus the two identity members already certifies
-    closure under arbitrary unions and intersections; a seeded sample of
-    larger sub-families is checked as well, directly.
+    closure under arbitrary unions and intersections, by induction on the
+    size of a sub-family.
     """
-    guard.admit(space)
+    family = enumerate_topology(space, max_elements)
     order = sorted(space.elements)
     index = {e: i for i, e in enumerate(order)}
-    family = enumerate_topology(space, guard)
     masks = [sum(1 << index[e] for e in open_set) for open_set in family]
     mask_set = set(masks)
     full = (1 << len(order)) - 1
@@ -131,23 +93,11 @@ def oracle_axiom_check(space: Space, guard: SizeGuard = ENUMERATION_GUARD) -> Ax
                 violations.append(f"union {show(m)} | {show(n)} not open")
             if (m & n) not in mask_set:
                 violations.append(f"intersection {show(m)} & {show(n)} not open")
-    rng = random.Random(SAMPLE_SEED)
-    for _ in range(SAMPLE_FAMILIES if masks else 0):
-        chosen = rng.sample(masks, rng.randint(1, len(masks)))
-        union = 0
-        meet = full
-        for m in chosen:
-            union |= m
-            meet &= m
-        if union not in mask_set:
-            violations.append(f"union of a {len(chosen)}-member sub-family not open")
-        if meet not in mask_set:
-            violations.append(f"intersection of a {len(chosen)}-member sub-family not open")
     return AxiomReport(space.name, len(family), tuple(violations))
 
 
 def oracle_find_homeomorphism(x: Space, y: Space,
-                              guard: SizeGuard = SEARCH_GUARD) -> SpaceMap | None:
+                              max_elements: int = SEARCH_LIMIT) -> SpaceMap | None:
     """Exhaustive homeomorphism search over all bijections, no pruning.
 
     A bijection f is accepted iff it maps the enumerated topology of x
@@ -155,11 +105,11 @@ def oracle_find_homeomorphism(x: Space, y: Space,
     membership plus equal family sizes already forces equality).
     Bijections are tried in lexicographic order.
     """
-    guard.admit(x, y)
+    check_size(max_elements, x, y)
     if len(x.elements) != len(y.elements):
         return None
-    family_x = enumerate_topology(x, guard)
-    family_y = enumerate_topology(y, guard)
+    family_x = enumerate_topology(x, max_elements)
+    family_y = set(enumerate_topology(y, max_elements))
     sources = sorted(x.elements)
     for image in permutations(sorted(y.elements)):
         f = dict(zip(sources, image))

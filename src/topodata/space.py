@@ -25,6 +25,7 @@ from .errors import (
     InvalidAttributeError,
     InvalidElementIdError,
     SelfLoopError,
+    SizeBoundError,
     TopologyError,
     UnknownElementError,
 )
@@ -74,6 +75,14 @@ def check_table(entries: object, what: str) -> dict:
     if isinstance(entries, Mapping):
         return dict(entries)
     return dict(check_pairs(entries, what))
+
+
+def check_size(max_elements: int, *spaces: "Space") -> None:
+    """Refuse an exhaustive run over any space with more than ``max_elements`` elements."""
+    for s in spaces:
+        if len(s.elements) > max_elements:
+            raise SizeBoundError(f"space {s.name!r} has {len(s.elements)} elements, "
+                                 f"guard allows {max_elements}")
 
 
 def strongly_connected_components(nodes, edges):
@@ -356,7 +365,14 @@ class Space:
 
     def in_preorder(self, a: str, b: str) -> bool:
         """True iff (a, b) lies in the reflexive-transitive closure of incidence."""
-        return b in self.down_set(a)
+        try:
+            if b in self.down_set(a):
+                return True
+        except TypeError:  # an unhashable b
+            pass
+        if isinstance(b, str) and b in self.elements:
+            return False
+        raise self._not_an_element(b)
 
     def preorder(self) -> frozenset[Pair]:
         """The reflexive-transitive closure of the incidence relation.

@@ -14,7 +14,6 @@ import time
 from topodata import (
     Space,
     SpaceMap,
-    SizeGuard,
     ThetaRelation,
     compose,
     enumerate_topology,
@@ -92,7 +91,7 @@ def test_c02_product_incidence_golden():
 def test_c03_projection_continuity():
     x, y = figure_spaces()
     _, pleft, pright = theta_join(x, y, overlay_theta())
-    guard = SizeGuard(14)
+    guard = 14
     ok = (bool(is_continuous(pleft)) and bool(is_continuous(pright))
           and oracle_is_continuous(pleft, guard)
           and oracle_is_continuous(pright, guard))

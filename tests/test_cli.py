@@ -180,6 +180,16 @@ class TestOracle:
         assert code == 1
         assert "not continuous" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["topology", "seg.json"], ["axioms", "seg.json"],
+                                      ["continuous", "part_of.json", "seg.json", "pt.json"]],
+                             ids=["topology", "axioms", "continuous"])
+    def test_size_bound_is_input_error(self, files, capsys, argv):
+        args = ["oracle", argv[0], *(files[name] for name in argv[1:])]
+        assert main(args + ["--max-elements", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(args + ["--max-elements", "3"]) == 0
+
 
 class TestUndecodableInput:
     """Bytes that are not UTF-8 are malformed input: exit 2, one error line."""

@@ -1,12 +1,12 @@
-"""Fuzzing of the library constructors: each one succeeds or raises a TopologyError.
+"""Fuzzing of the library constructors and queries: each one answers or raises a TopologyError.
 
 The data arguments of ``Space``, ``SpaceMap``, ``Partition``,
-``Partition.from_classes`` and ``ThetaRelation`` are arbitrary Python
-values: scalars, element ids of a small space, strings with whitespace
-or the pair-id separator, and lists, tuples, sets and dicts of those.
-Any other exception, a ``TypeError`` or ``AttributeError`` from inside
-the library included, is a defect.  The space arguments themselves are
-real spaces.
+``Partition.from_classes`` and ``ThetaRelation``, and the id arguments
+of the query methods, are arbitrary Python values: scalars, element ids
+of a small space, strings with whitespace or the pair-id separator, and
+lists, tuples, sets and dicts of those.  Any other exception, a
+``TypeError`` or ``AttributeError`` from inside the library included, is
+a defect.  The space arguments themselves are real spaces.
 """
 
 from __future__ import annotations
@@ -14,12 +14,22 @@ from __future__ import annotations
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from topodata import Partition, Space, SpaceMap, ThetaRelation, TopologyError
+from topodata import (
+    Dataset,
+    Partition,
+    Space,
+    SpaceMap,
+    ThetaRelation,
+    TopologyError,
+    identity_map,
+)
 
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
 SEGMENT = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
 IDS = ["e", "v1", "v2", "zz", "", "a b", "a,b", "e×v1", "seg"]
+IDENTITY = identity_map(SEGMENT)
+DATASET = Dataset({"seg": SEGMENT}, {"seg": IDENTITY})
 
 hashables = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
                       st.sampled_from(IDS), st.text(max_size=4), st.binary(max_size=3))
@@ -73,3 +83,31 @@ def test_partition_from_classes(labelled):
 @given(pairs=values, left_name=values, right_name=values)
 def test_theta_relation(pairs, left_name, right_name):
     builds_or_refuses(lambda: ThetaRelation(pairs, left_name, right_name))
+
+
+# Queries that take one id answer only for an id of the space (or a map
+# name of the dataset); anything else must raise, never answer False.
+ID_QUERIES = {
+    "down_set": (SEGMENT.down_set, SEGMENT.elements),
+    "up_set": (SEGMENT.up_set, SEGMENT.elements),
+    "dimension": (SEGMENT.dimension, SEGMENT.elements),
+    "in_preorder_first": (lambda v: SEGMENT.in_preorder(v, "e"), SEGMENT.elements),
+    "in_preorder_second": (lambda v: SEGMENT.in_preorder("e", v), SEGMENT.elements),
+    "SpaceMap.__call__": (IDENTITY, SEGMENT.elements),
+    "Partition.label_of": (Partition.from_classes(SEGMENT, {}).label_of, SEGMENT.elements),
+    "Dataset.resolve_map": (DATASET.resolve_map, DATASET.maps.keys()),
+}
+
+
+@seed(20131008)
+@FUZZ
+@given(value=values)
+def test_queries(value):
+    for subset_query in (SEGMENT.closure, SEGMENT.star, SEGMENT.is_open):
+        builds_or_refuses(lambda: subset_query(value))
+    for name, (query, known) in ID_QUERIES.items():
+        try:
+            query(value)
+        except TopologyError:
+            continue
+        assert isinstance(value, str) and value in known, (name, value)

@@ -8,7 +8,6 @@ import pytest
 
 from topodata import (
     SizeBoundError,
-    SizeGuard,
     Space,
     SpaceMap,
     enumerate_topology,
@@ -46,7 +45,7 @@ class TestEnumerateTopology:
         big = Space("big", [f"n{i}" for i in range(13)], [])
         with pytest.raises(SizeBoundError):
             enumerate_topology(big)
-        assert len(enumerate_topology(big, SizeGuard(13))) == 2 ** 13
+        assert len(enumerate_topology(big, 13)) == 2 ** 13
 
     def test_canonical_order(self, segment):
         first = [sorted(u) for u in enumerate_topology(segment)]
@@ -76,7 +75,7 @@ class TestOracleContinuity:
         collapse = SpaceMap(big, segment, {e: "v1" for e in big.elements})
         with pytest.raises(SizeBoundError):
             oracle_is_continuous(collapse)
-        assert oracle_is_continuous(collapse, SizeGuard(13))
+        assert oracle_is_continuous(collapse, 13)
 
     def test_agreement_with_fast_path(self):
         rng = random.Random(52)
@@ -89,7 +88,7 @@ class TestOracleContinuity:
     def test_overlay_projections(self, space_x, space_y, theta):
         from topodata import theta_join
         _, pleft, pright = theta_join(space_x, space_y, theta)
-        guard = SizeGuard(14)
+        guard = 14
         assert oracle_is_continuous(pleft, guard)
         assert oracle_is_continuous(pright, guard)
 

@@ -154,13 +154,18 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             run(ids)
 
-    @pytest.mark.parametrize("query", ["down_set", "up_set", "dimension", "in_preorder"])
+    @pytest.mark.parametrize("query", ["down_set", "up_set", "dimension", "in_preorder",
+                                       "in_preorder_second"])
     @pytest.mark.parametrize("element", [["e"], {"e"}, {"e": "v1"}],
                              ids=["list", "set", "dict"])
     def test_unhashable_id(self, segment, query, element):
-        run = getattr(segment, query)
         with pytest.raises(InvalidElementIdError):
-            run(element, "e") if query == "in_preorder" else run(element)
+            if query == "in_preorder":
+                segment.in_preorder(element, "e")
+            elif query == "in_preorder_second":
+                segment.in_preorder("e", element)
+            else:
+                getattr(segment, query)(element)
 
 
 class TestIsOpen:
