@@ -8,6 +8,7 @@ call; no logic lives only here.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -160,11 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one command frees few cycles, so the cyclic collector waits for its end
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (TopologyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Continuity is the package's central consistency rule: a map f is
 continuous exactly when the image of every incidence pair of its domain
 lands in the preorder of its codomain.  ``is_continuous`` therefore needs
 only the stored relation plus reachability in the codomain, no open-set
-enumeration; the brute-force open-preimage check lives in ``oracle`` and
-is used by the tests to confirm agreement.
+enumeration; it accepts a pair whose images are equal or directly
+incident before it tests reachability.  The brute-force open-preimage
+check lives in ``oracle`` and is used by the tests to confirm agreement.
 """
 
 from __future__ import annotations
@@ -119,8 +120,11 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
     same map report the same pair.
     """
     image = f.mapping
+    direct = f.codomain.incidence
+    in_preorder = f.codomain.in_preorder
     bad = min(((a, b) for a, b in f.domain.incidence
-               if not f.codomain.in_preorder(image[a], image[b])), default=None)
+               if (fa := image[a]) != (fb := image[b]) and (fa, fb) not in direct
+               and not in_preorder(fa, fb)), default=None)
     if bad is None:
         return ContinuityResult(True)
     return ContinuityResult(False, bad, (image[bad[0]], image[bad[1]]))

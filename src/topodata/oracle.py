@@ -110,11 +110,11 @@ def oracle_find_homeomorphism(x: Space, y: Space,
         return None
     family_x = enumerate_topology(x, max_elements)
     family_y = set(enumerate_topology(y, max_elements))
+    if len(family_x) != len(family_y):
+        return None
     sources = sorted(x.elements)
     for image in permutations(sorted(y.elements)):
         f = dict(zip(sources, image))
-        if (len(family_x) == len(family_y)
-                and all(frozenset(f[e] for e in open_set) in family_y
-                        for open_set in family_x)):
+        if all(frozenset(f[e] for e in open_set) in family_y for open_set in family_x):
             return SpaceMap(x, y, f)
     return None

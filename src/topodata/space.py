@@ -236,30 +236,31 @@ class Space:
         self.incidence = incidence
         self.attributes = attributes
 
+        # successor lists, and the number of pairs ending at each element
         succ: dict[str, list[str]] = {e: [] for e in elements}
-        pred: dict[str, list[str]] = {e: [] for e in elements}
+        pending = dict.fromkeys(elements, 0)
         for a, b in incidence:
             succ[a].append(b)
-            pred[b].append(a)
-        self._succ = {e: tuple(vs) for e, vs in succ.items()}
-        self._pred = {e: tuple(vs) for e, vs in pred.items()}
+            pending[b] += 1
+        self._succ = succ
 
-        # Kahn's sort from the sinks up: an element is placed once
-        # everything it is bounded by is placed, so _order lists every
-        # element after its whole boundary.
-        pending = {e: len(vs) for e, vs in self._succ.items()}
+        # Kahn's sort from the sources down: an element is placed once
+        # everything bounded by it is placed.  Reversed, _order lists
+        # every element after its whole boundary.
         order = [e for e, n in pending.items() if not n]
-        for b in order:
-            for a in self._pred[b]:
-                pending[a] -= 1
-                if not pending[a]:
-                    order.append(a)
+        for a in order:
+            for b in succ[a]:
+                pending[b] -= 1
+                if not pending[b]:
+                    order.append(b)
         if len(order) < len(elements):
             raise CyclicIncidenceError(
                 f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle(incidence))}")
+        order.reverse()
         self._order = order
 
         # lazily filled caches; recomputation under a race is benign
+        self._pred: dict[str, list[str]] | None = None
         self._down: dict[str, frozenset[str]] = {}
         self._up: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
@@ -361,6 +362,11 @@ class Space:
         """
         if not (isinstance(element, str) and element in self.elements):
             raise self._not_an_element(element)
+        if self._pred is None:
+            pred: dict[str, list[str]] = {e: [] for e in self.elements}
+            for a, b in self.incidence:
+                pred[b].append(a)
+            self._pred = pred
         return self._reach(self._pred, self._up, element)
 
     def in_preorder(self, a: str, b: str) -> bool:

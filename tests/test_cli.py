@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from topodata import Space, SpaceMap
+from topodata import Space, SpaceMap, cli
 from topodata.cli import main
 from topodata.io import serialize_map, serialize_space, serialize_theta
 
@@ -71,6 +72,30 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_for_the_command_and_handed_back(
+            self, files, tmp_path, monkeypatch, capsys, enabled):
+        malformed = tmp_path / "nope.json"
+        malformed.write_text("{")
+        during = []
+        validate = cli.validate
+
+        def recording(dataset):
+            during.append(gc.isenabled())
+            return validate(dataset)
+
+        monkeypatch.setattr(cli, "validate", recording)
+        try:
+            if not enabled:
+                gc.disable()
+            for manifest, code in ((files["good_manifest.json"], 0),
+                                   (files["bad_manifest.json"], 1), (str(malformed), 2)):
+                assert main(["validate", manifest]) == code
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert during == [False, False]
 
 
 class TestRun:

@@ -1,4 +1,4 @@
-"""The graph kernel of ``space``: Kahn order, covers, and cycle reports.
+"""The graph kernel of ``space``: Kahn order, reachability, covers, and cycle reports.
 
 Each fast routine is compared with the naive definition it replaces, on
 a few hundred seeded random graphs small enough for the brute force.
@@ -63,10 +63,23 @@ def old_reduce(space: Space) -> set[tuple[str, str]]:
     return reduced
 
 
+def assert_reach_and_order(space: Space) -> None:
+    """Down sets, up sets and the Kahn order against the naive closure."""
+    below = strict_below(space.elements, space.incidence)
+    for e in space.elements:
+        assert space.down_set(e) == below[e] | {e}
+        assert space.up_set(e) == {a for a in space.elements if e in below[a]} | {e}
+    position = {e: i for i, e in enumerate(space._order)}
+    assert len(space._order) == len(position) == len(space.elements)
+    assert position.keys() == space.elements
+    assert all(position[b] < position[a] for a, b in space.incidence)
+
+
 def test_kernel_matches_naive_definitions():
     rng = random.Random(2024)
     for _ in range(TRIALS):
         space = random_dag(rng)
+        assert_reach_and_order(space)
         below = strict_below(space.elements, space.incidence)
         expected = brute_covers(below)
         assert covers({e: frozenset(bs) for e, bs in below.items()}) == expected
@@ -128,6 +141,4 @@ def test_trusted_results_equal_validated_rebuilds():
             rebuilt = Space(result.name, result.elements, result.incidence, result.attributes)
             assert result == rebuilt, trial
             assert type(result.elements) is type(result.incidence) is frozenset
-            position = {e: i for i, e in enumerate(result._order)}
-            assert sorted(position) == sorted(result.elements)
-            assert all(position[b] < position[a] for a, b in result.incidence), trial
+            assert_reach_and_order(result)

@@ -147,6 +147,46 @@ class TestIsContinuous:
             verdicts[verdict.ok] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
+    def test_each_accept_route_agrees_with_naive_preorder(self, monkeypatch):
+        # A pair whose images are equal or directly incident is accepted
+        # without a reachability test; only the other pairs are tested.
+        # Reduced codomains and maps that mostly keep the index order (the
+        # pairs of random_space go from lower to higher index) make
+        # reachable but not incident images common.
+        tested = []
+        in_preorder = Space.in_preorder
+        monkeypatch.setattr(Space, "in_preorder",
+                            lambda space, a, b: tested.append((a, b)) or in_preorder(space, a, b))
+        rng = random.Random(34)
+        routes = Counter()
+        verdicts = Counter()
+        for _ in range(300):
+            x = random_space(rng, max_elements=8, name="X", min_elements=1)
+            y = random_space(rng, max_elements=8, name="Y", min_elements=1).transitive_reduce()
+            f = SpaceMap(x, y, {f"X{i}": f"Y{i * len(y) // len(x)}" if rng.random() < 0.7
+                                else rng.choice(sorted(y.elements)) for i in range(len(x))})
+            preorder = naive_preorder(y)
+            needs_test = 0
+            for a, b in x.incidence:
+                image = (f(a), f(b))
+                if image[0] == image[1]:
+                    routes["equal"] += 1
+                elif image in y.incidence:
+                    routes["direct"] += 1
+                else:
+                    routes["reachable" if image in preorder else "violation"] += 1
+                    needs_test += 1
+            witness = next(((a, b) for a, b in sorted(x.incidence)
+                            if (f(a), f(b)) not in preorder), None)
+            tested.clear()
+            verdict = is_continuous(f)
+            assert verdict.ok == (witness is None)
+            assert verdict.witness == witness
+            assert len(tested) == needs_test
+            verdicts[verdict.ok] += 1
+        assert min(routes["equal"], routes["direct"], routes["reachable"]) >= 50, routes
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
 
 def naive_preorder(space: Space) -> set:
     """The reflexive-transitive closure of incidence, by joining pairs until nothing changes."""

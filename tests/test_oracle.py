@@ -13,6 +13,7 @@ from topodata import (
     enumerate_topology,
     identity_map,
     is_continuous,
+    oracle,
     oracle_axiom_check,
     oracle_find_homeomorphism,
     oracle_is_continuous,
@@ -124,6 +125,16 @@ class TestExhaustiveHomeomorphismSearch:
     def test_different_topologies_rejected(self, segment):
         discrete = Space("d", ["a", "b", "c"], [])
         assert oracle_find_homeomorphism(segment, discrete) is None
+
+    def test_family_sizes_differ_before_any_bijection(self, monkeypatch):
+        def no_permutations(items):
+            raise AssertionError("bijections walked although the families differ in size")
+
+        monkeypatch.setattr(oracle, "permutations", no_permutations)
+        ids = [f"n{i}" for i in range(8)]
+        discrete = Space("discrete", ids, [])
+        chain = Space("chain", ids, list(zip(ids, ids[1:])))
+        assert oracle_find_homeomorphism(discrete, chain) is None
 
     def test_guard(self):
         big = Space("big", [f"n{i}" for i in range(9)], [])
