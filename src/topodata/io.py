@@ -24,7 +24,7 @@ from .constraints import Dataset, ForeignKeyConstraint
 from .errors import (InvalidAttributeError, InvalidElementIdError, ParseError,
                      UnresolvedReferenceError)
 from .maps import SpaceMap
-from .space import Space, check_pairs
+from .space import Space, check_pairs, held_pairs
 
 
 def _load_json(text: str, source: str):
@@ -133,12 +133,16 @@ def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> 
     for name in (domain_name, codomain_name):
         if name not in spaces:
             raise UnresolvedReferenceError(f"{source}: unknown space {name!r}")
-    pairs = _build(source, check_pairs, _require(doc, "pairs", list, source), "map pairs")
+    domain, codomain = spaces[domain_name], spaces[codomain_name]
+    entries = _require(doc, "pairs", list, source)
+    pairs = held_pairs(entries, domain._held_ids(), codomain._held_ids())
+    if pairs is None:  # a fault: the full checks here and in SpaceMap name it, in order
+        pairs = _build(source, check_pairs, entries, "map pairs")
     table = dict(pairs)
     if len(table) < len(pairs):
         repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
         raise ParseError(f"map pairs list source ids more than once: {repeated}", source=source)
-    return SpaceMap(spaces[domain_name], spaces[codomain_name], table)
+    return SpaceMap(domain, codomain, table)
 
 
 def serialize_map(space_map: SpaceMap) -> str:

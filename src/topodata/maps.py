@@ -117,7 +117,8 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
     f is continuous iff the image of every incidence pair of the domain
     lies in the preorder (reflexive-transitive closure) of the codomain.
     The witness is the least violating pair, so repeated checks of the
-    same map report the same pair.
+    same map report the same pair.  A loaded map's ids are the objects
+    its spaces hold, so the lookups here match by identity first.
     """
     image = f.mapping
     direct = f.codomain.incidence

@@ -70,6 +70,21 @@ def check_pairs(entries: Iterable, what: str) -> list[Pair]:
     return pairs
 
 
+def held_pairs(entries: list, keys: Mapping, values: Mapping) -> list[Pair] | None:
+    """The entries as pairs of the id objects held in ``keys`` and ``values``; None
+    when an entry is not a pair ``check_pairs`` accepts or names an id not held."""
+    pairs = []
+    try:
+        for entry in entries:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                return None
+            pairs.append((keys[entry[0]], values[entry[1]]))
+    except KeyError:
+        return None
+    return pairs
+
+
 def check_table(entries: object, what: str) -> dict:
     """The entries as a dict: a copy of a mapping, or else pairs of string ids."""
     if isinstance(entries, Mapping):
@@ -180,22 +195,24 @@ class Space:
         name = str(name)
 
         ids = [check_element_id(e) for e in _iterate(elements, f"elements of {name!r}")]
-        counts = Counter(ids)
-        dupes = sorted(e for e, n in counts.items() if n > 1)
-        if dupes:
+        held = {e: e for e in ids}
+        if len(held) < len(ids):
+            dupes = sorted(e for e, n in Counter(ids).items() if n > 1)
             raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
-        elements = frozenset(ids)
+        elements = frozenset(held)
 
-        pairs = set()
-        for a, b in check_pairs(incidence, f"incidence of {name!r}"):
-            if a == b:
-                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
-            for endpoint in (a, b):
-                if endpoint not in elements:
-                    raise DanglingIncidenceError(
-                        f"incidence pair ({a!r}, {b!r}) in {name!r} "
-                        f"references unknown element {endpoint!r}")
-            pairs.add((a, b))
+        entries = list(_iterate(incidence, f"incidence of {name!r}"))
+        pairs = held_pairs(entries, held, held)
+        if pairs is None or any(a is b for a, b in pairs):
+            # a fault: the entry-by-entry checks name the first, shapes first
+            for a, b in check_pairs(entries, f"incidence of {name!r}"):
+                if a == b:
+                    raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+                for endpoint in (a, b):
+                    if endpoint not in elements:
+                        raise DanglingIncidenceError(
+                            f"incidence pair ({a!r}, {b!r}) in {name!r} "
+                            f"references unknown element {endpoint!r}")
 
         if attributes is not None and not isinstance(attributes, Mapping):
             raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")
@@ -214,7 +231,7 @@ class Space:
             if kv:
                 cleaned[el] = dict(kv)
 
-        self._build(name, elements, frozenset(pairs), cleaned)
+        self._build(name, elements, frozenset(pairs), cleaned, held)
 
     @classmethod
     def _trusted(cls, name: str, elements: frozenset[str], incidence: frozenset[Pair],
@@ -230,7 +247,7 @@ class Space:
         space._build(name, elements, incidence, attributes)
         return space
 
-    def _build(self, name, elements, incidence, attributes):
+    def _build(self, name, elements, incidence, attributes, held=None):
         self.name = name
         self.elements = elements
         self.incidence = incidence
@@ -260,10 +277,16 @@ class Space:
         self._order = order
 
         # lazily filled caches; recomputation under a race is benign
+        self._held: dict[str, str] | None = held
         self._pred: dict[str, list[str]] | None = None
         self._down: dict[str, frozenset[str]] = {}
         self._up: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
+
+    def _held_ids(self) -> dict[str, str]:
+        if self._held is None:  # each id keyed by itself: a lookup gives the held object
+            self._held = {e: e for e in self.elements}
+        return self._held
 
     def _cycle(self, pairs) -> list[str]:
         # A closed walk inside the cyclic component holding the least
@@ -281,6 +304,8 @@ class Space:
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Space):
             return NotImplemented
         return (self.name == other.name

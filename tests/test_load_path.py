@@ -1,0 +1,426 @@
+"""The load path of spaces and maps: error precedence, a seeded
+differential test against a reference checker, shared id objects, and
+output that does not depend on the hash seed.
+
+A loaded space holds one object per element id, and every incidence
+endpoint and every map key and value is that object, so dict and set
+lookups on ids hit the identity fast path.  None of that may change which
+error an input with several faults reports.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from topodata import (
+    CyclicIncidenceError,
+    DanglingIncidenceError,
+    DuplicateElementError,
+    InvalidAttributeError,
+    InvalidElementIdError,
+    MapTotalityError,
+    ParseError,
+    SelfLoopError,
+    Space,
+    SpaceMap,
+    UnknownElementError,
+    select_subspace,
+)
+from topodata.io import load_dataset, parse_map, parse_space
+
+ROOT = Path(__file__).resolve().parents[1]
+LOD_MANIFEST = ROOT / "demo" / "lod" / "manifest.json"
+
+SEGMENT = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
+POINT = Space("pt", ["p"], [])
+
+
+def outcome(build):
+    """(error type name, message), or ("ok", value)."""
+    try:
+        return "ok", build()
+    except Exception as err:  # the type and message are what is compared
+        return type(err).__name__, str(err)
+
+
+# -- error precedence ------------------------------------------------------------
+# Inputs with several faults, and the one error each reports.
+
+SPACE_PRECEDENCE = {
+    "malformed entry after a dangling pair": (
+        (["a", "b"], [("a", "zz"), ("a",)]),
+        InvalidElementIdError, "incidence of 's': entry ('a',) is not a pair of string ids"),
+    "non-string endpoint after a self pair": (
+        (["a", "b"], [("a", "a"), ["b", 5]]),
+        InvalidElementIdError, "incidence of 's': entry ['b', 5] is not a pair of string ids"),
+    "self pair on an unknown id": (
+        (["a", "b"], [("z", "z")]),
+        SelfLoopError, "self pair ('z', 'z') in 's'"),
+    "both endpoints dangling": (
+        (["a", "b"], [("x", "y")]),
+        DanglingIncidenceError, "incidence pair ('x', 'y') in 's' references unknown element 'x'"),
+    "second endpoint dangling": (
+        (["a", "b"], [("a", "y")]),
+        DanglingIncidenceError, "incidence pair ('a', 'y') in 's' references unknown element 'y'"),
+    "dangling second endpoint before a dangling first one": (
+        (["a", "b"], [("a", "y"), ("x", "b")]),
+        DanglingIncidenceError, "incidence pair ('a', 'y') in 's' references unknown element 'y'"),
+    "duplicate ids and a dangling pair": (
+        (["a", "a", "b"], [("a", "zz")]),
+        DuplicateElementError, "duplicate element ids in 's': ['a']"),
+    "duplicate ids and a malformed entry": (
+        (["b", "a", "b", "a"], [("a",)]),
+        DuplicateElementError, "duplicate element ids in 's': ['a', 'b']"),
+    "bad id after a duplicate id": (
+        (["a", "a", "b c"], [("a",)]),
+        InvalidElementIdError, "element id contains whitespace or a comma: 'b c'"),
+    "attributes of an unknown element and a dangling pair": (
+        (["a", "b"], [("a", "zz")], {"q": {}}),
+        DanglingIncidenceError, "incidence pair ('a', 'zz') in 's' references unknown element 'zz'"),
+    "attributes that are not a mapping and a self pair": (
+        (["a", "b"], [("a", "b"), ("a", "a")], 5),
+        SelfLoopError, "self pair ('a', 'a') in 's'"),
+    "bad attribute value and a malformed entry": (
+        (["a", "b"], ["ab"], {"a": {"k": 1}}),
+        InvalidElementIdError, "incidence of 's': entry 'ab' is not a pair of string ids"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_PRECEDENCE))
+def test_space_error_precedence(case):
+    args, kind, message = SPACE_PRECEDENCE[case]
+    assert outcome(lambda: Space("s", *args)) == (kind.__name__, message)
+    # a one-shot iterator of the same entries reports the same fault
+    args = (args[0], iter(args[1]), *args[2:])
+    assert outcome(lambda: Space("s", *args)) == (kind.__name__, message)
+
+
+MAP_PRECEDENCE = {
+    "malformed entry after an unknown key": (
+        [["zz", "e"], ["e"]],
+        ParseError, "m.json: map pairs: entry ['e'] is not a pair of string ids"),
+    "non-string value after a repeated source": (
+        [["e", "e"], ["e", "v1"], ["v2", 5]],
+        ParseError, "m.json: map pairs: entry ['v2', 5] is not a pair of string ids"),
+    "repeated source and a value outside the codomain": (
+        [["e", "zz"], ["e", "e"], ["v1", "v1"], ["v2", "v2"]],
+        ParseError, "m.json: map pairs list source ids more than once: ['e']"),
+    "missing key and an extra key": (
+        [["e", "e"], ["v1", "v1"], ["zz", "v2"]],
+        MapTotalityError, "map 'seg' -> 'seg' misses ['v2']"),
+    "extra key and a value outside the codomain": (
+        [["e", "e"], ["v1", "q"], ["v2", "v2"], ["zz", "q"]],
+        UnknownElementError, "map 'seg' -> 'seg' maps unknown keys ['zz']"),
+    "values outside the codomain": (
+        [["e", "e"], ["v1", "y"], ["v2", "x"]],
+        UnknownElementError, "map 'seg' -> 'seg' has values outside the codomain: ['x', 'y']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_PRECEDENCE))
+def test_map_error_precedence(case):
+    pairs, kind, message = MAP_PRECEDENCE[case]
+    text = json.dumps({"domain": "seg", "codomain": "seg", "pairs": pairs})
+    assert outcome(lambda: parse_map(text, {"seg": SEGMENT}, source="m.json")) == (
+        kind.__name__, message)
+
+
+# -- differential test against a reference checker ---------------------------------
+# The reference checks in the library's order: element ids, duplicates,
+# then every entry's shape, then each pair in input order (self pair,
+# first endpoint, second endpoint), then attributes.  For maps: entry
+# shapes, repeated sources, missing keys, extra keys, outside values.
+
+def reference_space(name, ids, incidence, attributes):
+    for e in ids:
+        if not isinstance(e, str) or not e:
+            raise InvalidElementIdError(f"element id must be a non-empty string, got {e!r}")
+        if any(c.isspace() or c == "," for c in e):
+            raise InvalidElementIdError(f"element id contains whitespace or a comma: {e!r}")
+    dupes = sorted(e for e, n in Counter(ids).items() if n > 1)
+    if dupes:
+        raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
+    for entry in incidence:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(isinstance(x, str) for x in entry)):
+            raise InvalidElementIdError(
+                f"incidence of {name!r}: entry {entry!r} is not a pair of string ids")
+    for a, b in incidence:
+        if a == b:
+            raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+        for endpoint in (a, b):
+            if endpoint not in ids:
+                raise DanglingIncidenceError(
+                    f"incidence pair ({a!r}, {b!r}) in {name!r} "
+                    f"references unknown element {endpoint!r}")
+    for el, kv in attributes.items():
+        if el not in ids:
+            raise UnknownElementError(f"attributes given for unknown element {el!r} in {name!r}")
+        for k, v in kv.items():
+            if not isinstance(v, str):
+                raise InvalidAttributeError(
+                    f"attribute keys and values must be strings: {k!r}={v!r}")
+    pairs = frozenset(map(tuple, incidence))
+    below = {e: {b for a, b in pairs if a == e} for e in ids}
+    for _ in ids:  # the transitive closure, by repeated relaxation
+        below = {e: set().union(down, *(below[b] for b in down)) for e, down in below.items()}
+    if any(e in down for e, down in below.items()):
+        raise CyclicIncidenceError(None)  # its message, a closed walk, is tested in test_kernel
+    return frozenset(ids), pairs
+
+
+def reference_table(domain, codomain, table):
+    what = f"map {domain.name!r} -> {codomain.name!r}"
+    missing = sorted(set(domain.elements) - set(table))
+    if missing:
+        raise MapTotalityError(f"{what} misses {missing}")
+    extra = sorted(set(table) - set(domain.elements))
+    if extra:
+        raise UnknownElementError(f"{what} maps unknown keys {extra}")
+    bad = sorted((v for v in table.values() if v not in codomain.elements), key=str)
+    if bad:
+        raise UnknownElementError(f"{what} has values outside the codomain: {bad}")
+    return table
+
+
+def reference_map_pairs(domain, codomain, pairs, source):
+    for entry in pairs:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, str) for x in entry)):
+            raise ParseError(f"map pairs: entry {entry!r} is not a pair of string ids",
+                             source=source)
+    repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+    if repeated:
+        raise ParseError(f"map pairs list source ids more than once: {repeated}", source=source)
+    return reference_table(domain, codomain, dict(pairs))
+
+
+POOL = ["a", "b", "c", "d", "e"]
+ODD_IDS = ["", "a b", "a,b", 5, None]
+endpoint = st.sampled_from(POOL + ["zz"])
+entries = st.one_of(
+    st.tuples(endpoint, endpoint),
+    st.tuples(endpoint, endpoint).map(list),
+    st.sampled_from([("a",), ("a", "b", "c"), "ab", None, ["b", ["c"]], ("a", 5), [5, "zz"]]))
+
+
+@st.composite
+def space_inputs(draw):
+    ids = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=5))
+    planted = draw(st.sampled_from([None, "odd", "duplicate"] + [None] * 7))
+    if planted == "odd":
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ODD_IDS)))
+    elif planted == "duplicate" and ids:
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+    # mostly acyclic pairs in list order, with planted faults among them
+    forward = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1:] if x != y]
+    incidence = draw(st.lists(st.sampled_from(forward), max_size=6)) if forward else []
+    for _ in range(draw(st.integers(0, 2))):
+        incidence.insert(draw(st.integers(0, len(incidence))), draw(entries))
+    attributes = {}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(POOL + ["zz"]))
+        attributes[key] = {"k": draw(st.sampled_from(["v", 1]))}
+    return ids, incidence, attributes
+
+
+@st.composite
+def map_pairs(draw):
+    keys = list(SEGMENT.elements)
+    pairs = [[k, draw(st.sampled_from(sorted(SEGMENT.elements)))]
+             for k in draw(st.permutations(keys))]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["drop", "repeat", "extra", "value", "shape"]))
+        formed = [entry for entry in pairs if isinstance(entry, list) and len(entry) == 2]
+        if fault == "drop" and formed:
+            pairs.remove(draw(st.sampled_from(formed)))
+        elif fault == "repeat" and formed:
+            pairs.append([draw(st.sampled_from(formed))[0], "e"])
+        elif fault == "extra":
+            pairs.append(["zz", draw(st.sampled_from(["e", "q"]))])
+        elif fault == "value" and formed:
+            draw(st.sampled_from(formed))[1] = draw(st.sampled_from(["q", "p"]))
+        elif fault == "shape":
+            pairs.insert(draw(st.integers(0, len(pairs))),
+                         draw(st.sampled_from([["e"], ["e", 5], "ev", None])))
+    return pairs
+
+
+DIFFERENTIAL = settings(max_examples=300, deadline=None, database=None)
+
+
+def same(got, expected) -> None:
+    assert got[0] == expected[0], (got, expected)
+    if got[0] not in ("ok", "CyclicIncidenceError"):
+        assert got[1] == expected[1]
+
+
+@seed(20131008)
+@DIFFERENTIAL
+@given(space_inputs())
+def test_space_constructor_matches_reference(drawn):
+    ids, incidence, attributes = drawn
+    expected = outcome(lambda: reference_space("s", ids, incidence, attributes))
+    got = outcome(lambda: Space("s", ids, incidence, attributes))
+    same(got, expected)
+    if got[0] == "ok":
+        assert (got[1].elements, got[1].incidence) == expected[1]
+
+
+@seed(20131008)
+@DIFFERENTIAL
+@given(space_inputs())
+def test_parse_space_matches_reference(drawn):
+    ids, incidence, attributes = drawn
+    doc = {"name": "s",
+           "elements": [{"id": e, **({"attrs": attributes[e]} if e in attributes else {})}
+                        for e in ids],
+           "incidence": incidence}
+    # attributes of an element the list lacks cannot be written in a file
+    attributes = {e: kv for e, kv in attributes.items() if e in ids}
+    text = json.dumps(doc)
+    plain = json.loads(text)  # tuples are lists in the file
+
+    def reference():
+        try:
+            return reference_space("s", [e["id"] for e in plain["elements"]],
+                                   plain["incidence"], attributes)
+        except (InvalidElementIdError, InvalidAttributeError) as err:
+            raise ParseError(str(err), source="s.json") from err
+
+    if not all(isinstance(e, str) for e in ids):
+        return  # a non-string id is io's own shape error, outside the constructor
+    expected = outcome(reference)
+    got = outcome(lambda: parse_space(text, source="s.json"))
+    same(got, expected)
+    if got[0] == "ok":
+        assert (got[1].elements, got[1].incidence) == expected[1]
+
+
+@seed(20131008)
+@DIFFERENTIAL
+@given(map_pairs(), st.sampled_from(["seg", "pt"]))
+def test_parse_map_matches_reference(pairs, codomain_name):
+    spaces = {"seg": SEGMENT, "pt": POINT}
+    if codomain_name == "pt":  # the same faults, into a one-point codomain
+        pairs = [[entry[0], "p" if entry[1] in SEGMENT.elements else entry[1]]
+                 if isinstance(entry, list) and len(entry) == 2 else entry for entry in pairs]
+    text = json.dumps({"domain": "seg", "codomain": codomain_name, "pairs": pairs})
+    codomain = spaces[codomain_name]
+    expected = outcome(lambda: reference_map_pairs(SEGMENT, codomain, pairs, "m.json"))
+    got = outcome(lambda: parse_map(text, spaces, source="m.json"))
+    same(got, expected)
+    if got[0] == "ok":
+        assert got[1].mapping == expected[1]
+        assert (got[1].domain, got[1].codomain) == (SEGMENT, codomain)
+
+
+@seed(20131008)
+@DIFFERENTIAL
+@given(map_pairs())
+def test_space_map_matches_reference(pairs):
+    table = {entry[0]: entry[1] for entry in pairs if isinstance(entry, list) and len(entry) == 2}
+    expected = outcome(lambda: reference_table(SEGMENT, SEGMENT, dict(table)))
+    got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, table))
+    same(got, expected)
+    if got[0] == "ok":
+        assert got[1].mapping == expected[1]
+
+
+# -- shared id objects --------------------------------------------------------------
+
+def held(space: Space) -> dict[str, str]:
+    """Each element id of the space, keyed by its value, as the object the space holds."""
+    return {e: e for e in space.elements}
+
+
+def assert_shared_space(space: Space) -> None:
+    own = held(space)
+    for a, b in space.incidence:
+        assert own[a] is a and own[b] is b, (space.name, a, b)
+
+
+def assert_shared_map(space_map: SpaceMap) -> None:
+    keys, values = held(space_map.domain), held(space_map.codomain)
+    for a, b in space_map.mapping.items():
+        assert keys[a] is a and values[b] is b, (a, b)
+
+
+def test_loaded_ids_are_the_element_objects():
+    dataset = load_dataset(LOD_MANIFEST)
+    assert dataset.spaces and dataset.maps
+    for space in dataset.spaces.values():
+        assert_shared_space(space)
+    for space_map in dataset.maps.values():
+        assert_shared_map(space_map)
+
+
+def test_map_parsed_onto_an_operator_result_shares_its_ids():
+    sub, _ = select_subspace(SEGMENT, ["e", "v1"])  # built unchecked, with no id table yet
+    text = json.dumps({"domain": "seg", "codomain": "pt", "pairs": [["e", "p"], ["v1", "p"]]})
+    space_map = parse_map(text, {"seg": sub, "pt": POINT})
+    assert_shared_map(space_map)
+    assert space_map == SpaceMap(sub, POINT, {"e": "p", "v1": "p"})
+
+
+def test_constructor_shares_ids_given_as_copies():
+    ids = ["face", "edge"]
+    space = Space("s", ids, [("".join(["fa", "ce"]), "".join(["ed", "ge"]))])
+    assert_shared_space(space)
+    assert space == Space("s", ids, [("face", "edge")])
+
+
+def test_a_space_equals_itself_without_comparing_contents():
+    class Uncomparable:
+        def __eq__(self, other):
+            raise AssertionError("contents compared")
+
+    space = Space("s", ["a"])
+    space.elements = Uncomparable()
+    assert space == space and not space != space
+
+
+# -- the same output under every hash seed --------------------------------------------
+
+CYCLIC_SPACE = {"name": "ring", "elements": [{"id": i} for i in "abcdef"],
+                "incidence": [["b", "c"], ["a", "b"], ["e", "f"], ["c", "a"], ["f", "d"],
+                              ["d", "e"], ["a", "d"]]}
+
+
+def test_output_is_independent_of_the_hash_seed(tmp_path):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(CYCLIC_SPACE), encoding="utf-8")
+    # the demo dataset with its broken map checked for continuity, so a witness is chosen
+    strict = tmp_path / "strict.json"
+    manifest = json.loads(LOD_MANIFEST.read_text(encoding="utf-8"))
+    manifest["spaces"] = [str(LOD_MANIFEST.parent / rel) for rel in manifest["spaces"]]
+    manifest["maps"] = [str(LOD_MANIFEST.parent / rel) for rel in manifest["maps"]]
+    manifest["constraints"][1]["mode"] = "continuous"
+    strict.write_text(json.dumps(manifest), encoding="utf-8")
+    commands = {"validate": ["validate", str(LOD_MANIFEST)],
+                "validate strict": ["validate", str(strict)],
+                "dim": ["dim", str(ring)]}
+    seen = {name: set() for name in commands}
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
+        for name, command in commands.items():
+            done = subprocess.run([sys.executable, "-m", "topodata.cli", *command],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            seen[name].add((done.returncode, done.stdout, done.stderr))
+    assert {name: len(runs) for name, runs in seen.items()} == dict.fromkeys(commands, 1)
+    (code, out, err), = seen["validate"]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["PASS lod_reference (continuous)", "PASS legacy_reference (plain)"]
+    (code, out, err), = seen["validate strict"]
+    assert (code, err) == (1, "") and "FAIL legacy_reference (continuous): witness" in out
+    (code, out, err), = seen["dim"]
+    assert code == 2 and out == "" and "has a cycle" in err

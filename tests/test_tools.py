@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from topodata.io import serialize_space
 
 from conftest import DATA_DIR
@@ -24,3 +26,63 @@ def test_build_house_reproduces_the_golden_file():
     house = load_tool("build_house").build_house()
     expected = (DATA_DIR / "house.json").read_bytes()
     assert serialize_space(house).encode("utf-8") == expected
+
+
+# -- tools/bench_pairs.py: the summary and the rule, on made-up numbers ------------
+
+def fabricated_pairs(parent: list[float], change: list[float], key="lod_validate.wall_rel"):
+    def run(value):
+        return {"correct": True, "metrics": {key: {"value": value, "unit": "ratio"},
+                                             "lod_validate.cli.import_s": {"value": 1.0,
+                                                                           "unit": "s"}}}
+    return [{"seed": i, "parent": run(p), "change": run(c)}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+PARENT = [2.0, 2.1, 2.05, 1.95, 2.02, 2.08, 1.98, 2.03, 2.01, 2.06]
+LOWER = {"wall_rel": "lower", "peak_rss_mb": "lower"}
+
+
+def test_bench_pairs_summary():
+    tool = load_tool("bench_pairs")
+    change = [p - 0.4 for p in PARENT]
+    change[3] = 2.5  # one pair lost
+    summary = tool.summarize(fabricated_pairs(PARENT, change), LOWER)
+    assert list(summary) == ["lod_validate.wall_rel"]  # per-layer metrics are not judged
+    entry = summary["lod_validate.wall_rel"]
+    assert entry["parent"] == {"median": 2.025, "q1": 2.0025, "q3": 2.0575}
+    assert entry["change"]["median"] == pytest.approx(1.64)
+    assert entry["change_better_pairs"] == 9 and entry["pairs"] == 10
+    assert entry["parent_iqr"] == pytest.approx(0.055)
+    assert entry["median_change_rel"] == pytest.approx(1.64 / 2.025 - 1)
+    assert tool.verdict(entry)
+    # the file is rewritten after every pair, the first one included
+    first = tool.summarize(fabricated_pairs(PARENT[:1], change[:1]), LOWER)
+    assert first["lod_validate.wall_rel"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+
+
+@pytest.mark.parametrize("case", ["eight wins", "within the parent's spread", "worse"])
+def test_bench_pairs_rule_refuses(case):
+    tool = load_tool("bench_pairs")
+    change = {"eight wins": [p - 0.4 for p in PARENT[:8]] + [3.0, 3.0],
+              "within the parent's spread": [p - 0.03 for p in PARENT],
+              "worse": [p + 0.4 for p in PARENT]}[case]
+    entry = tool.summarize(fabricated_pairs(PARENT, change), LOWER)["lod_validate.wall_rel"]
+    assert not tool.verdict(entry)
+
+
+def test_bench_pairs_ties_and_higher_is_better():
+    tool = load_tool("bench_pairs")
+    entry = tool.summarize(fabricated_pairs(PARENT, PARENT), LOWER)["lod_validate.wall_rel"]
+    assert entry["change_better_pairs"] == 0 and not tool.verdict(entry)
+    higher = {"wall_rel": "higher"}
+    gained = tool.summarize(fabricated_pairs(PARENT, [p + 0.4 for p in PARENT]), higher)
+    assert tool.verdict(gained["lod_validate.wall_rel"])
+    lost = tool.summarize(fabricated_pairs(PARENT, [p - 0.4 for p in PARENT]), higher)
+    assert lost["lod_validate.wall_rel"]["change_better_pairs"] == 0
+
+
+def test_bench_pairs_seed_range():
+    tool = load_tool("bench_pairs")
+    assert tool.seed_range("51-60") == list(range(51, 61))
+    assert tool.seed_range("7") == [7]

@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs of two commits and judge a claimed gain.
+
+    python3 tools/bench_pairs.py --parent 5d81580 --change HEAD \\
+        --seeds 51-60 --claim lod_validate.wall_rel --slug shared_ids
+
+Each side runs from its own clean tree, exported with ``git archive``
+into ``--workdir`` (a new temporary directory by default).  Pair i runs
+``python3 bench/run.py --workload all --seed S`` once on each side with
+the i-th seed; the parent goes first in even pairs and the change in odd
+ones, at the run length ``bench/run.py`` sets.  One traced run per side
+follows the pairs.  To measure uncommitted work, stage it and pass the
+commit that ``git stash create`` prints as ``--change``.
+
+The result is written to ``BENCH_<slug>.json`` at the repository root
+after every pair, so an interrupted session keeps what it measured.  It
+holds every pair's final JSON line per side, a summary per end-to-end
+metric (median and quartiles per side, the pairs the change won, the
+parent's interquartile range) and the verdict of the rule: a gain counts
+when the change is better in at least nine tenths of the pairs and the
+two medians differ by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_SECONDS = 8  # one traced run per side after the pairs, for the per-layer metrics
+RULE = ("a gain counts when the change is better in at least 9 of 10 pairs and the "
+        "medians differ by more than the parent's interquartile range")
+
+
+def directions(benchmark: dict) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", for the end-to-end metrics."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) < 2:  # after the first pair
+        values = values * 2
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric ("<workload>.<metric>"), each side's quartiles and who won each pair."""
+    summary = {}
+    for key, first in pairs[0]["parent"]["metrics"].items():
+        direction = better.get(key.split(".", 1)[-1])
+        if direction is None:
+            continue
+        parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
+        change = [p["change"]["metrics"][key]["value"] for p in pairs]
+        sign = 1 if direction == "lower" else -1
+        p, c = quartiles(parent), quartiles(change)
+        summary[key] = {
+            "unit": first["unit"], "better": direction, "parent": p, "change": c,
+            "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+            "pairs": len(pairs),
+            "median_change_rel": (c["median"] - p["median"]) / p["median"],
+            "parent_iqr": p["q3"] - p["q1"],
+        }
+    return summary
+
+
+def verdict(entry: dict) -> bool:
+    """The rule, for one summarized metric."""
+    sign = 1 if entry["better"] == "lower" else -1
+    gain = sign * (entry["parent"]["median"] - entry["change"]["median"])
+    return 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > entry["parent_iqr"]
+
+
+def export(rev: str, target: Path) -> str:
+    """A clean tree of ``rev`` in ``target``; returns the full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    target.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return commit
+
+
+def bench(tree: Path, *args: str) -> dict:
+    """The final JSON line of one ``bench/run.py`` run in ``tree``."""
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", "all", *args],
+                          cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"bench/run.py {' '.join(args)} in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit of the parent side")
+    parser.add_argument("--change", required=True, help="commit of the change side")
+    parser.add_argument("--seeds", required=True, type=seed_range,
+                        help="one seed per pair, as FIRST-LAST")
+    parser.add_argument("--claim", required=True,
+                        help="the claimed metric, e.g. lod_validate.wall_rel")
+    parser.add_argument("--slug", required=True, help="the result goes to BENCH_<slug>.json")
+    parser.add_argument("--what", default="", help="one sentence on what the change does")
+    parser.add_argument("--workdir", type=Path, default=None)
+    args = parser.parse_args(argv)
+
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    trees = {side: workdir / side for side in ("parent", "change")}
+    commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
+    out = ROOT / f"BENCH_{args.slug}.json"
+    result = {
+        "what": args.what,
+        "claim": args.claim,
+        "parent": commits["parent"],
+        "change": commits["change"],
+        "command": "python3 bench/run.py --workload all --seed N",
+        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"Python {platform.python_version()}; one run at a time",
+        "protocol": f"{len(args.seeds)} alternating pairs on seeds {args.seeds[0]}-"
+                    f"{args.seeds[-1]}, parent first in even pairs (0-based); each side "
+                    "ran from its own tree exported with git archive",
+        "rule": RULE,
+        "pairs": [],
+    }
+    for i, s in enumerate(args.seeds):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        pair = {"seed": s, "order": order}
+        for side in order:
+            pair[side] = bench(trees[side], "--seed", str(s))
+            print(f"seed {s} {side}: {pair[side]['metrics'][args.claim]['value']:.4f}",
+                  flush=True)
+        result["pairs"].append(pair)
+        result["summary"] = summarize(result["pairs"], better)
+        claimed = result["summary"][args.claim]
+        result["verdict"] = {"metric": args.claim, "pairs": len(result["pairs"]),
+                             "change_better_pairs": claimed["change_better_pairs"],
+                             "gain_counts": verdict(claimed)}
+        out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    trace = {"command": f"python3 bench/run.py --workload all --trace 1 "
+                        f"--seconds {TRACE_SECONDS} --seed 1, parent first"}
+    for side in ("parent", "change"):
+        trace[side] = bench(trees[side], "--trace", "1", "--seconds", str(TRACE_SECONDS),
+                            "--seed", "1")
+    result["trace"] = trace
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps(result["verdict"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
