@@ -14,7 +14,6 @@ indented document runs the pure-Python encoder instead.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from json.encoder import encode_basestring as _string  # the escaper of ensure_ascii=False
 from pathlib import Path
 from typing import Mapping
@@ -24,7 +23,7 @@ from .constraints import Dataset, ForeignKeyConstraint
 from .errors import (InvalidAttributeError, InvalidElementIdError, ParseError,
                      UnresolvedReferenceError)
 from .maps import SpaceMap
-from .space import Space, check_pairs, held_pairs
+from .space import Space
 
 
 def _load_json(text: str, source: str):
@@ -135,14 +134,7 @@ def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> 
             raise UnresolvedReferenceError(f"{source}: unknown space {name!r}")
     domain, codomain = spaces[domain_name], spaces[codomain_name]
     entries = _require(doc, "pairs", list, source)
-    pairs = held_pairs(entries, domain._held_ids(), codomain._held_ids())
-    if pairs is None:  # a fault: the full checks here and in SpaceMap name it, in order
-        pairs = _build(source, check_pairs, entries, "map pairs")
-    table = dict(pairs)
-    if len(table) < len(pairs):
-        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
-        raise ParseError(f"map pairs list source ids more than once: {repeated}", source=source)
-    return SpaceMap(domain, codomain, table)
+    return _build(source, SpaceMap, domain, codomain, entries)
 
 
 def serialize_map(space_map: SpaceMap) -> str:

@@ -12,6 +12,7 @@ check lives in ``oracle`` and is used by the tests to confirm agreement.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import (
@@ -48,12 +49,14 @@ class SpaceMap:
     """A total function between the element sets of two spaces.
 
     The mapping is stored as an explicit table, never as code, so maps
-    serialize, compare, and diff exactly.  Construction checks totality
-    and that every value is an element of the codomain.
+    serialize, compare, and diff exactly.  It is given as a mapping, or as
+    pairs that list each source once and are keyed on the ids the spaces
+    hold.  Construction checks totality and that every value is an
+    element of the codomain.
     """
 
     def __init__(self, domain: Space, codomain: Space, mapping):
-        table = check_table(mapping, f"table of map {domain.name!r} -> {codomain.name!r}")
+        table = check_table(mapping, "map pairs")
         missing = domain.elements - table.keys()
         if missing:
             raise MapTotalityError(
@@ -68,6 +71,9 @@ class SpaceMap:
             raise UnknownElementError(
                 f"map {domain.name!r} -> {codomain.name!r} has values outside "
                 f"the codomain: {sorted(bad, key=str)}")
+        if not isinstance(mapping, Mapping):
+            keys, values = domain._held_ids(), codomain._held_ids()
+            table = {keys[a]: values[b] for a, b in table.items()}
         self.domain = domain
         self.codomain = codomain
         self.mapping = table

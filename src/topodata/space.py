@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import (
     CyclicIncidenceError,
@@ -59,37 +59,25 @@ def _iterate(collection: object, what: str):
     raise InvalidElementIdError(f"{what} must be a collection, got {collection!r}")
 
 
-def check_pairs(entries: Iterable, what: str) -> list[Pair]:
-    """The entries as id pairs; each must be a two-item list or tuple of strings."""
-    pairs = []
+def check_pairs(entries: Iterable, what: str) -> Iterator[Pair]:
+    """The entries as id pairs, lazily; the first not a 2-list or 2-tuple of strings raises."""
     for entry in _iterate(entries, what):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise InvalidElementIdError(f"{what}: entry {entry!r} is not a pair of string ids")
-        pairs.append((entry[0], entry[1]))
-    return pairs
-
-
-def held_pairs(entries: list, keys: Mapping, values: Mapping) -> list[Pair] | None:
-    """The entries as pairs of the id objects held in ``keys`` and ``values``; None
-    when an entry is not a pair ``check_pairs`` accepts or names an id not held."""
-    pairs = []
-    try:
-        for entry in entries:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
-                return None
-            pairs.append((keys[entry[0]], values[entry[1]]))
-    except KeyError:
-        return None
-    return pairs
+        yield entry[0], entry[1]
 
 
 def check_table(entries: object, what: str) -> dict:
-    """The entries as a dict: a copy of a mapping, or else pairs of string ids."""
+    """The entries as a dict: a copy of a mapping, or else id pairs that list each key once."""
     if isinstance(entries, Mapping):
         return dict(entries)
-    return dict(check_pairs(entries, what))
+    pairs = list(check_pairs(entries, what))
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+        raise InvalidElementIdError(f"{what} list source ids more than once: {repeated}")
+    return table
 
 
 def check_size(max_elements: int, *spaces: "Space") -> None:
@@ -201,18 +189,20 @@ class Space:
             raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
         elements = frozenset(held)
 
-        entries = list(_iterate(incidence, f"incidence of {name!r}"))
-        pairs = held_pairs(entries, held, held)
-        if pairs is None or any(a is b for a, b in pairs):
-            # a fault: the entry-by-entry checks name the first, shapes first
-            for a, b in check_pairs(entries, f"incidence of {name!r}"):
-                if a == b:
-                    raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
-                for endpoint in (a, b):
-                    if endpoint not in elements:
-                        raise DanglingIncidenceError(
-                            f"incidence pair ({a!r}, {b!r}) in {name!r} "
-                            f"references unknown element {endpoint!r}")
+        # one walk; a malformed entry raises at once, the first self or dangling pair after it
+        pairs, fault = [], None
+        get = held.get
+        for a, b in check_pairs(incidence, f"incidence of {name!r}"):
+            ha, hb = get(a), get(b)
+            if (ha is hb or ha is None or hb is None) and fault is None:
+                fault = (a, b)
+            pairs.append((ha, hb))
+        if fault is not None:
+            a, b = fault
+            if a == b:
+                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+            raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} references "
+                                         f"unknown element {a if a not in held else b!r}")
 
         if attributes is not None and not isinstance(attributes, Mapping):
             raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")

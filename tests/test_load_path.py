@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -39,6 +40,7 @@ from topodata.io import load_dataset, parse_map, parse_space
 
 ROOT = Path(__file__).resolve().parents[1]
 LOD_MANIFEST = ROOT / "demo" / "lod" / "manifest.json"
+DEMO_OVERLAY = ROOT / "demo" / "overlay"
 
 SEGMENT = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
 POINT = Space("pt", ["p"], [])
@@ -132,6 +134,10 @@ def test_map_error_precedence(case):
     text = json.dumps({"domain": "seg", "codomain": "seg", "pairs": pairs})
     assert outcome(lambda: parse_map(text, {"seg": SEGMENT}, source="m.json")) == (
         kind.__name__, message)
+    # the same pairs given to the library: the file's error, raised as an id error
+    if kind is ParseError:
+        kind, message = InvalidElementIdError, message.removeprefix("m.json: ")
+    assert outcome(lambda: SpaceMap(SEGMENT, SEGMENT, pairs)) == (kind.__name__, message)
 
 
 # -- differential test against a reference checker ---------------------------------
@@ -334,6 +340,15 @@ def test_space_map_matches_reference(pairs):
     same(got, expected)
     if got[0] == "ok":
         assert got[1].mapping == expected[1]
+    # the pairs themselves, repeats and malformed entries included
+    expected = outcome(lambda: reference_map_pairs(SEGMENT, SEGMENT, pairs, None))
+    if expected[0] == "ParseError":  # the library raises the file's error as an id error
+        expected = ("InvalidElementIdError", expected[1])
+    got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, pairs))
+    same(got, expected)
+    if got[0] == "ok":
+        assert got[1].mapping == expected[1]
+        assert_shared_map(got[1])
 
 
 # -- shared id objects --------------------------------------------------------------
@@ -370,6 +385,12 @@ def test_map_parsed_onto_an_operator_result_shares_its_ids():
     space_map = parse_map(text, {"seg": sub, "pt": POINT})
     assert_shared_map(space_map)
     assert space_map == SpaceMap(sub, POINT, {"e": "p", "v1": "p"})
+    # pairs given to the library directly, with a copy of an id, share them too
+    copy = "".join(["v", "1"])
+    assert held(sub)["v1"] is not copy
+    direct = SpaceMap(sub, POINT, [("e", "p"), (copy, "p")])
+    assert_shared_map(direct)
+    assert direct == space_map
 
 
 def test_constructor_shares_ids_given_as_copies():
@@ -406,8 +427,24 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     manifest["maps"] = [str(LOD_MANIFEST.parent / rel) for rel in manifest["maps"]]
     manifest["constraints"][1]["mode"] = "continuous"
     strict.write_text(json.dumps(manifest), encoding="utf-8")
+    # a map file with two faults: a repeated source and a value outside the codomain
+    faulty = tmp_path / "faulty"
+    faulty.mkdir()
+    (faulty / "seg.json").write_text(json.dumps(
+        {"name": "seg", "elements": [{"id": e} for e in ("e", "v1", "v2")],
+         "incidence": [["e", "v1"], ["e", "v2"]]}), encoding="utf-8")
+    (faulty / "m.json").write_text(json.dumps(
+        {"domain": "seg", "codomain": "seg",
+         "pairs": [["e", "zz"], ["e", "e"], ["v1", "v1"], ["v2", "v2"]]}), encoding="utf-8")
+    (faulty / "manifest.json").write_text(json.dumps(
+        {"spaces": ["seg.json"], "maps": ["m.json"],
+         "constraints": [{"name": "c", "map": "m"}]}), encoding="utf-8")
+    overlay = tmp_path / "overlay"
+    shutil.copytree(DEMO_OVERLAY, overlay, ignore=shutil.ignore_patterns("out"))
     commands = {"validate": ["validate", str(LOD_MANIFEST)],
                 "validate strict": ["validate", str(strict)],
+                "validate two faults": ["validate", str(faulty / "manifest.json")],
+                "run overlay": ["run", str(overlay / "overlay.topo")],
                 "dim": ["dim", str(ring)]}
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
@@ -415,12 +452,21 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
         for name, command in commands.items():
             done = subprocess.run([sys.executable, "-m", "topodata.cli", *command],
                                   env=env, capture_output=True, text=True, timeout=60)
-            seen[name].add((done.returncode, done.stdout, done.stderr))
+            # the files a run emitted, removed so that the next run writes them anew
+            emitted = tuple((p.name, p.read_bytes()) for p in sorted(overlay.glob("out/*")))
+            shutil.rmtree(overlay / "out", ignore_errors=True)
+            seen[name].add((done.returncode, done.stdout, done.stderr, emitted))
     assert {name: len(runs) for name, runs in seen.items()} == dict.fromkeys(commands, 1)
-    (code, out, err), = seen["validate"]
+    (code, out, err, _), = seen["validate"]
     assert (code, err) == (0, "")
     assert out.splitlines() == ["PASS lod_reference (continuous)", "PASS legacy_reference (plain)"]
-    (code, out, err), = seen["validate strict"]
+    (code, out, err, _), = seen["validate strict"]
     assert (code, err) == (1, "") and "FAIL legacy_reference (continuous): witness" in out
-    (code, out, err), = seen["dim"]
+    (code, out, err, _), = seen["validate two faults"]
+    assert (code, out) == (2, "")
+    assert err == f"error: {faulty / 'm.json'}: map pairs list source ids more than once: ['e']\n"
+    (code, out, err, emitted), = seen["run overlay"]
+    assert (code, err) == (0, "") and out
+    assert emitted == tuple((p.name, p.read_bytes()) for p in sorted(DEMO_OVERLAY.glob("out/*")))
+    (code, out, err, _), = seen["dim"]
     assert code == 2 and out == "" and "has a cycle" in err

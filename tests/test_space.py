@@ -134,6 +134,15 @@ class TestConstruction:
         with pytest.raises(InvalidElementIdError, match="must be a collection"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: SpaceMap(Space("s", ["a", "b", "c"]), Space("s", ["a", "b", "c"]),
+                         [("a", "a"), ("b", "b"), ("c", "c"), ("a", "c")]),
+        lambda: Partition([("a", "x"), ("a", "y")])], ids=["map-pairs", "partition-pairs"])
+    def test_key_listed_twice_in_pairs(self, build):
+        # a mapping cannot repeat a key; pairs that do would silently keep the last
+        with pytest.raises(InvalidElementIdError, match=r"list source ids more than once: \['"):
+            build()
+
     @pytest.mark.parametrize("attributes", [
         pytest.param({"a": {"k": 1}}, id="attrs0"),
         pytest.param({"a": 5}, id="5"),

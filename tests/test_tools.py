@@ -86,3 +86,38 @@ def test_bench_pairs_seed_range():
     tool = load_tool("bench_pairs")
     assert tool.seed_range("51-60") == list(range(51, 61))
     assert tool.seed_range("7") == [7]
+
+
+def test_bench_pairs_no_regression():
+    tool = load_tool("bench_pairs")
+    bound = {"wall_rel": 0.25, "peak_rss_mb": 0.05}
+    within = tool.summarize(fabricated_pairs(PARENT, [p * 1.2 for p in PARENT]), LOWER)
+    judged = tool.no_regression(within, bound)["lod_validate.wall_rel"]
+    assert judged["bound"] == 0.25 and judged["worse_rel"] == pytest.approx(0.2)
+    assert judged["holds"]
+    beyond = tool.summarize(fabricated_pairs(PARENT, [p * 1.3 for p in PARENT]), LOWER)
+    assert not tool.no_regression(beyond, bound)["lod_validate.wall_rel"]["holds"]
+    # a better change holds, and so does any gain where higher is better
+    faster = tool.summarize(fabricated_pairs(PARENT, [p * 0.5 for p in PARENT]), LOWER)
+    assert tool.no_regression(faster, bound)["lod_validate.wall_rel"]["worse_rel"] < 0
+    higher = tool.summarize(fabricated_pairs(PARENT, [p * 0.7 for p in PARENT]),
+                            {"wall_rel": "higher"})
+    judged = tool.no_regression(higher, bound)["lod_validate.wall_rel"]
+    assert judged["worse_rel"] == pytest.approx(0.3) and not judged["holds"]
+
+
+def test_bench_pairs_failures_and_src_lines(tmp_path):
+    tool = load_tool("bench_pairs")
+    pairs = fabricated_pairs(PARENT[:3], PARENT[:3])
+    for i, pair in enumerate(pairs):
+        pair["parent"].update(attempted=100, failed=0)
+        pair["change"].update(attempted=90, failed=i)
+    assert tool.failures(pairs, "parent") == {"attempted": 300, "failed": 0}
+    assert tool.failures(pairs, "change") == {"attempted": 270, "failed": 3}
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (tmp_path / "src" / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline
+    (tmp_path / "src" / "notes.txt").write_text("not code\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "c.py").write_text("w = 4\n", encoding="utf-8")
+    assert tool.src_lines(tmp_path) == 2

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run the benchmark in alternating pairs of two commits and judge a claimed gain.
+"""Run the benchmark in alternating pairs of two commits; judge regressions and a claimed gain.
 
     python3 tools/bench_pairs.py --parent 5d81580 --change HEAD \\
         --seeds 51-60 --claim lod_validate.wall_rel --slug shared_ids
+
+``--claim`` is given only when the change claims a gain.
 
 Each side runs from its own clean tree, exported with ``git archive``
 into ``--workdir`` (a new temporary directory by default).  Pair i runs
@@ -16,7 +18,11 @@ The result is written to ``BENCH_<slug>.json`` at the repository root
 after every pair, so an interrupted session keeps what it measured.  It
 holds every pair's final JSON line per side, a summary per end-to-end
 metric (median and quartiles per side, the pairs the change won, the
-parent's interquartile range) and the verdict of the rule: a gain counts
+parent's interquartile range), each side's failed invocations and
+``src/`` line count, and a no-regression verdict per metric: the
+change's median may be worse than the parent's by at most the metric's
+``BENCHMARK.json`` bound, relative to the parent's median.  With
+``--claim`` it also holds the verdict of the gain rule: a gain counts
 when the change is better in at least nine tenths of the pairs and the
 two medians differ by more than the parent's interquartile range.
 """
@@ -37,8 +43,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_SECONDS = 8  # one traced run per side after the pairs, for the per-layer metrics
-RULE = ("a gain counts when the change is better in at least 9 of 10 pairs and the "
-        "medians differ by more than the parent's interquartile range")
+RULE = ("no regression while each end-to-end median of the change is worse than the "
+        "parent's by at most the metric's bound, relative to the parent's median; a gain "
+        "counts when the change is better in at least 9 of 10 pairs and the medians differ "
+        "by more than the parent's interquartile range")
 
 
 def directions(benchmark: dict) -> dict[str, str]:
@@ -81,6 +89,30 @@ def verdict(entry: dict) -> bool:
     return 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > entry["parent_iqr"]
 
 
+def no_regression(summary: dict[str, dict], bound: dict[str, float]) -> dict[str, dict]:
+    """Per summarized metric, how much worse the change's median is than the parent's,
+    relative to the parent's, and whether that stays within the metric's bound."""
+    judged = {}
+    for key, entry in summary.items():
+        limit = bound[key.split(".", 1)[-1]]
+        sign = 1 if entry["better"] == "lower" else -1
+        worse = sign * entry["median_change_rel"]
+        judged[key] = {"bound": limit, "worse_rel": worse, "holds": worse <= limit}
+    return judged
+
+
+def failures(pairs: list[dict], side: str) -> dict[str, int]:
+    """The invocations one side attempted and failed, over all pairs."""
+    runs = [p[side] for p in pairs]
+    return {"attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs)}
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the Python files under ``src/``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in sorted(tree.glob("src/**/*.py")))
+
+
 def export(rev: str, target: Path) -> str:
     """A clean tree of ``rev`` in ``target``; returns the full commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -115,8 +147,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="commit of the change side")
     parser.add_argument("--seeds", required=True, type=seed_range,
                         help="one seed per pair, as FIRST-LAST")
-    parser.add_argument("--claim", required=True,
-                        help="the claimed metric, e.g. lod_validate.wall_rel")
+    parser.add_argument("--claim", default=None,
+                        help="the metric a gain is claimed on, e.g. lod_validate.wall_rel; "
+                             "leave out when the change claims no gain")
     parser.add_argument("--slug", required=True, help="the result goes to BENCH_<slug>.json")
     parser.add_argument("--what", default="", help="one sentence on what the change does")
     parser.add_argument("--workdir", type=Path, default=None)
@@ -125,7 +158,9 @@ def main(argv=None) -> int:
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: workdir / side for side in ("parent", "change")}
     commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = directions(benchmark)
+    bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     out = ROOT / f"BENCH_{args.slug}.json"
     result = {
         "what": args.what,
@@ -139,6 +174,7 @@ def main(argv=None) -> int:
                     f"{args.seeds[-1]}, parent first in even pairs (0-based); each side "
                     "ran from its own tree exported with git archive",
         "rule": RULE,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "pairs": [],
     }
     for i, s in enumerate(args.seeds):
@@ -146,14 +182,18 @@ def main(argv=None) -> int:
         pair = {"seed": s, "order": order}
         for side in order:
             pair[side] = bench(trees[side], "--seed", str(s))
-            print(f"seed {s} {side}: {pair[side]['metrics'][args.claim]['value']:.4f}",
-                  flush=True)
+            shown = (f"{pair[side]['metrics'][args.claim]['value']:.4f}" if args.claim
+                     else f"{pair[side]['failed']} failed of {pair[side]['attempted']}")
+            print(f"seed {s} {side}: {shown}", flush=True)
         result["pairs"].append(pair)
         result["summary"] = summarize(result["pairs"], better)
-        claimed = result["summary"][args.claim]
-        result["verdict"] = {"metric": args.claim, "pairs": len(result["pairs"]),
-                             "change_better_pairs": claimed["change_better_pairs"],
-                             "gain_counts": verdict(claimed)}
+        result["failures"] = {side: failures(result["pairs"], side) for side in trees}
+        result["no_regression"] = no_regression(result["summary"], bound)
+        if args.claim:
+            claimed = result["summary"][args.claim]
+            result["verdict"] = {"metric": args.claim, "pairs": len(result["pairs"]),
+                                 "change_better_pairs": claimed["change_better_pairs"],
+                                 "gain_counts": verdict(claimed)}
         out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     trace = {"command": f"python3 bench/run.py --workload all --trace 1 "
                         f"--seconds {TRACE_SECONDS} --seed 1, parent first"}
@@ -162,7 +202,10 @@ def main(argv=None) -> int:
                             "--seed", "1")
     result["trace"] = trace
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps(result["verdict"]))
+    print(json.dumps({"src_lines": result["src_lines"], "failures": result["failures"],
+                      "regressed": sorted(k for k, v in result["no_regression"].items()
+                                          if not v["holds"]),
+                      "verdict": result.get("verdict")}))
     return 0
 
 
