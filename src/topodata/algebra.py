@@ -62,10 +62,12 @@ class Partition:
 
     @classmethod
     def from_classes(cls, space: Space, labelled: Mapping[str, Iterable[str]]) -> "Partition":
-        """Build a partition from explicit classes; unlisted elements become
-        singleton classes labelled by their own id."""
+        """Build a partition from a mapping of class labels to members;
+        unlisted elements become singleton classes labelled by their own id."""
+        if not isinstance(labelled, Mapping):
+            raise InvalidElementIdError(f"partition classes must be a mapping, got {labelled!r}")
         table: dict[str, str] = {}
-        for label, members in check_table(labelled, "partition classes").items():
+        for label, members in labelled.items():
             for member in _iterate(members, f"members of class {label!r}"):
                 if check_element_id(member) not in space.elements:
                     raise UnknownElementError(
@@ -153,9 +155,8 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     else:
         kept = space._subset(keep)
     below = {e: space.down_set(e) & kept for e in kept}
-    incidence = frozenset(covers(below))
     attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
-    sub = Space._trusted(space.name, kept, incidence, attributes)
+    sub = Space._trusted(space.name, kept, covers(below), attributes)
     inclusion = SpaceMap(sub, space, {e: e for e in kept})
     return sub, inclusion
 
@@ -191,14 +192,16 @@ def quotient(space: Space, partition: Partition,
 
     def induced(labelling):
         classes = frozenset(labelling.values())
-        pairs = {(labelling[a], labelling[b]) for a, b in space.incidence
-                 if labelling[a] != labelling[b]}
+        pairs = frozenset((labelling[a], labelling[b]) for a, b in space.incidence
+                          if labelling[a] != labelling[b])
         return classes, pairs
 
     name = f"{space.name}/~"
     classes, pairs = induced(label)
+    for c in sorted(classes):  # labels become ids; collapsing renames them to valid ids
+        check_element_id(c)
     try:
-        result = Space(name, classes, pairs)
+        result = Space._trusted(name, classes, pairs, {})
     except CyclicIncidenceError as err:
         if on_cycle == "error":
             raise QuotientCycleError(
@@ -219,9 +222,8 @@ def quotient(space: Space, partition: Partition,
                 merged[member] = target
         label = {e: merged[label[e]] for e in space.elements}
         classes, pairs = induced(label)
-        result = Space(name, classes, pairs)
-    projection = SpaceMap(space, result, label)
-    return result, projection
+        result = Space._trusted(name, classes, pairs, {})
+    return result, SpaceMap(space, result, label)
 
 
 def paste_union(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -237,8 +239,8 @@ def paste_union(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
         for element, kv in source.attributes.items():
             attributes.setdefault(element, {}).update(kv)
     try:
-        glued = Space(f"{x.name}∪{y.name}", elements,
-                      x.incidence | y.incidence, attributes)
+        glued = Space._trusted(f"{x.name}∪{y.name}", elements,
+                               x.incidence | y.incidence, attributes)
     except CyclicIncidenceError as err:
         raise CyclicIncidenceError(
             f"gluing {x.name!r} and {y.name!r} by shared ids creates a cycle "
@@ -259,13 +261,12 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
     """
     common = x.elements & y.elements
     below = {e: x.down_set(e) & y.down_set(e) & common for e in common}
-    incidence = frozenset(covers(below))
     attributes: dict[str, dict[str, str]] = {}
     for source in (x, y):
         for element, kv in source.attributes.items():
             if element in common:
                 attributes.setdefault(element, {}).update(kv)
-    result = Space._trusted(f"{x.name}∩{y.name}", common, incidence, attributes)
+    result = Space._trusted(f"{x.name}∩{y.name}", common, covers(below), attributes)
     include_x = SpaceMap(result, x, {e: e for e in common})
     include_y = SpaceMap(result, y, {e: e for e in common})
     return result, include_x, include_y
@@ -279,6 +280,15 @@ def _check_separator(*spaces: Space) -> None:
             raise SeparatorCollisionError(
                 f"elements of {space.name!r} already contain the separator "
                 f"{SEPARATOR!r}: {clashing}")
+
+
+def _pair_space(x: Space, y: Space, ids: Mapping[Pair, str],
+                incidence: frozenset[Pair]) -> tuple[Space, SpaceMap, SpaceMap]:
+    """The space on the ids of the kept (left, right) pairs, with its two projections."""
+    result = Space._trusted(pair_id(x.name, y.name), frozenset(ids.values()), incidence, {})
+    left = SpaceMap(result, x, {rid: a for (a, _), rid in ids.items()})
+    right = SpaceMap(result, y, {rid: b for (_, b), rid in ids.items()})
+    return result, left, right
 
 
 def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -296,19 +306,10 @@ def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
     if total > PRODUCT_WARN_LIMIT:
         warnings.warn(f"product has {total} elements, above the advisory "
                       f"limit {PRODUCT_WARN_LIMIT}", RuntimeWarning, stacklevel=2)
-    components = {pair_id(t, u): (t, u) for t in x.elements for u in y.elements}
-    incidence: set[Pair] = set()
-    for t in x.elements:
-        for a, b in y.incidence:
-            incidence.add((pair_id(t, a), pair_id(t, b)))
-    for c, d in x.incidence:
-        for u in y.elements:
-            incidence.add((pair_id(c, u), pair_id(d, u)))
-    result = Space._trusted(pair_id(x.name, y.name), frozenset(components),
-                            frozenset(incidence), {})
-    left = SpaceMap(result, x, {rid: lr[0] for rid, lr in components.items()})
-    right = SpaceMap(result, y, {rid: lr[1] for rid, lr in components.items()})
-    return result, left, right
+    ids = {(t, u): pair_id(t, u) for t in x.elements for u in y.elements}
+    incidence = frozenset([(ids[t, a], ids[t, b]) for t in x.elements for a, b in y.incidence]
+                          + [(ids[c, u], ids[d, u]) for c, d in x.incidence for u in y.elements])
+    return _pair_space(x, y, ids, incidence)
 
 
 def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -331,12 +332,12 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
             raise UnresolvedReferenceError(
                 f"theta {side} side is declared for {declared!r}, not {actual!r}")
     _check_separator(x, y)
-    for a, b in theta.pairs:
+    kept = sorted(theta.pairs)
+    for a, b in kept:
         if a not in x.elements:
             raise UnknownElementError(f"theta left id {a!r} is not in {x.name!r}")
         if b not in y.elements:
             raise UnknownElementError(f"theta right id {b!r} is not in {y.name!r}")
-    kept = sorted(theta.pairs)
     rendered = {pair: pair_id(*pair) for pair in kept}
     partners: dict[str, list[str]] = {}
     for a, b in kept:
@@ -349,11 +350,7 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
             rendered[(l2, r2)] for l2 in x.down_set(l1)
             for r2 in partners.get(l2, ())
             if r2 in right_below)
-    incidence = frozenset(covers(below))
-    result = Space._trusted(pair_id(x.name, y.name), frozenset(below), incidence, {})
-    left = SpaceMap(result, x, {rendered[p]: p[0] for p in kept})
-    right = SpaceMap(result, y, {rendered[p]: p[1] for p in kept})
-    return result, left, right
+    return _pair_space(x, y, rendered, covers(below))
 
 
 def fibre_product(u: SpaceMap, p: SpaceMap) -> tuple[Space, SpaceMap, SpaceMap]:

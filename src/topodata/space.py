@@ -142,7 +142,7 @@ def strongly_connected_components(nodes, edges):
     return components
 
 
-def covers(down: Mapping[str, frozenset[str]]) -> set[Pair]:
+def covers(down: Mapping[str, frozenset[str]]) -> frozenset[Pair]:
     """The covering pairs of a partial order given by each element's down set.
 
     (a, b) is a covering pair when b lies strictly below a and below no
@@ -163,7 +163,7 @@ def covers(down: Mapping[str, frozenset[str]]) -> set[Pair]:
             if b != a and b not in reached:
                 pairs.add((a, b))
                 reached |= down[b]
-    return pairs
+    return frozenset(pairs)
 
 
 class Space:
@@ -450,7 +450,7 @@ class Space:
         The reduction keeps exactly the covering pairs of the reachability
         order, so the generated topology is unchanged.
         """
-        reduced = frozenset(covers({a: self.down_set(a) for a in self.elements}))
+        reduced = covers({a: self.down_set(a) for a in self.elements})
         if reduced == self.incidence:
             return self
         return Space._trusted(self.name, self.elements, reduced, self.attributes)

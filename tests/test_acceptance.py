@@ -15,7 +15,6 @@ from topodata import (
     Space,
     SpaceMap,
     ThetaRelation,
-    compose,
     enumerate_topology,
     find_homeomorphism,
     is_continuous,
@@ -37,6 +36,7 @@ from conftest import (
     X_NAMED,
     Y_FIGURE,
     Y_NAMED,
+    naive_theta_join,
     random_layered_space,
     random_space,
     random_total_map,
@@ -215,13 +215,6 @@ def test_c10_monotonicity():
     report(10, True, "200 instances: finer relations keep every coarser open set open")
 
 
-def _naive_join(x, y, theta):
-    prod, pleft, pright = product(x, y)
-    kept = {pair_id(a, b) for a, b in theta.pairs}
-    sub, inclusion = select_subspace(prod, kept)
-    return sub, compose(pleft, inclusion), compose(pright, inclusion)
-
-
 def test_c11_join_equals_naive_selection():
     rng = random.Random(1111)
     for trial in range(100):
@@ -237,7 +230,7 @@ def test_c11_join_equals_naive_selection():
         theta = ThetaRelation({(rng.choice(xs), rng.choice(ys))
                                for _ in range(rng.randint(0, 30))})
         fast_space, fast_left, fast_right = theta_join(x, y, theta)
-        slow_space, slow_left, slow_right = _naive_join(x, y, theta)
+        slow_space, slow_left, slow_right = naive_theta_join(x, y, theta)
         if not (fast_space == slow_space
                 and serialize_space(fast_space) == serialize_space(slow_space)
                 and fast_left == slow_left and fast_right == slow_right):

@@ -40,7 +40,7 @@ from topodata import (
 from topodata import algebra
 from topodata.io import serialize_space
 
-from conftest import random_layered_space, random_space
+from conftest import naive_theta_join, random_layered_space, random_space
 
 
 def same_structure(a: Space, b: Space) -> bool:
@@ -211,6 +211,17 @@ class TestPasteUnion:
         with pytest.raises(CyclicIncidenceError):
             paste_union(one, other)
 
+    def test_attributes_merged_right_side_wins(self):
+        left = Space("l", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")],
+                     {"e": {"k": "left", "only": "l"}, "v1": {"k": "left"}})
+        right = Space("r", ["e", "v2", "w"], [("e", "v2"), ("w", "v2")],
+                      {"e": {"k": "right"}, "w": {"k": "right"}})
+        glued, _, _ = paste_union(left, right)
+        assert glued.attributes == {"e": {"k": "right", "only": "l"}, "v1": {"k": "left"},
+                                    "w": {"k": "right"}}
+        assert left.attributes["e"] == {"k": "left", "only": "l"}
+        assert glued == Space(glued.name, glued.elements, glued.incidence, glued.attributes)
+
     def test_redundant_pair_reduced(self):
         chain = Space("c", ["s", "f", "v"], [("s", "f"), ("f", "v")])
         shortcut = Space("s", ["s", "v"], [("s", "v")])
@@ -253,6 +264,20 @@ class TestPullbackIntersection:
 
 
 class TestProduct:
+    @pytest.mark.parametrize("operator", [product, lambda x, y: theta_join(
+        x, y, ThetaRelation((a, b) for a in x.elements for b in y.elements if a < "c"))],
+        ids=["product", "theta_join"])
+    def test_incidence_and_projections_hold_the_element_objects(self, space_x, space_y,
+                                                                operator):
+        # each pair id is rendered once; every use of it is that one string
+        result, left, right = operator(space_x, space_y)
+        held = {e: e for e in result.elements}
+        assert result.incidence
+        assert all(held[a] is a and held[b] is b for a, b in result.incidence)
+        for projection in (left, right):
+            assert projection.mapping.keys() == result.elements
+            assert all(held[key] is key for key in projection.mapping)
+
     def test_lift_of_one_right_pair(self, space_x, space_y):
         prod, _, _ = product(space_x, space_y)
         lift = {(a, b) for a, b in prod.incidence
@@ -317,13 +342,6 @@ class TestProduct:
         empty = Space("none", [], [])
         prod, _, _ = product(empty, space_y)
         assert len(prod) == 0
-
-
-def naive_theta_join(x, y, theta):
-    prod, pleft, pright = product(x, y)
-    kept = {pair_id(a, b) for a, b in theta.pairs}
-    sub, inclusion = select_subspace(prod, kept)
-    return sub, compose(pleft, inclusion), compose(pright, inclusion)
 
 
 class TestThetaJoin:

@@ -35,6 +35,7 @@ def files(tmp_path, space_x, space_y, theta, segment):
     put("seg.json", serialize_space(segment))
     renamed = Space("seg2", ["E", "V1", "V2"], [("E", "V1"), ("E", "V2")])
     put("seg2.json", serialize_space(renamed))
+    put("seg_other.json", serialize_space(Space("seg", ["e", "v1"], [("e", "v1")])))
     point = Space("pt", ["P"], [])
     put("pt.json", serialize_space(point))
     put("part_of.json", serialize_map(
@@ -72,6 +73,16 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_space_name_bound_to_two_contents(self, files, capsys):
+        folder = Path(files["dir"])
+        (folder / "twice.json").write_text(json.dumps(
+            {"spaces": ["seg.json", "seg_other.json"], "maps": [], "constraints": []}))
+        assert main(["validate", str(folder / "twice.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "space name 'seg' already bound" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_paused_for_the_command_and_handed_back(
@@ -123,6 +134,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ")
         assert err.count("\n") == 1
+
+    def test_space_name_loaded_with_two_contents(self, files, capsys):
+        folder = Path(files["dir"])
+        (folder / "twice.topo").write_text('load S "seg.json"\nload T "seg_other.json"\n')
+        assert main(["run", str(folder / "twice.topo")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 2: space name 'seg' already loaded with different content\n"
 
     @pytest.mark.parametrize("target", ["o\x00.json", "x.json/sub.json"])
     def test_unwritable_emit_is_input_error(self, files, capsys, target):

@@ -12,11 +12,11 @@ import random
 
 import pytest
 
-from topodata import (CyclicIncidenceError, Space, ThetaRelation, product,
-                      pullback_intersection, select_subspace, theta_join)
+from topodata import (CyclicIncidenceError, Partition, Space, ThetaRelation, paste_union,
+                      product, pullback_intersection, quotient, select_subspace, theta_join)
 from topodata.space import covers
 
-from conftest import brute_dimension
+from conftest import brute_dimension, strict_below
 
 TRIALS = 300
 
@@ -31,36 +31,9 @@ def random_dag(rng: random.Random, name: str = "D") -> Space:
     return Space(name, ids, pairs)
 
 
-def strict_below(elements, pairs) -> dict[str, set[str]]:
-    """Transitive closure of the pairs by iteration to a fixpoint."""
-    below = {e: set() for e in elements}
-    for a, b in pairs:
-        below[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in below:
-            grown = set().union(below[a], *(below[b] for b in below[a]))
-            if grown != below[a]:
-                below[a] = grown
-                changed = True
-    return below
-
-
 def brute_covers(below: dict[str, set[str]]) -> set[tuple[str, str]]:
     return {(a, b) for a in below for b in below[a]
             if not any(b in below[c] for c in below[a])}
-
-
-def old_reduce(space: Space) -> set[tuple[str, str]]:
-    """The transitive reduction as it was defined before the kernel."""
-    reduced = set()
-    for a in space.elements:
-        below = space.down_set(a) - {a}
-        for b in below:
-            if not any(b in space.down_set(c) for c in below if c != b):
-                reduced.add((a, b))
-    return reduced
 
 
 def assert_reach_and_order(space: Space) -> None:
@@ -84,7 +57,7 @@ def test_kernel_matches_naive_definitions():
         expected = brute_covers(below)
         assert covers({e: frozenset(bs) for e, bs in below.items()}) == expected
         assert covers({e: frozenset(bs | {e}) for e, bs in below.items()}) == expected
-        assert space.transitive_reduce().incidence == old_reduce(space) == expected
+        assert space.transitive_reduce().incidence == expected
         for e in space.elements:
             assert space.dimension(e) == brute_dimension(space, e)
 
@@ -130,10 +103,18 @@ def trusted_results(rng: random.Random, x: Space, y: Space):
     theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
                           if rng.random() < 0.3)
     yield theta_join(x, y, theta)[0]
+    classes = {e: rng.choice(["c0", "c1", "c2", e]) for e in x.elements}
+    yield quotient(x, Partition(classes, x.name), on_cycle="collapse")[0]
+    try:  # the two relations may order shared ids both ways
+        glued = paste_union(x, y)[0]
+    except CyclicIncidenceError:
+        return
+    yield glued
 
 
 def test_trusted_results_equal_validated_rebuilds():
     rng = random.Random(2026)
+    glued = 0
     for trial in range(TRIALS // 2):
         x = with_attributes(rng, random_dag(rng))
         y = with_attributes(rng, random_dag(rng, "E"))
@@ -142,3 +123,5 @@ def test_trusted_results_equal_validated_rebuilds():
             assert result == rebuilt, trial
             assert type(result.elements) is type(result.incidence) is frozenset
             assert_reach_and_order(result)
+            glued += result.name == "D∪E"
+    assert glued > TRIALS // 8

@@ -441,10 +441,24 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
          "constraints": [{"name": "c", "map": "m"}]}), encoding="utf-8")
     overlay = tmp_path / "overlay"
     shutil.copytree(DEMO_OVERLAY, overlay, ignore=shutil.ignore_patterns("out"))
+    # a theta with two unknown left ids, and a partition with two labels that are not ids
+    (overlay / "unknown.json").write_text(json.dumps(
+        {"left": "X", "right": "Y", "pairs": [["zz", "C"], ["qq", "C"], ["A", "C"]]}),
+        encoding="utf-8")
+    (overlay / "unknown.topo").write_text(
+        'load X "x.json"\nload Y "y.json"\nload T "unknown.json"\nlet J = theta_join(X, Y, T)\n',
+        encoding="utf-8")
+    (overlay / "spaced.json").write_text(json.dumps(
+        {"space": "Y", "classes": [{"label": "c d", "members": ["b"]},
+                                   {"label": "a b", "members": ["c", "x"]}]}), encoding="utf-8")
+    (overlay / "spaced.topo").write_text(
+        'load Y "y.json"\nload P "spaced.json"\nlet Q = quotient(Y, P)\n', encoding="utf-8")
     commands = {"validate": ["validate", str(LOD_MANIFEST)],
                 "validate strict": ["validate", str(strict)],
                 "validate two faults": ["validate", str(faulty / "manifest.json")],
                 "run overlay": ["run", str(overlay / "overlay.topo")],
+                "run unknown theta ids": ["run", str(overlay / "unknown.topo")],
+                "run spaced labels": ["run", str(overlay / "spaced.topo")],
                 "dim": ["dim", str(ring)]}
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
@@ -468,5 +482,10 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     (code, out, err, emitted), = seen["run overlay"]
     assert (code, err) == (0, "") and out
     assert emitted == tuple((p.name, p.read_bytes()) for p in sorted(DEMO_OVERLAY.glob("out/*")))
+    (code, out, err, _), = seen["run unknown theta ids"]
+    assert (code, out, err) == (2, "", "error: line 4: theta left id 'qq' is not in 'X'\n")
+    (code, out, err, _), = seen["run spaced labels"]
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: element id contains whitespace or a comma: 'a b'\n"
     (code, out, err, _), = seen["dim"]
     assert code == 2 and out == "" and "has a cycle" in err

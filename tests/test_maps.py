@@ -24,7 +24,7 @@ from topodata import (
     oracle_is_continuous,
 )
 
-from conftest import random_space, random_total_map
+from conftest import naive_preorder, random_space, random_total_map
 
 
 def swap_map(segment: Space) -> SpaceMap:
@@ -188,16 +188,6 @@ class TestIsContinuous:
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 
-def naive_preorder(space: Space) -> set:
-    """The reflexive-transitive closure of incidence, by joining pairs until nothing changes."""
-    closure = {(e, e) for e in space.elements} | set(space.incidence)
-    while True:
-        grown = closure | {(a, d) for a, b in closure for c, d in closure if b == c}
-        if grown == closure:
-            return closure
-        closure = grown
-
-
 class TestIsHomeomorphism:
     def test_identity_pair(self, space_x):
         ident = identity_map(space_x)
@@ -242,6 +232,18 @@ class TestFindHomeomorphism:
         found = find_homeomorphism(space_y, twin)
         assert found is not None
         inverse = SpaceMap(twin, space_y, {v: k for k, v in found.mapping.items()})
+        assert is_homeomorphism(found, inverse)
+
+    def test_backtracks_out_of_a_dead_end(self):
+        # signatures pair x's e0, e1, e2 with y's e0, e2, e4; the first
+        # choices in order (e0->e0, e1->e2, e2->e4) agree pairwise but leave
+        # no image for e3, so the search has to undo them
+        ids = [f"e{i}" for i in range(5)]
+        x = Space("X", ids, [("e0", "e3"), ("e2", "e3"), ("e1", "e4")])
+        y = Space("Y", ids, [("e0", "e3"), ("e2", "e1"), ("e4", "e1")])
+        found = find_homeomorphism(x, y)
+        assert found is not None and found == oracle_find_homeomorphism(x, y)
+        inverse = SpaceMap(y, x, {v: k for k, v in found.mapping.items()})
         assert is_homeomorphism(found, inverse)
 
     def test_size_bound(self):

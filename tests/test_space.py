@@ -121,8 +121,16 @@ class TestConstruction:
             Space("s", ["a", "b"], [entry])
         with pytest.raises(InvalidElementIdError, match="not a pair"):
             ThetaRelation([entry])
-        with pytest.raises(InvalidElementIdError, match="not a pair"):
-            Partition.from_classes(Space("s", ["a", "b"]), [entry])
+
+    @pytest.mark.parametrize("labelled", [[("m", "a")], [("m", ["a"])], [["m", ["a", "b"]]],
+                                          "ab", 5, None],
+                             ids=["pair", "pair-of-list", "list-of-list", "string", "5", "None"])
+    def test_partition_classes_are_a_mapping_only(self, labelled):
+        # no pair can list a class: (label, member list) is not a pair of ids,
+        # and the second id of (label, id) is not a collection of members
+        with pytest.raises(InvalidElementIdError,
+                           match=r"partition classes must be a mapping, got "):
+            Partition.from_classes(Space("s", ["a", "b"]), labelled)
 
     @pytest.mark.parametrize("build", [
         lambda: Space("s", None), lambda: Space("s", 5), lambda: Space("s", [], 5),
