@@ -30,7 +30,7 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import (Pair, Space, _iterate, check_element_id, check_pairs, check_table, covers,
+from .space import (Pair, Space, _iterate, check_element_id, check_pairs, covers,
                     strongly_connected_components)
 
 SEPARATOR = "×"  # joins the two ids of a pair element; no input id may contain it
@@ -51,7 +51,9 @@ class Partition:
     """
 
     def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
-        table = check_table(classes, "partition classes")
+        if not isinstance(classes, Mapping):
+            raise InvalidElementIdError(f"partition classes must be a mapping, got {classes!r}")
+        table = dict(classes)
         for element in table:
             check_element_id(element)
         bad = sorted(e for e, label in table.items() if not isinstance(label, str) or not label)

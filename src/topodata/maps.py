@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 from .errors import (
     DomainMismatchError,
+    InvalidElementIdError,
     MapTotalityError,
     UnknownElementError,
 )
-from .space import Pair, Space, check_size, check_table
+from .space import Pair, Space, check_pairs, check_size
 
 
 class ContinuityResult(NamedTuple):
@@ -45,6 +46,18 @@ class ContinuityResult(NamedTuple):
         return f"witness ({a},{b}) -> ({fa},{fb})"
 
 
+def _check_table(entries: object) -> dict:
+    """The entries as a dict: a copy of a mapping, or else id pairs that list each source once."""
+    if isinstance(entries, Mapping):
+        return dict(entries)
+    pairs = list(check_pairs(entries, "map pairs"))
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+        raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
+    return table
+
+
 class SpaceMap:
     """A total function between the element sets of two spaces.
 
@@ -56,7 +69,7 @@ class SpaceMap:
     """
 
     def __init__(self, domain: Space, codomain: Space, mapping):
-        table = check_table(mapping, "map pairs")
+        table = _check_table(mapping)
         missing = domain.elements - table.keys()
         if missing:
             raise MapTotalityError(

@@ -1,6 +1,6 @@
 """A small line-oriented query script language.
 
-Grammar (one statement per line, ``#`` starts a comment):
+Grammar (one statement per line, ``#`` outside double quotes starts a comment):
 
     load <name> "<path>"
     let <name> = <op>(<args>)
@@ -37,7 +37,6 @@ from typing import NamedTuple, Sequence
 
 from . import algebra, io
 from .algebra import Partition, ThetaRelation
-from .constraints import Dataset
 from .errors import (
     ParseError,
     ScriptError,
@@ -86,12 +85,13 @@ _GRAMMAR = [(cls, re.compile(pattern)) for cls, pattern in (
     (ClosureStmt, rf'closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)'),
     (EmitStmt, rf'emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"'),
 )]
+_CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to its first # outside double quotes
 
 
 def parse_script(text: str, source: str = "<script>") -> QueryScript:
     statements = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE.match(raw)[0].strip()
         if not line:
             continue
         for cls, pattern in _GRAMMAR:
@@ -113,7 +113,6 @@ def parse_script(text: str, source: str = "<script>") -> QueryScript:
 
 class ScriptResult(NamedTuple):
     env: dict
-    dataset: Dataset
     failures: Sequence[str] = ()
     output: Sequence[str] = ()
 
@@ -123,13 +122,10 @@ class ScriptResult(NamedTuple):
 
 
 class _Runner:
-    def __init__(self, dataset: Dataset | None, base_dir):
+    def __init__(self, base_dir):
         self.base_dir = Path(base_dir)
-        self.dataset = dataset if dataset is not None else Dataset()
-        self.env: dict = dict(self.dataset.spaces)
-        self.registry: dict[str, Space] = dict(self.dataset.spaces)
-        for name, space_map in self.dataset.maps.items():
-            self.env.setdefault(name, space_map)
+        self.env: dict = {}
+        self.registry: dict[str, Space] = {}
         self.failures: list[str] = []
         self.output: list[str] = []
 
@@ -265,29 +261,13 @@ class _Runner:
                 raise
             except TopologyError as err:
                 raise ScriptError(f"line {stmt.line}: {err}") from err
-        return ScriptResult(self.env, self._assemble_dataset(),
-                            self.failures, self.output)
-
-    def _assemble_dataset(self) -> Dataset:
-        # Derived spaces may reuse a source's internal name (a subspace keeps
-        # it); the catalog keeps the first owner of each name, and maps enter
-        # only when their end spaces are catalogued with identical content.
-        for value in self.env.values():
-            if isinstance(value, Space) and value.name not in self.dataset.spaces:
-                self.dataset.spaces[value.name] = value
-        for name, value in self.env.items():
-            if isinstance(value, SpaceMap) and name not in self.dataset.maps:
-                if all(self.dataset.spaces.get(s.name) == s
-                       for s in (value.domain, value.codomain)):
-                    self.dataset.maps[name] = value
-        return self.dataset
+        return ScriptResult(self.env, self.failures, self.output)
 
 
-def run_script(script: QueryScript, dataset: Dataset | None = None,
-               base_dir=".") -> ScriptResult:
-    """Execute a parsed script against an optional starting dataset.
+def run_script(script: QueryScript, base_dir=".") -> ScriptResult:
+    """Execute a parsed script; relative paths resolve against ``base_dir``.
 
     Execution is deterministic: the same inputs produce the same bindings,
     the same output lines, and byte-identical emitted files.
     """
-    return _Runner(dataset, base_dir).run(script)
+    return _Runner(base_dir).run(script)

@@ -68,18 +68,6 @@ def check_pairs(entries: Iterable, what: str) -> Iterator[Pair]:
         yield entry[0], entry[1]
 
 
-def check_table(entries: object, what: str) -> dict:
-    """The entries as a dict: a copy of a mapping, or else id pairs that list each key once."""
-    if isinstance(entries, Mapping):
-        return dict(entries)
-    pairs = list(check_pairs(entries, what))
-    table = dict(pairs)
-    if len(table) < len(pairs):
-        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
-        raise InvalidElementIdError(f"{what} list source ids more than once: {repeated}")
-    return table
-
-
 def check_size(max_elements: int, *spaces: "Space") -> None:
     """Refuse an exhaustive run over any space with more than ``max_elements`` elements."""
     for s in spaces:

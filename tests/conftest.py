@@ -1,11 +1,7 @@
-"""Shared fixtures, random generators, and independent brute-force helpers.
+"""Shared fixtures and random generators.
 
-The brute helpers below recompute closure, star, and dimension straight
-from their definitions (via the enumerated open-set family, or by walking
-every chain), so the fast reachability-based methods are always checked
-against something that does not share their code path.  The fixpoint
-closure ``strict_below`` and the naive theta join live here too, once,
-for every test module that compares against them.
+The brute-force reference definitions that the tests compare against
+live in ``naive.py``, once each.
 """
 
 from __future__ import annotations
@@ -15,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from topodata import (Space, SpaceMap, ThetaRelation, compose, enumerate_topology, pair_id,
-                      product, select_subspace)
+from topodata import Space, SpaceMap, ThetaRelation
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -115,68 +110,3 @@ def random_layered_space(rng: random.Random, size: int, name: str = "L") -> Spac
             for target in rng.sample(nxt, k=min(len(nxt), rng.randint(0, 2))):
                 pairs.append((e, target))
     return Space(name, ids, pairs)
-
-
-# -- brute-force reference computations ------------------------------------------
-
-def brute_closure(space: Space, subset) -> frozenset:
-    """Intersection of all closed supersets, from the enumerated topology."""
-    subset = frozenset(subset)
-    result = frozenset(space.elements)
-    for open_set in enumerate_topology(space):
-        closed = space.elements - open_set
-        if subset <= closed:
-            result &= closed
-    return result
-
-
-def brute_star(space: Space, subset) -> frozenset:
-    """Intersection of all open supersets, from the enumerated topology."""
-    subset = frozenset(subset)
-    result = frozenset(space.elements)
-    for open_set in enumerate_topology(space):
-        if subset <= open_set:
-            result &= open_set
-    return result
-
-
-def brute_dimension(space: Space, element: str) -> int:
-    """Longest chain by walking every descending path."""
-    successors: dict[str, list[str]] = {e: [] for e in space.elements}
-    for a, b in space.incidence:
-        successors[a].append(b)
-
-    def walk(node: str) -> int:
-        return max((1 + walk(nxt) for nxt in successors[node]), default=0)
-
-    return walk(element)
-
-
-def strict_below(elements, pairs) -> dict[str, set[str]]:
-    """Transitive closure of the pairs by iteration to a fixpoint."""
-    below = {e: set() for e in elements}
-    for a, b in pairs:
-        below[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in below:
-            grown = set().union(below[a], *(below[b] for b in below[a]))
-            if grown != below[a]:
-                below[a] = grown
-                changed = True
-    return below
-
-
-def naive_preorder(space: Space) -> set:
-    """The reflexive-transitive closure of incidence, from the fixpoint closure."""
-    below = strict_below(space.elements, space.incidence)
-    return {(a, b) for a in below for b in below[a] | {a}}
-
-
-def naive_theta_join(x, y, theta):
-    """The theta join by definition: theta's pairs selected out of the full product."""
-    prod, pleft, pright = product(x, y)
-    kept = {pair_id(a, b) for a, b in theta.pairs}
-    sub, inclusion = select_subspace(prod, kept)
-    return sub, compose(pleft, inclusion), compose(pright, inclusion)

@@ -36,11 +36,11 @@ from conftest import (
     X_NAMED,
     Y_FIGURE,
     Y_NAMED,
-    naive_theta_join,
     random_layered_space,
     random_space,
     random_total_map,
 )
+from naive import naive_theta_join
 
 
 def report(number: int, ok: bool, text: str) -> None:

@@ -40,7 +40,8 @@ from topodata import (
 from topodata import algebra
 from topodata.io import serialize_space
 
-from conftest import naive_theta_join, random_layered_space, random_space
+from conftest import random_layered_space, random_space
+from naive import naive_theta_join
 
 
 def same_structure(a: Space, b: Space) -> bool:

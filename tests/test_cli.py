@@ -84,6 +84,33 @@ class TestValidate:
         assert err.startswith("error: ") and "space name 'seg' already bound" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("manifest, message", [
+        ({"spaces": [5]}, "spaces entries must be paths, got 5"),
+        ({"spaces": ["seg.json"], "maps": [None]}, "maps entries must be paths, got None"),
+        ({"spaces": ["seg.json"], "constraints": [{"name": "ref"}]},
+         "constraints entries need 'name' and 'map', got {'name': 'ref'}"),
+    ], ids=["space-entry", "map-entry", "constraint-without-map"])
+    def test_malformed_manifest_entry(self, files, capsys, manifest, message):
+        path = Path(files["dir"]) / "entry.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_map_stem_bound_to_two_tables(self, files, capsys, segment):
+        folder = Path(files["dir"])
+        for sub, table in (("a", {"e": "e", "v1": "v1", "v2": "v2"}),
+                           ("b", {"e": "e", "v1": "v2", "v2": "v1"})):
+            (folder / sub).mkdir()
+            (folder / sub / "m.json").write_text(serialize_map(SpaceMap(segment, segment, table)))
+        (folder / "stems.json").write_text(json.dumps(
+            {"spaces": ["seg.json"], "maps": ["a/m.json", "b/m.json"]}))
+        assert main(["validate", str(folder / "stems.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: map name 'm' already bound to a different map\n"
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_paused_for_the_command_and_handed_back(
             self, files, tmp_path, monkeypatch, capsys, enabled):
@@ -142,6 +169,23 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: line 2: space name 'seg' already loaded with different content\n"
+
+    @pytest.mark.parametrize("statements, message", [
+        ('load T "theta_zz.json"\nlet J = theta_join(Y, Y, T)\n',
+         "line 3: theta right id 'zz' is not in 'Y'"),
+        ('load M "missing.json"\n',
+         "line 2: cannot read 'missing.json': [Errno 2] No such file or directory: "
+         "'{dir}/missing.json'"),
+    ], ids=["theta-unknown-right-id", "missing-file"])
+    def test_operation_error_names_the_line(self, files, capsys, statements, message):
+        folder = Path(files["dir"])
+        (folder / "theta_zz.json").write_text(json.dumps(
+            {"left": "Y", "right": "Y", "pairs": [["C", "zz"]]}))
+        (folder / "bad.topo").write_text('load Y "y.json"\n' + statements)
+        assert main(["run", str(folder / "bad.topo")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: " + message.format(dir=folder) + "\n"
 
     @pytest.mark.parametrize("target", ["o\x00.json", "x.json/sub.json"])
     def test_unwritable_emit_is_input_error(self, files, capsys, target):
@@ -285,7 +329,10 @@ class TestMalformedFiles:
          "pairs": [["C", "C"], ["b", "b"], ["c", "c"], ["x", "x"], ["C", "x"]]},
         {"left": "X", "right": "Y", "pairs": [{"A": 1, "C": 2}]},
         {"space": "Y", "classes": [{"label": "m", "members": [["c"]]}]},
-    ], ids=["map-repeated-source", "theta-non-pair", "partition-list-member"])
+        {"space": "Q", "classes": []},
+        {"space": "Y", "classes": [{"label": "m"}]},
+    ], ids=["map-repeated-source", "theta-non-pair", "partition-list-member",
+            "partition-unknown-space", "partition-class-without-members"])
     def test_file_loaded_by_script(self, files, capsys, doc):
         folder = Path(files["dir"])
         (folder / "doc.json").write_text(json.dumps(doc))

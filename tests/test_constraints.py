@@ -106,6 +106,10 @@ class TestValidateChain:
         assert report.ok
         assert len(report.stages) == 3
         assert report.stages[0].dimensions == ((0, 1), (1, 2), (2, 1))
+        assert report.lines() == ["stage Y: 0:1 1:2 2:1", "stage Y/~: 0:1 1:1 2:1",
+                                  "stage Y/~/~: 0:1 1:1",
+                                  "PASS link[0] step1 (continuous)",
+                                  "PASS link[1] step2 (continuous)"]
 
     def test_broken_link_identified(self, lod_dataset):
         point = lod_dataset.spaces["pt"]

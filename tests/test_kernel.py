@@ -16,7 +16,7 @@ from topodata import (CyclicIncidenceError, Partition, Space, ThetaRelation, pas
                       product, pullback_intersection, quotient, select_subspace, theta_join)
 from topodata.space import covers
 
-from conftest import brute_dimension, strict_below
+from naive import brute_covers, brute_dimension, strict_below
 
 TRIALS = 300
 
@@ -29,11 +29,6 @@ def random_dag(rng: random.Random, name: str = "D") -> Space:
     p = rng.uniform(0.05, 0.6)
     pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Space(name, ids, pairs)
-
-
-def brute_covers(below: dict[str, set[str]]) -> set[tuple[str, str]]:
-    return {(a, b) for a in below for b in below[a]
-            if not any(b in below[c] for c in below[a])}
 
 
 def assert_reach_and_order(space: Space) -> None:

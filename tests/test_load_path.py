@@ -416,6 +416,30 @@ CYCLIC_SPACE = {"name": "ring", "elements": [{"id": i} for i in "abcdef"],
                 "incidence": [["b", "c"], ["a", "b"], ["e", "f"], ["c", "a"], ["f", "d"],
                               ["d", "e"], ["a", "d"]]}
 
+# a small cad_extrude: a square extruded along two segments, and two 8-deep chains
+# with skip edges reduced, thinned and intersected; elements listed out of order
+CAD_FILES = {
+    "grid.json": {"name": "G", "elements": [{"id": i} for i in
+                                            ("v3", "e2", "F", "v1", "e4", "v2", "e1", "e3", "v4")],
+                  "incidence": [["F", "e3"], ["F", "e1"], ["e1", "v1"], ["e1", "v2"],
+                                ["F", "e2"], ["e2", "v2"], ["e2", "v3"], ["e3", "v3"],
+                                ["e3", "v4"], ["F", "e4"], ["e4", "v4"], ["e4", "v1"]]},
+    "seg.json": {"name": "S", "elements": [{"id": i} for i in ("s3", "s0", "s4", "s2", "s1")],
+                 "incidence": [["s3", "s4"], ["s1", "s0"], ["s3", "s2"], ["s1", "s2"]]},
+    "chain.json": {"name": "C", "elements": [{"id": f"k{i}"} for i in (5, 2, 7, 0, 3, 6, 1, 4)],
+                   "incidence": [[f"k{i}", f"k{i + 1}"] for i in (6, 2, 0, 4, 1, 5, 3)]
+                   + [["k0", "k3"], ["k4", "k7"], ["k2", "k6"]]},
+    "chain2.json": {"name": "D", "elements": [{"id": f"k{i}"} for i in (3, 7, 1, 5, 0, 4, 6, 2)],
+                    "incidence": [[f"k{i}", f"k{i + 1}"] for i in (3, 0, 5, 2, 6, 1, 4)]
+                    + [["k1", "k5"], ["k3", "k6"]]},
+}
+CAD_EMITTED = ["P", "P.pleft", "P.pright", "R", "K", "K.inc", "I", "I.inl", "I.inr"]
+CAD_SCRIPT = ('load G "grid.json"\nload S "seg.json"\nload C "chain.json"\n'
+              'load D "chain2.json"\nlet P = product(G, S)\ncheck continuous P.pleft\n'
+              "check continuous P.pright\ndim P\nlet R = reduce(C)\n"
+              "let K = select(C, k0, k2, k4, k6)\nlet I = intersect(C, D)\ndim R\ndim K\ndim I\n"
+              + "".join(f'emit {name} "out/{name}.json"\n' for name in CAD_EMITTED))
+
 
 def test_output_is_independent_of_the_hash_seed(tmp_path):
     ring = tmp_path / "ring.json"
@@ -453,12 +477,17 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
                                    {"label": "a b", "members": ["c", "x"]}]}), encoding="utf-8")
     (overlay / "spaced.topo").write_text(
         'load Y "y.json"\nload P "spaced.json"\nlet Q = quotient(Y, P)\n', encoding="utf-8")
+    # the cad script emits into the same out/ folder, which is read after every command
+    for name, doc in CAD_FILES.items():
+        (overlay / name).write_text(json.dumps(doc), encoding="utf-8")
+    (overlay / "cad.topo").write_text(CAD_SCRIPT, encoding="utf-8")
     commands = {"validate": ["validate", str(LOD_MANIFEST)],
                 "validate strict": ["validate", str(strict)],
                 "validate two faults": ["validate", str(faulty / "manifest.json")],
                 "run overlay": ["run", str(overlay / "overlay.topo")],
                 "run unknown theta ids": ["run", str(overlay / "unknown.topo")],
                 "run spaced labels": ["run", str(overlay / "spaced.topo")],
+                "run cad": ["run", str(overlay / "cad.topo")],
                 "dim": ["dim", str(ring)]}
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
@@ -487,5 +516,12 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     (code, out, err, _), = seen["run spaced labels"]
     assert (code, out) == (2, "")
     assert err == "error: line 3: element id contains whitespace or a comma: 'a b'\n"
+    (code, out, err, emitted), = seen["run cad"]
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:7] == ["check continuous P.pleft: PASS",
+                                    "check continuous P.pright: PASS", "dim P = 3",
+                                    "dim R = 7", "dim K = 3", "dim I = 7",
+                                    "emit P -> out/P.json"]
+    assert [name for name, _ in emitted] == sorted(f"{name}.json" for name in CAD_EMITTED)
     (code, out, err, _), = seen["dim"]
     assert code == 2 and out == "" and "has a cycle" in err

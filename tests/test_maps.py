@@ -24,7 +24,8 @@ from topodata import (
     oracle_is_continuous,
 )
 
-from conftest import naive_preorder, random_space, random_total_map
+from conftest import random_space, random_total_map
+from naive import naive_preorder
 
 
 def swap_map(segment: Space) -> SpaceMap:
@@ -245,6 +246,20 @@ class TestFindHomeomorphism:
         assert found is not None and found == oracle_find_homeomorphism(x, y)
         inverse = SpaceMap(y, x, {v: k for k, v in found.mapping.items()})
         assert is_homeomorphism(found, inverse)
+
+    @pytest.mark.parametrize("x_pairs, y_pairs", [
+        ([("e0", "e4"), ("e1", "e5"), ("e2", "e3"), ("e2", "e4")],
+         [("e0", "e1"), ("e0", "e4"), ("e2", "e5"), ("e3", "e5")]),
+        ([("e0", "e3"), ("e0", "e5"), ("e1", "e6"), ("e2", "e3"), ("e5", "e6")],
+         [("e0", "e4"), ("e1", "e4"), ("e2", "e3"), ("e2", "e4"), ("e3", "e5")]),
+    ], ids=["open-set-counts-differ", "open-set-counts-agree"])
+    def test_equal_signatures_without_a_homeomorphism(self, x_pairs, y_pairs):
+        # the signature multisets agree, so only the search can say no; in the
+        # second row the open-set counts agree too, so the oracle tries every bijection
+        ids = [f"e{i}" for i in range(7)]
+        x, y = Space("X", ids, x_pairs), Space("Y", ids, y_pairs)
+        assert find_homeomorphism(x, y) is None
+        assert oracle_find_homeomorphism(x, y) is None
 
     def test_size_bound(self):
         big = Space("big", [f"n{i}" for i in range(11)], [])

@@ -191,15 +191,20 @@ class TestRun:
         run_script(parse_script(text2), base_dir=overlay_dir)
         assert first == (overlay_dir / "out" / "b.json").read_bytes()
 
-    def test_seeded_dataset_bindings_visible(self, overlay_dir, space_x, space_y):
-        from topodata import Dataset
+    def test_emit_loaded_theta(self, overlay_dir, theta):
+        script = parse_script('load T "theta.json"\nemit T "out/t.json"\n')
+        run_script(script, base_dir=overlay_dir)
+        assert (overlay_dir / "out" / "t.json").read_bytes() == serialize_theta(theta).encode()
 
-        dataset = Dataset(spaces={"X": space_x, "Y": space_y})
-        script = parse_script("let P = product(X, Y)\ndim P\n")
-        result = run_script(script, dataset=dataset, base_dir=overlay_dir)
-        assert result.ok
-        assert "dim P = 3" in result.output
-        assert "X×Y" in result.dataset.spaces
+    def test_hash_inside_a_quoted_path(self, overlay_dir):
+        (overlay_dir / "a#b.json").write_text((overlay_dir / "x.json").read_text())
+        script = parse_script('load X "a#b.json"  # the # in quotes is part of the path\n'
+                              'emit X "out/c#d.json"# and so is this one\n')
+        assert [s.path for s in script.statements] == ["a#b.json", "out/c#d.json"]
+        result = run_script(script, base_dir=overlay_dir)
+        assert result.output == ["emit X -> out/c#d.json"]
+        assert ((overlay_dir / "out" / "c#d.json").read_bytes()
+                == (overlay_dir / "x.json").read_bytes())
 
     def test_check_homeomorphic(self, overlay_dir):
         script = parse_script(

@@ -26,7 +26,8 @@ from topodata import (
 )
 from topodata.space import check_element_id
 
-from conftest import brute_closure, brute_dimension, brute_star, random_space
+from conftest import random_space
+from naive import brute_closure, brute_dimension, brute_star
 
 
 @st.composite
@@ -123,29 +124,33 @@ class TestConstruction:
             ThetaRelation([entry])
 
     @pytest.mark.parametrize("labelled", [[("m", "a")], [("m", ["a"])], [["m", ["a", "b"]]],
-                                          "ab", 5, None],
-                             ids=["pair", "pair-of-list", "list-of-list", "string", "5", "None"])
+                                          "ab", 5, None, [("a", "x"), ("a", "y")]],
+                             ids=["pair", "pair-of-list", "list-of-list", "string", "5", "None",
+                                  "key-listed-twice"])
     def test_partition_classes_are_a_mapping_only(self, labelled):
         # no pair can list a class: (label, member list) is not a pair of ids,
-        # and the second id of (label, id) is not a collection of members
+        # and the second id of (label, id) is not a collection of members;
+        # the element -> label table of Partition itself is a mapping only too
         with pytest.raises(InvalidElementIdError,
                            match=r"partition classes must be a mapping, got "):
             Partition.from_classes(Space("s", ["a", "b"]), labelled)
+        with pytest.raises(InvalidElementIdError,
+                           match=r"partition classes must be a mapping, got "):
+            Partition(labelled)
 
     @pytest.mark.parametrize("build", [
         lambda: Space("s", None), lambda: Space("s", 5), lambda: Space("s", [], 5),
         lambda: Space("s", [], None), lambda: Space("s", "ab"),
-        lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5), lambda: Partition(5)],
+        lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5)],
         ids=["elements-None", "elements-5", "incidence-5", "incidence-None",
-             "elements-string", "map-table-5", "partition-classes-5"])
+             "elements-string", "map-table-5"])
     def test_arguments_that_are_not_collections(self, build):
         with pytest.raises(InvalidElementIdError, match="must be a collection"):
             build()
 
     @pytest.mark.parametrize("build", [
         lambda: SpaceMap(Space("s", ["a", "b", "c"]), Space("s", ["a", "b", "c"]),
-                         [("a", "a"), ("b", "b"), ("c", "c"), ("a", "c")]),
-        lambda: Partition([("a", "x"), ("a", "y")])], ids=["map-pairs", "partition-pairs"])
+                         [("a", "a"), ("b", "b"), ("c", "c"), ("a", "c")])], ids=["map-pairs"])
     def test_key_listed_twice_in_pairs(self, build):
         # a mapping cannot repeat a key; pairs that do would silently keep the last
         with pytest.raises(InvalidElementIdError, match=r"list source ids more than once: \['"):
