@@ -138,14 +138,19 @@ class TestConstruction:
                            match=r"partition classes must be a mapping, got "):
             Partition(labelled)
 
-    @pytest.mark.parametrize("build", [
-        lambda: Space("s", None), lambda: Space("s", 5), lambda: Space("s", [], 5),
-        lambda: Space("s", [], None), lambda: Space("s", "ab"),
-        lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5)],
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Space("s", None), "must be a collection"),
+        (lambda: Space("s", 5), "must be a collection"),
+        (lambda: Space("s", [], 5), "must be a collection"),
+        (lambda: Space("s", [], None), "must be a collection"),
+        (lambda: Space("s", "ab"), "must be a collection"),
+        (lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5), "must be a collection"),
+        # the one collection Partition takes is a mapping
+        (lambda: Partition(5), "partition classes must be a mapping, got 5")],
         ids=["elements-None", "elements-5", "incidence-5", "incidence-None",
-             "elements-string", "map-table-5"])
-    def test_arguments_that_are_not_collections(self, build):
-        with pytest.raises(InvalidElementIdError, match="must be a collection"):
+             "elements-string", "map-table-5", "partition-classes-5"])
+    def test_arguments_that_are_not_collections(self, build, message):
+        with pytest.raises(InvalidElementIdError, match=message):
             build()
 
     @pytest.mark.parametrize("build", [
