@@ -22,7 +22,6 @@ from .errors import (
     DuplicateElementError,
     InvalidElementIdError,
     InvalidOptionError,
-    MapTotalityError,
     NotContinuousError,
     QuotientCycleError,
     SeparatorCollisionError,
@@ -45,9 +44,11 @@ def _space_name(name, what: str) -> str | None:
 
 
 class Partition:
-    """Assignment of each element of a space to a class label.
+    """Labelling of element ids by class label; ``quotient`` applies it.
 
-    ``space_name`` records which space the partition classifies when known.
+    Elements the partition does not list are singleton classes labelled
+    by their own id.  ``space_name`` records which space the partition
+    classifies when known.
     """
 
     def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
@@ -63,30 +64,19 @@ class Partition:
         self.space_name = _space_name(space_name, "partition space name")
 
     @classmethod
-    def from_classes(cls, space: Space, labelled: Mapping[str, Iterable[str]]) -> "Partition":
-        """Build a partition from a mapping of class labels to members;
-        unlisted elements become singleton classes labelled by their own id."""
+    def from_classes(cls, labelled: Mapping[str, Iterable[str]],
+                     space_name: str | None = None) -> "Partition":
+        """Build a partition from a mapping of class labels to members."""
         if not isinstance(labelled, Mapping):
             raise InvalidElementIdError(f"partition classes must be a mapping, got {labelled!r}")
         table: dict[str, str] = {}
         for label, members in labelled.items():
             for member in _iterate(members, f"members of class {label!r}"):
-                if check_element_id(member) not in space.elements:
-                    raise UnknownElementError(
-                        f"partition member {member!r} is not in {space.name!r}")
-                if member in table:
+                if check_element_id(member) in table:
                     raise DuplicateElementError(
                         f"{member!r} assigned to classes {table[member]!r} and {label!r}")
                 table[member] = label
-        for element in space.elements:
-            table.setdefault(element, element)
-        return cls(table, space.name)
-
-    def label_of(self, element: str) -> str:
-        try:
-            return self.classes[element]
-        except (KeyError, TypeError):  # TypeError: an unhashable element
-            raise UnknownElementError(f"partition has no class for {element!r}") from None
+        return cls(table, space_name)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -167,9 +157,11 @@ def quotient(space: Space, partition: Partition,
              on_cycle: str = "error") -> tuple[Space, SpaceMap]:
     """Quotient space of a partition, with the projection map.
 
-    Elements are the class labels; the relation is the set of image pairs
-    of the source relation with equal-label pairs dropped.  A partition
-    can fold the source order into a cycle, which no space may carry:
+    Elements are the class labels; an element the partition does not
+    list is a singleton class labelled by its own id, and listing an id
+    outside ``space`` raises.  The relation is the set of image pairs of
+    the source relation with equal-label pairs dropped.  A partition can
+    fold the source order into a cycle, which no space may carry:
     with ``on_cycle="error"`` that raises, with ``"collapse"`` each cyclic
     group of classes is merged into a single class named ``scc:<least
     member label>`` and the quotient is rebuilt.  Collapsing raises when
@@ -181,16 +173,12 @@ def quotient(space: Space, partition: Partition,
             f"partition is declared for space {partition.space_name!r}, not {space.name!r}")
     if on_cycle not in ("error", "collapse"):
         raise InvalidOptionError(f"on_cycle must be 'error' or 'collapse', got {on_cycle!r}")
-    missing = space.elements - partition.classes.keys()
-    if missing:
-        raise MapTotalityError(
-            f"partition misses elements of {space.name!r}: {sorted(missing)}")
     extra = partition.classes.keys() - space.elements
     if extra:
         raise UnknownElementError(
             f"partition classifies ids outside {space.name!r}: {sorted(extra)}")
 
-    label = {e: partition.classes[e] for e in space.elements}
+    label = {e: partition.classes.get(e, e) for e in space.elements}
 
     def induced(labelling):
         classes = frozenset(labelling.values())
@@ -388,10 +376,7 @@ def partition_by_attribute(space: Space, key: str) -> Partition:
     """Group elements by the value of one attribute.
 
     Elements carrying ``key`` are classed by its value; elements without
-    it keep singleton classes labelled by their own id.
+    it are left unlisted, so they stay singleton classes.
     """
-    classes = {}
-    for element in space.elements:
-        value = space.attributes.get(element, {}).get(key)
-        classes[element] = value if value is not None else element
-    return Partition(classes, space.name)
+    values = {e: space.attributes.get(e, {}).get(key) for e in space.elements}
+    return Partition({e: v for e, v in values.items() if v is not None}, space.name)

@@ -38,7 +38,7 @@ class UnknownElementError(TopologyError):
 
 
 class MapTotalityError(TopologyError):
-    """A map or partition does not cover every element of its domain."""
+    """A map does not cover every element of its domain."""
 
 
 class DomainMismatchError(TopologyError):

@@ -161,12 +161,9 @@ def serialize_theta(theta: ThetaRelation) -> str:
 
 # -- partitions ----------------------------------------------------------------
 
-def parse_partition(text: str, spaces: Mapping[str, Space],
-                    source: str = "<partition>") -> Partition:
+def parse_partition(text: str, source: str = "<partition>") -> Partition:
     doc = _load_json(text, source)
     space_name = _require(doc, "space", str, source)
-    if space_name not in spaces:
-        raise UnresolvedReferenceError(f"{source}: unknown space {space_name!r}")
     labelled = {}
     for entry in _require(doc, "classes", list, source):
         if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
@@ -176,7 +173,7 @@ def parse_partition(text: str, spaces: Mapping[str, Space],
         if entry["label"] in labelled:
             raise ParseError(f"class label {entry['label']!r} listed twice", source=source)
         labelled[entry["label"]] = entry["members"]
-    return _build(source, Partition.from_classes, spaces[space_name], labelled)
+    return _build(source, Partition.from_classes, labelled, space_name)
 
 
 def serialize_partition(partition: Partition) -> str:

@@ -172,7 +172,7 @@ class _Runner:
         elif kind == "theta":
             value = io.parse_theta(text, source=source)
         else:
-            value = io.parse_partition(text, self.registry, source=source)
+            value = io.parse_partition(text, source=source)
         self.bind(stmt.line, stmt.name, value)
 
     @execute.register

@@ -11,7 +11,6 @@ from topodata import (
     CodomainMismatchError,
     CyclicIncidenceError,
     DuplicateElementError,
-    MapTotalityError,
     NotContinuousError,
     Partition,
     QuotientCycleError,
@@ -38,7 +37,7 @@ from topodata import (
     theta_join,
 )
 from topodata import algebra
-from topodata.io import serialize_space
+from topodata.io import parse_partition, serialize_partition, serialize_space
 
 from conftest import random_layered_space, random_space
 from naive import naive_theta_join
@@ -87,19 +86,19 @@ class TestSelectSubspace:
 
 class TestQuotient:
     def test_merge_edge_with_vertex(self, space_y):
-        partition = Partition.from_classes(space_y, {"m": ["c", "x"]})
+        partition = Partition.from_classes({"m": ["c", "x"]}, space_y.name)
         result, projection = quotient(space_y, partition)
         assert result.elements == {"C", "b", "m"}
         assert result.incidence == {("C", "m"), ("C", "b"), ("b", "m")}
         assert is_continuous(projection)
 
     def test_cycle_is_an_error_by_default(self, space_y):
-        partition = Partition.from_classes(space_y, {"k": ["C", "x"]})
+        partition = Partition.from_classes({"k": ["C", "x"]}, space_y.name)
         with pytest.raises(QuotientCycleError):
             quotient(space_y, partition)
 
     def test_cycle_collapse_policy(self, space_y):
-        partition = Partition.from_classes(space_y, {"k": ["C", "x"]})
+        partition = Partition.from_classes({"k": ["C", "x"]}, space_y.name)
         result, projection = quotient(space_y, partition, on_cycle="collapse")
         # k -> b -> k and k -> c -> k all fold into one class
         assert result.elements == {"scc:b"}
@@ -110,7 +109,7 @@ class TestQuotient:
         # an isolated element already labelled scc:b must not be merged
         # into the collapsed group that would take the same name
         space = Space("Y", sorted(space_y.elements | {"z"}), space_y.incidence)
-        partition = Partition.from_classes(space, {"k": ["C", "x"], "scc:b": ["z"]})
+        partition = Partition.from_classes({"k": ["C", "x"], "scc:b": ["z"]}, space.name)
         with pytest.raises(QuotientCycleError, match="scc:b"):
             quotient(space, partition, on_cycle="collapse")
 
@@ -119,25 +118,27 @@ class TestQuotient:
             with pytest.raises(TopologyError):
                 Partition({"C": bad})
         with pytest.raises(TopologyError):
-            quotient(space_y, Partition.from_classes(space_y, {}), on_cycle="merge")
+            quotient(space_y, Partition.from_classes({}, space_y.name), on_cycle="merge")
 
     def test_singleton_partition_is_isomorphic_copy(self, space_x):
-        partition = Partition.from_classes(space_x, {})
+        partition = Partition.from_classes({}, space_x.name)
         result, projection = quotient(space_x, partition)
         assert same_structure(result, space_x)
         assert is_continuous(projection)
 
     def test_partition_for_other_space_rejected(self, space_y):
         renamed = Space("Z", space_y.elements, space_y.incidence)
-        partition = Partition.from_classes(space_y, {"m": ["c", "x"]})
+        partition = Partition.from_classes({"m": ["c", "x"]}, space_y.name)
         with pytest.raises(UnresolvedReferenceError, match="declared for space 'Y', not 'Z'"):
             quotient(renamed, partition, on_cycle="bogus")
         result, _ = quotient(renamed, Partition(partition.classes))
         assert result.elements == {"C", "b", "m"}
 
-    def test_partition_must_be_total(self, space_y):
-        with pytest.raises(MapTotalityError):
-            quotient(space_y, Partition({"C": "C"}))
+    def test_unlisted_elements_are_singleton_classes(self, space_y):
+        result, projection = quotient(space_y, Partition({"c": "m", "x": "m"}))
+        assert result.elements == {"C", "b", "m"}
+        assert {e: projection(e) for e in space_y.elements} == {
+            "C": "C", "b": "b", "c": "m", "x": "m"}
 
     def test_partition_must_not_classify_strangers(self, space_y):
         table = {e: e for e in space_y.elements}
@@ -147,7 +148,7 @@ class TestQuotient:
 
     def test_double_assignment_rejected(self, space_y):
         with pytest.raises(DuplicateElementError):
-            Partition.from_classes(space_y, {"m": ["c", "x"], "k": ["x"]})
+            Partition.from_classes({"m": ["c", "x"], "k": ["x"]}, space_y.name)
 
     def test_collapse_matches_mutual_reachability(self):
         rng = random.Random(48)
@@ -566,8 +567,11 @@ class TestConveniences:
         space = Space("s", ["w1", "w2", "d"], [],
                       {"w1": {"kind": "wall"}, "w2": {"kind": "wall"}})
         partition = partition_by_attribute(space, "kind")
-        assert partition.classes == {"w1": "wall", "w2": "wall", "d": "d"}
+        assert partition.classes == {"w1": "wall", "w2": "wall"}
         assert partition.space_name == "s"
+        assert parse_partition(serialize_partition(partition)) == partition
+        _, projection = quotient(space, partition)
+        assert projection("d") == "d"
 
 
 @pytest.mark.parametrize("build", [

@@ -176,11 +176,19 @@ class TestRun:
         ('load M "missing.json"\n',
          "line 2: cannot read 'missing.json': [Errno 2] No such file or directory: "
          "'{dir}/missing.json'"),
-    ], ids=["theta-unknown-right-id", "missing-file"])
+        ('load P "part_q.json"\nlet R = quotient(Y, P)\n',
+         "line 3: partition is declared for space 'Q', not 'Y'"),
+        ('load P "part_zz.json"\nlet R = quotient(Y, P)\n',
+         "line 3: partition classifies ids outside 'Y': ['zz']"),
+    ], ids=["theta-unknown-right-id", "missing-file", "partition-unknown-space",
+            "partition-unknown-member"])
     def test_operation_error_names_the_line(self, files, capsys, statements, message):
         folder = Path(files["dir"])
         (folder / "theta_zz.json").write_text(json.dumps(
             {"left": "Y", "right": "Y", "pairs": [["C", "zz"]]}))
+        (folder / "part_q.json").write_text(json.dumps({"space": "Q", "classes": []}))
+        (folder / "part_zz.json").write_text(json.dumps(
+            {"space": "Y", "classes": [{"label": "m", "members": ["c", "zz"]}]}))
         (folder / "bad.topo").write_text('load Y "y.json"\n' + statements)
         assert main(["run", str(folder / "bad.topo")]) == 2
         out, err = capsys.readouterr()
@@ -329,10 +337,9 @@ class TestMalformedFiles:
          "pairs": [["C", "C"], ["b", "b"], ["c", "c"], ["x", "x"], ["C", "x"]]},
         {"left": "X", "right": "Y", "pairs": [{"A": 1, "C": 2}]},
         {"space": "Y", "classes": [{"label": "m", "members": [["c"]]}]},
-        {"space": "Q", "classes": []},
         {"space": "Y", "classes": [{"label": "m"}]},
     ], ids=["map-repeated-source", "theta-non-pair", "partition-list-member",
-            "partition-unknown-space", "partition-class-without-members"])
+            "partition-class-without-members"])
     def test_file_loaded_by_script(self, files, capsys, doc):
         folder = Path(files["dir"])
         (folder / "doc.json").write_text(json.dumps(doc))

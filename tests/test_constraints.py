@@ -98,8 +98,8 @@ class TestValidateChain:
         assert [s.space_name for s in report.stages] == ["seg", "pt"]
 
     def test_two_quotient_steps(self, space_y):
-        first, proj1 = quotient(space_y, Partition.from_classes(space_y, {"m": ["c", "x"]}))
-        second, proj2 = quotient(first, Partition.from_classes(first, {"k": ["b", "m"]}))
+        first, proj1 = quotient(space_y, Partition.from_classes({"m": ["c", "x"]}, space_y.name))
+        second, proj2 = quotient(first, Partition.from_classes({"k": ["b", "m"]}, first.name))
         dataset = Dataset(spaces={s.name: s for s in (space_y, first, second)},
                           maps={"step1": proj1, "step2": proj2})
         report = validate_chain(dataset, ["step1", "step2"])

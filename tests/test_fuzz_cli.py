@@ -43,7 +43,7 @@ def fixture_dir(tmp_path_factory):
         "y.json": serialize_space(y),
         "theta.json": serialize_theta(ThetaRelation(THETA_PAIRS, left_name="X",
                                                     right_name="Y")),
-        "merge.json": serialize_partition(Partition.from_classes(y, {"m": ["c", "x"]})),
+        "merge.json": serialize_partition(Partition.from_classes({"m": ["c", "x"]}, y.name)),
         "ident.json": serialize_map(SpaceMap(y, y, {e: e for e in y.elements})),
         "swap.json": serialize_map(swap),
         "manifest.json": json.dumps({

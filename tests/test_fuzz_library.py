@@ -73,9 +73,9 @@ def test_partition(classes, space_name):
 
 @seed(20131008)
 @FUZZ
-@given(labelled=values)
-def test_partition_from_classes(labelled):
-    builds_or_refuses(lambda: Partition.from_classes(SEGMENT, labelled))
+@given(labelled=values, space_name=values)
+def test_partition_from_classes(labelled, space_name):
+    builds_or_refuses(lambda: Partition.from_classes(labelled, space_name))
 
 
 @seed(20131008)
@@ -94,7 +94,6 @@ ID_QUERIES = {
     "in_preorder_first": (lambda v: SEGMENT.in_preorder(v, "e"), SEGMENT.elements),
     "in_preorder_second": (lambda v: SEGMENT.in_preorder("e", v), SEGMENT.elements),
     "SpaceMap.__call__": (IDENTITY, SEGMENT.elements),
-    "Partition.label_of": (Partition.from_classes(SEGMENT, {}).label_of, SEGMENT.elements),
     "Dataset.resolve_map": (DATASET.resolve_map, DATASET.maps.keys()),
 }
 

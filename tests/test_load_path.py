@@ -30,13 +30,17 @@ from topodata import (
     InvalidElementIdError,
     MapTotalityError,
     ParseError,
+    Partition,
     SelfLoopError,
     Space,
     SpaceMap,
     UnknownElementError,
     select_subspace,
 )
-from topodata.io import load_dataset, parse_map, parse_space
+from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
+                         serialize_partition, serialize_space)
+
+from naive import naive_product, naive_quotient, naive_select
 
 ROOT = Path(__file__).resolve().parents[1]
 LOD_MANIFEST = ROOT / "demo" / "lod" / "manifest.json"
@@ -440,6 +444,18 @@ CAD_SCRIPT = ('load G "grid.json"\nload S "seg.json"\nload C "chain.json"\n'
               "let K = select(C, k0, k2, k4, k6)\nlet I = intersect(C, D)\ndim R\ndim K\ndim I\n"
               + "".join(f'emit {name} "out/{name}.json"\n' for name in CAD_EMITTED))
 
+# quotients of derived spaces of the overlay demo: a subspace, which keeps its
+# source's name, and a product; each partition lists some ids of the space
+DERIVED_QUOTIENTS = {
+    "select": ('load X "x.json"\nlet S = select(X, a, p, q)\n',
+               {"space": "X", "classes": [{"label": "m", "members": ["a", "p"]}]}),
+    "product": ('load X "x.json"\nload Y "y.json"\nlet S = product(X, Y)\n',
+                {"space": "X×Y",
+                 "classes": [{"label": "m", "members": ["a×b", "p×b", "a×x"]}]}),
+}
+QUOTIENT_OF_S = ('let Q = quotient(S, P)\nemit Q "out/Q.json"\nemit Q.proj "out/Q.proj.json"\n'
+                 'emit P "out/P.json"\n')
+
 
 def test_output_is_independent_of_the_hash_seed(tmp_path):
     ring = tmp_path / "ring.json"
@@ -481,6 +497,10 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     for name, doc in CAD_FILES.items():
         (overlay / name).write_text(json.dumps(doc), encoding="utf-8")
     (overlay / "cad.topo").write_text(CAD_SCRIPT, encoding="utf-8")
+    for op, (head, doc) in DERIVED_QUOTIENTS.items():
+        (overlay / f"{op}_part.json").write_text(json.dumps(doc), encoding="utf-8")
+        (overlay / f"{op}_quotient.topo").write_text(
+            f'{head}load P "{op}_part.json"\n{QUOTIENT_OF_S}', encoding="utf-8")
     commands = {"validate": ["validate", str(LOD_MANIFEST)],
                 "validate strict": ["validate", str(strict)],
                 "validate two faults": ["validate", str(faulty / "manifest.json")],
@@ -488,6 +508,8 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
                 "run unknown theta ids": ["run", str(overlay / "unknown.topo")],
                 "run spaced labels": ["run", str(overlay / "spaced.topo")],
                 "run cad": ["run", str(overlay / "cad.topo")],
+                "run quotient of select": ["run", str(overlay / "select_quotient.topo")],
+                "run quotient of product": ["run", str(overlay / "product_quotient.topo")],
                 "dim": ["dim", str(ring)]}
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
@@ -525,3 +547,16 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert [name for name, _ in emitted] == sorted(f"{name}.json" for name in CAD_EMITTED)
     (code, out, err, _), = seen["dim"]
     assert code == 2 and out == "" and "has a cycle" in err
+    x, y = (parse_space((DEMO_OVERLAY / f).read_text(encoding="utf-8"))
+            for f in ("x.json", "y.json"))
+    derived = {"select": naive_select(x, ["a", "p", "q"])[0], "product": naive_product(x, y)[0]}
+    for op, (_, doc) in DERIVED_QUOTIENTS.items():
+        (code, out, err, emitted), = seen[f"run quotient of {op}"]
+        assert (code, err) == (0, "")
+        listed = {m: c["label"] for c in doc["classes"] for m in c["members"]}
+        space = derived[op]
+        result, projection = naive_quotient(
+            space, Partition({e: listed.get(e, e) for e in space.elements}))
+        expected = (("P.json", serialize_partition(Partition(listed, doc["space"]))),
+                    ("Q.json", serialize_space(result)), ("Q.proj.json", serialize_map(projection)))
+        assert emitted == tuple((name, text.encode()) for name, text in expected)

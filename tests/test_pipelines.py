@@ -6,7 +6,10 @@ attributes, runs two to four random ``let`` statements through
 loaded as they are needed), and emits every result and every linking
 map.  Every emitted file must equal the serialized result of the naive
 definitions in ``naive.py``, and every emitted map must be continuous by
-the open-preimage oracle.  All spaces have at most 12 elements.
+the open-preimage oracle.  All spaces have at most 12 elements.  A
+partition lists a random subset of the ids of the space it quotients,
+loaded or derived; the naive quotient gets the completed table, each
+unlisted id a singleton class labelled by itself.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ class Pipeline:
         self.folder = folder
         self.lines: list[str] = []
         self.env: dict = {}
-        self.loaded: dict[str, Space] = {}
+        self.made_by: dict[str, str] = {}  # the op that bound each name, or "load"
+        self.quotiented: list[str] = []  # made_by of each quotiented space
         self.results: list[str] = []
         for name in "XYZ":
             space = random_input(self.rng, name)
             self.load(name, serialize_space(space))
-            self.env[name] = self.loaded[name] = space
+            self.env[name] = space
+            self.made_by[name] = "load"
         self.ops = [self.add_statement(f"R{i}") for i in range(self.rng.randint(2, 4))]
 
     def load(self, name: str, text: str) -> None:
@@ -66,19 +71,24 @@ class Pipeline:
             ids = sorted(rng.sample(sorted(x.elements), rng.randint(0, len(x.elements))))
             return [a, *ids], naive_select(x, ids), []
         if op == "quotient":
-            loaded = self.loaded.get(x.name)
-            if loaded is None or loaded.elements != x.elements:
-                return None  # a partition file can only name a loaded space
+            derived = self.spaces()[3:]  # X, Y and Z are bound first
+            if derived and rng.random() < 0.5:
+                a = rng.choice(derived)
+                x = env[a]
             labels = sorted(x.elements) + ["L0", "L1", "L0", "L1"]
             labelled: dict[str, list[str]] = {}
+            listed: dict[str, str] = {}
             for e in sorted(x.elements):
-                labelled.setdefault(rng.choice(labels), []).append(e)
-            partition = Partition.from_classes(loaded, labelled)
+                if rng.random() < 0.6:
+                    listed[e] = rng.choice(labels)
+                    labelled.setdefault(listed[e], []).append(e)
+            partition = Partition.from_classes(labelled, x.name)
+            completed = Partition({e: listed.get(e, e) for e in x.elements})
             policy = rng.choice(["error", "collapse"])
             try:
-                values = naive_quotient(x, partition, policy)
+                values = naive_quotient(x, completed, policy)
             except TopologyError:
-                values = naive_quotient(x, partition, policy := "collapse")
+                values = naive_quotient(x, completed, policy := "collapse")
             return [a, f"{name}P", policy], values, [(f"{name}P", serialize_partition(partition))]
         if op in ("product", "theta_join"):
             if any(SEPARATOR in e for e in x.elements | y.elements):
@@ -114,11 +124,14 @@ class Pipeline:
             if attempt is not None and len(attempt[1][0]) <= LIMIT:
                 break
         args, values, files = attempt
+        if op == "quotient":
+            self.quotiented.append(self.made_by[args[0]])
         for file_name, text in files:
             self.load(file_name, text)
         self.lines.append(f"let {name} = {op}({', '.join(args)})")
         for bound, value in zip([name] + [f"{name}.{s}" for s in OPS[op].maps], values):
             self.env[bound] = value
+            self.made_by[bound] = op
             self.results.append(bound)
             self.lines.append(f'emit {bound} "out/{bound}.json"')
         return op
@@ -148,6 +161,7 @@ def test_random_pipeline_matches_naive_reference(tmp_path, seed):
 def test_pipelines_reach_every_operator_and_policy(tmp_path):
     pipelines = [Pipeline(seed, tmp_path) for seed in SEEDS]
     assert {op for p in pipelines for op in p.ops} == set(OPS)
+    assert {"load", "select", "product"} <= {m for p in pipelines for m in p.quotiented}
     text = "".join(p.text() for p in pipelines)
     assert ", error)" in text and ", collapse)" in text
     assert any(e.startswith("scc:") for p in pipelines for v in p.env.values()

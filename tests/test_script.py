@@ -32,7 +32,7 @@ def overlay_dir(tmp_path, space_x, space_y, theta):
     (tmp_path / "theta.json").write_text(serialize_theta(theta))
     broken = SpaceMap(space_y, space_y, {"C": "x", "b": "b", "c": "c", "x": "C"})
     (tmp_path / "broken.json").write_text(serialize_map(broken))
-    merge = Partition.from_classes(space_y, {"m": ["c", "x"]})
+    merge = Partition.from_classes({"m": ["c", "x"]}, space_y.name)
     (tmp_path / "merge.json").write_text(serialize_partition(merge))
     return tmp_path
 
@@ -195,6 +195,21 @@ class TestRun:
         script = parse_script('load T "theta.json"\nemit T "out/t.json"\n')
         run_script(script, base_dir=overlay_dir)
         assert (overlay_dir / "out" / "t.json").read_bytes() == serialize_theta(theta).encode()
+
+    def test_emit_loaded_partition_writes_its_own_listing(self, overlay_dir):
+        # the label x is also an unlisted id: the file's class is written back
+        # as listed, and quotient puts x in that class as a singleton default
+        (overlay_dir / "label.json").write_text(
+            '{"space": "Y", "classes": [{"label": "x", "members": ["c"]}]}')
+        script = parse_script('load Y "y.json"\nload P "label.json"\nemit P "out/p.json"\n'
+                              "let Q = quotient(Y, P)\n")
+        result = run_script(script, base_dir=overlay_dir)
+        assert (overlay_dir / "out" / "p.json").read_text() == (
+            '{\n  "space": "Y",\n  "classes": [\n    {\n      "label": "x",\n'
+            '      "members": [\n        "c"\n      ]\n    }\n  ]\n}\n')
+        assert result.env["Q"].elements == {"C", "b", "x"}
+        assert {e: result.env["Q.proj"](e) for e in "Cbcx"} == {
+            "C": "C", "b": "b", "c": "x", "x": "x"}
 
     def test_hash_inside_a_quoted_path(self, overlay_dir):
         (overlay_dir / "a#b.json").write_text((overlay_dir / "x.json").read_text())

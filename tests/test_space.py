@@ -133,7 +133,7 @@ class TestConstruction:
         # the element -> label table of Partition itself is a mapping only too
         with pytest.raises(InvalidElementIdError,
                            match=r"partition classes must be a mapping, got "):
-            Partition.from_classes(Space("s", ["a", "b"]), labelled)
+            Partition.from_classes(labelled)
         with pytest.raises(InvalidElementIdError,
                            match=r"partition classes must be a mapping, got "):
             Partition(labelled)
