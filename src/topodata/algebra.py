@@ -47,20 +47,20 @@ class Partition:
     """Labelling of element ids by class label; ``quotient`` applies it.
 
     Elements the partition does not list are singleton classes labelled
-    by their own id.  ``space_name`` records which space the partition
-    classifies when known.
+    by their own id, so an entry ``e -> e`` is dropped as implied.
+    ``space_name`` records which space the partition classifies when
+    known; equal partitions have equal tables and names.
     """
 
     def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
         if not isinstance(classes, Mapping):
             raise InvalidElementIdError(f"partition classes must be a mapping, got {classes!r}")
-        table = dict(classes)
-        for element in table:
+        for element in classes:
             check_element_id(element)
-        bad = sorted(e for e, label in table.items() if not isinstance(label, str) or not label)
+        bad = sorted(e for e, label in classes.items() if not isinstance(label, str) or not label)
         if bad:
             raise InvalidElementIdError(f"empty or non-string class labels for {bad}")
-        self.classes = table
+        self.classes = {e: label for e, label in classes.items() if e != label}
         self.space_name = _space_name(space_name, "partition space name")
 
     @classmethod
@@ -81,7 +81,7 @@ class Partition:
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.classes == other.classes
+        return (self.classes, self.space_name) == (other.classes, other.space_name)
 
     def __repr__(self):
         return f"Partition({len(self.classes)} elements, {len(set(self.classes.values()))} classes)"
@@ -92,7 +92,8 @@ class ThetaRelation:
 
     The geometric predicate that would decide intersection is outside
     this library; its result is stored as data.  ``left_name`` and
-    ``right_name`` record which spaces the sides refer to when known.
+    ``right_name`` record which spaces the sides refer to when known;
+    equal relations have equal pairs and names.
     """
 
     def __init__(self, pairs: Iterable[Pair], left_name: str | None = None,
@@ -119,7 +120,8 @@ class ThetaRelation:
     def __eq__(self, other):
         if not isinstance(other, ThetaRelation):
             return NotImplemented
-        return self.pairs == other.pairs
+        return ((self.pairs, self.left_name, self.right_name)
+                == (other.pairs, other.left_name, other.right_name))
 
     def __len__(self):
         return len(self.pairs)

@@ -52,10 +52,16 @@ class Dataset:
         self.maps[name] = space_map
 
     def resolve_map(self, name: str) -> SpaceMap:
+        """The map bound to ``name``; its domain and codomain must be spaces of the dataset."""
         try:
-            return self.maps[name]
+            space_map = self.maps[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnresolvedReferenceError(f"no map named {name!r} in the dataset") from None
+        for space in (space_map.domain, space_map.codomain):
+            if self.spaces.get(space.name) != space:
+                raise UnresolvedReferenceError(
+                    f"map {name!r} uses space {space.name!r} which is not in the dataset")
+        return space_map
 
     def __repr__(self):
         return (f"Dataset({len(self.spaces)} spaces, {len(self.maps)} maps, "
@@ -118,11 +124,6 @@ def validate(dataset: Dataset) -> ValidationReport:
     checks = []
     for constraint in dataset.constraints:
         space_map = dataset.resolve_map(constraint.map_name)
-        for space in (space_map.domain, space_map.codomain):
-            if dataset.spaces.get(space.name) != space:
-                raise UnresolvedReferenceError(
-                    f"map {constraint.map_name!r} uses space {space.name!r} "
-                    "which is not in the dataset")
         checks.append(_check_constraint(constraint.name, constraint.mode, space_map))
     return ValidationReport(tuple(checks))
 

@@ -182,10 +182,7 @@ def serialize_partition(partition: Partition) -> str:
         by_label.setdefault(label, []).append(element)
     classes = []
     for label in sorted(by_label):
-        members = sorted(by_label[label])
-        if members == [label]:
-            continue  # singleton default, implied
-        listed = _layout([_string(member) for member in members], "      ")
+        listed = _layout([_string(member) for member in sorted(by_label[label])], "      ")
         classes.append(_object([("label", _string(label)), ("members", listed)], "    "))
     return _document([("space", _declared(partition.space_name, "partition")),
                       ("classes", _layout(classes, "  "))])

@@ -46,30 +46,26 @@ class ContinuityResult(NamedTuple):
         return f"witness ({a},{b}) -> ({fa},{fb})"
 
 
-def _check_table(entries: object) -> dict:
-    """The entries as a dict: a copy of a mapping, or else id pairs that list each source once."""
-    if isinstance(entries, Mapping):
-        return dict(entries)
-    pairs = list(check_pairs(entries, "map pairs"))
-    table = dict(pairs)
-    if len(table) < len(pairs):
-        repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
-        raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
-    return table
-
-
 class SpaceMap:
     """A total function between the element sets of two spaces.
 
     The mapping is stored as an explicit table, never as code, so maps
-    serialize, compare, and diff exactly.  It is given as a mapping, or as
-    pairs that list each source once and are keyed on the ids the spaces
-    hold.  Construction checks totality and that every value is an
-    element of the codomain.
+    serialize, compare, and diff exactly.  It is given as a mapping, which
+    is copied, or as pairs that list each source once; pairs are read in
+    one walk that keys the table on the ids the spaces hold.  Construction
+    checks totality and that every value is an element of the codomain.
     """
 
     def __init__(self, domain: Space, codomain: Space, mapping):
-        table = _check_table(mapping)
+        if isinstance(mapping, Mapping):
+            table = dict(mapping)
+        else:
+            pairs = list(check_pairs(mapping, "map pairs"))
+            keys, values = domain._held_ids(), codomain._held_ids()
+            table = {keys.get(a, a): values.get(b, b) for a, b in pairs}  # an unheld id stays
+            if len(table) < len(pairs):
+                repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+                raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
         missing = domain.elements - table.keys()
         if missing:
             raise MapTotalityError(
@@ -84,9 +80,6 @@ class SpaceMap:
             raise UnknownElementError(
                 f"map {domain.name!r} -> {codomain.name!r} has values outside "
                 f"the codomain: {sorted(bad, key=str)}")
-        if not isinstance(mapping, Mapping):
-            keys, values = domain._held_ids(), codomain._held_ids()
-            table = {keys[a]: values[b] for a, b in table.items()}
         self.domain = domain
         self.codomain = codomain
         self.mapping = table

@@ -28,6 +28,7 @@ from .errors import (
     SizeBoundError,
     TopologyError,
     UnknownElementError,
+    UnresolvedReferenceError,
 )
 
 Pair = tuple[str, str]
@@ -168,7 +169,8 @@ class Space:
     """
 
     def __init__(self, name, elements, incidence=(), attributes=None):
-        name = str(name)
+        if not isinstance(name, str):
+            raise UnresolvedReferenceError(f"space name must be a string, got {name!r}")
 
         ids = [check_element_id(e) for e in _iterate(elements, f"elements of {name!r}")]
         held = {e: e for e in ids}

@@ -166,14 +166,14 @@ def naive_fibre_product(u: SpaceMap, p: SpaceMap):
     return naive_theta_join(u.domain, p.domain, theta)
 
 
-def naive_quotient(space: Space, partition, on_cycle: str = "error") -> tuple[Space, SpaceMap]:
+def naive_quotient(space: Space, label: dict, on_cycle: str = "error") -> tuple[Space, SpaceMap]:
     """The classes, with the image pairs of distinct classes, and the projection.
 
-    Classes that the image pairs relate both ways form a cycle: with
-    ``on_cycle="collapse"`` each such group becomes one class named
-    ``scc:<least label>``.
+    ``label`` gives the class of every element.  Classes that the image
+    pairs relate both ways form a cycle: with ``on_cycle="collapse"``
+    each such group becomes one class named ``scc:<least label>``.
     """
-    label = {e: partition.classes[e] for e in space.elements}
+    label = {e: label[e] for e in space.elements}  # raises for an element left out
 
     def image(labelling):
         return {(labelling[a], labelling[b]) for a, b in space.incidence

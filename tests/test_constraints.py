@@ -124,6 +124,16 @@ class TestValidateChain:
         with pytest.raises(DomainMismatchError):
             validate_chain(lod_dataset, ["part_of", "part_of"])
 
+    def test_foreign_map_refused_as_validate_refuses_it(self):
+        s, t = Space("s", ["a"]), Space("t", ["b"])
+        dataset = Dataset({"s": s}, {"m": SpaceMap(s, t, {"a": "b"})})
+        dataset.constraints.append(ForeignKeyConstraint("c", "m"))
+        message = "map 'm' uses space 't' which is not in the dataset"
+        with pytest.raises(UnresolvedReferenceError, match=message):
+            validate(dataset)
+        with pytest.raises(UnresolvedReferenceError, match=message):
+            validate_chain(dataset, ["m"])
+
     def test_one_check_per_link(self, lod_dataset):
         report = validate_chain(lod_dataset, ["swap", "swap"])
         names = [c.name for c in report.checks]

@@ -344,15 +344,18 @@ def test_space_map_matches_reference(pairs):
     same(got, expected)
     if got[0] == "ok":
         assert got[1].mapping == expected[1]
-    # the pairs themselves, repeats and malformed entries included
-    expected = outcome(lambda: reference_map_pairs(SEGMENT, SEGMENT, pairs, None))
-    if expected[0] == "ParseError":  # the library raises the file's error as an id error
-        expected = ("InvalidElementIdError", expected[1])
-    got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, pairs))
-    same(got, expected)
-    if got[0] == "ok":
-        assert got[1].mapping == expected[1]
-        assert_shared_map(got[1])
+    # the pairs themselves, repeats and malformed entries included, onto the space and
+    # onto an operator-built copy, which gets its id table only when a map asks for it
+    copy = select_subspace(SEGMENT, SEGMENT.elements)[0]
+    for space in (SEGMENT, copy):
+        expected = outcome(lambda: reference_map_pairs(space, space, pairs, None))
+        if expected[0] == "ParseError":  # the library raises the file's error as an id error
+            expected = ("InvalidElementIdError", expected[1])
+        got = outcome(lambda: SpaceMap(space, space, pairs))
+        same(got, expected)
+        if got[0] == "ok":
+            assert got[1].mapping == expected[1]
+            assert_shared_map(got[1])
 
 
 # -- shared id objects --------------------------------------------------------------
@@ -555,8 +558,7 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
         assert (code, err) == (0, "")
         listed = {m: c["label"] for c in doc["classes"] for m in c["members"]}
         space = derived[op]
-        result, projection = naive_quotient(
-            space, Partition({e: listed.get(e, e) for e in space.elements}))
+        result, projection = naive_quotient(space, {e: listed.get(e, e) for e in space.elements})
         expected = (("P.json", serialize_partition(Partition(listed, doc["space"]))),
                     ("Q.json", serialize_space(result)), ("Q.proj.json", serialize_map(projection)))
         assert emitted == tuple((name, text.encode()) for name, text in expected)

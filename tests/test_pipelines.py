@@ -83,7 +83,7 @@ class Pipeline:
                     listed[e] = rng.choice(labels)
                     labelled.setdefault(listed[e], []).append(e)
             partition = Partition.from_classes(labelled, x.name)
-            completed = Partition({e: listed.get(e, e) for e in x.elements})
+            completed = {e: listed.get(e, e) for e in x.elements}
             policy = rng.choice(["error", "collapse"])
             try:
                 values = naive_quotient(x, completed, policy)

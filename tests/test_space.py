@@ -21,6 +21,7 @@ from topodata import (
     ThetaRelation,
     TopologyError,
     UnknownElementError,
+    UnresolvedReferenceError,
     enumerate_topology,
     select_subspace,
 )
@@ -152,6 +153,17 @@ class TestConstruction:
     def test_arguments_that_are_not_collections(self, build, message):
         with pytest.raises(InvalidElementIdError, match=message):
             build()
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("no text")
+
+    @pytest.mark.parametrize("name", [None, b"x", Unprintable()],
+                             ids=["None", "bytes", "str-raises"])
+    def test_name_that_is_not_a_string(self, name):
+        # the name is not turned into text: 'None', "b'x'", or the __str__ error
+        with pytest.raises(UnresolvedReferenceError, match="space name must be a string, got "):
+            Space(name, ["a"])
 
     @pytest.mark.parametrize("build", [
         lambda: SpaceMap(Space("s", ["a", "b", "c"]), Space("s", ["a", "b", "c"]),
