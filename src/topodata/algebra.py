@@ -29,8 +29,8 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import (Pair, Space, _iterate, check_element_id, check_pairs, covers,
-                    strongly_connected_components)
+from .space import (Pair, Space, _iterate, bitmask, check_element_id, check_pairs, covers,
+                    down_bits, post_order, strongly_connected_components)
 
 SEPARATOR = "×"  # joins the two ids of a pair element; no input id may contain it
 PRODUCT_WARN_LIMIT = 10 ** 6  # product sizes above this warn
@@ -148,11 +148,32 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
         kept = frozenset(e for e in space.elements if keep(space.attributes.get(e, {})))
     else:
         kept = space._subset(keep)
-    below = {e: space.down_set(e) & kept for e in kept}
+    order, below = _kept_down_sets(kept, space)
     attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
-    sub = Space._trusted(space.name, kept, covers(below), attributes)
-    inclusion = SpaceMap(sub, space, {e: e for e in kept})
-    return sub, inclusion
+    sub = Space._trusted(space.name, kept, covers(order, below), attributes)
+    return sub, SpaceMap._trusted(sub, space, {e: e for e in kept})
+
+
+def _kept_down_sets(kept: frozenset[str], first: Space,
+                    *others: Space) -> tuple[list[str], dict[int, int]]:
+    """The kept ids in a linear extension of their order in ``first``, and
+    the meet over the given spaces of each kept id's down set among the
+    kept ids, as the bitsets that ``covers`` reads.
+
+    Each space is searched only below the kept ids, so the cost follows
+    the kept ids and their down-closures, not the size of the spaces.
+    """
+    order = post_order(first._succ, kept)
+    numbered = [e for e in order if e in kept]
+    own = {e: (p, 1) for p, e in enumerate(numbered)}
+    down = down_bits(order, first._succ, own)
+    below = {p: down[e][1] for p, e in enumerate(numbered)}  # in first, p tops its own set
+    for space in others:
+        down = down_bits(post_order(space._succ, kept), space._succ, own)
+        for p, e in enumerate(numbered):
+            top, bits = down[e]
+            below[p] &= bits >> (top - p)
+    return numbered, below
 
 
 def quotient(space: Space, partition: Partition,
@@ -215,7 +236,7 @@ def quotient(space: Space, partition: Partition,
         label = {e: merged[label[e]] for e in space.elements}
         classes, pairs = induced(label)
         result = Space._trusted(name, classes, pairs, {})
-    return result, SpaceMap(space, result, label)
+    return result, SpaceMap._trusted(space, result, label)
 
 
 def paste_union(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -238,8 +259,8 @@ def paste_union(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
             f"gluing {x.name!r} and {y.name!r} by shared ids creates a cycle "
             f"({err})") from err
     result = glued.transitive_reduce()
-    include_x = SpaceMap(x, result, {e: e for e in x.elements})
-    include_y = SpaceMap(y, result, {e: e for e in y.elements})
+    include_x = SpaceMap._trusted(x, result, {e: e for e in x.elements})
+    include_y = SpaceMap._trusted(y, result, {e: e for e in y.elements})
     return result, include_x, include_y
 
 
@@ -249,18 +270,20 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
     Two shared elements are related in the result exactly when they are
     related in the preorders of both inputs, so both inclusions are
     continuous and the result carries the coarsest relation with that
-    property.
+    property.  The common ids are numbered in a post-order of x, a
+    linear extension of the result order, and only what lies below them
+    in x and in y is searched.
     """
     common = x.elements & y.elements
-    below = {e: x.down_set(e) & y.down_set(e) & common for e in common}
+    order, below = _kept_down_sets(common, x, y)
     attributes: dict[str, dict[str, str]] = {}
     for source in (x, y):
         for element, kv in source.attributes.items():
             if element in common:
                 attributes.setdefault(element, {}).update(kv)
-    result = Space._trusted(f"{x.name}∩{y.name}", common, covers(below), attributes)
-    include_x = SpaceMap(result, x, {e: e for e in common})
-    include_y = SpaceMap(result, y, {e: e for e in common})
+    result = Space._trusted(f"{x.name}∩{y.name}", common, covers(order, below), attributes)
+    include_x = SpaceMap._trusted(result, x, {e: e for e in common})
+    include_y = SpaceMap._trusted(result, y, {e: e for e in common})
     return result, include_x, include_y
 
 
@@ -278,8 +301,8 @@ def _pair_space(x: Space, y: Space, ids: Mapping[Pair, str],
                 incidence: frozenset[Pair]) -> tuple[Space, SpaceMap, SpaceMap]:
     """The space on the ids of the kept (left, right) pairs, with its two projections."""
     result = Space._trusted(pair_id(x.name, y.name), frozenset(ids.values()), incidence, {})
-    left = SpaceMap(result, x, {rid: a for (a, _), rid in ids.items()})
-    right = SpaceMap(result, y, {rid: b for (_, b), rid in ids.items()})
+    left = SpaceMap._trusted(result, x, {rid: a for (a, _), rid in ids.items()})
+    right = SpaceMap._trusted(result, y, {rid: b for (_, b), rid in ids.items()})
     return result, left, right
 
 
@@ -311,12 +334,15 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
     product, but computed without materializing the product: the preorder
     of the product is componentwise, so reachability between kept pairs
     is decided directly on the inputs and only the kept pairs are ever
-    touched.  Theta is indexed by left id, and each kept pair (l1, r1)
-    walks the down set of l1 through that index, keeping the partners
-    that lie below r1: the cost is about the sum over kept pairs of
-    |down(l1)| times the partners per left id, not the square of the
-    number of kept pairs.  Side names that theta declares must be the
-    names of x and y.
+    touched.  The kept pairs are numbered by the sum of their components'
+    positions in post-orders of the down sets of theta's left and right
+    ids, a linear extension of the componentwise order.  One pass over
+    each of those down sets gives every element in it the bitset of the
+    kept pairs whose left (right) component lies below it, and the down
+    set of a kept pair (l, r) is the meet of those of l and r: the cost
+    is one bitset operation over the kept pairs per element and incidence
+    pair below theta's ids, not the square of the number of kept pairs.
+    Side names that theta declares must be the names of x and y.
     """
     for declared, actual, side in ((theta.left_name, x.name, "left"),
                                    (theta.right_name, y.name, "right")):
@@ -330,19 +356,30 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
             raise UnknownElementError(f"theta left id {a!r} is not in {x.name!r}")
         if b not in y.elements:
             raise UnknownElementError(f"theta right id {b!r} is not in {y.name!r}")
+    order_x = post_order(x._succ, dict.fromkeys(a for a, _ in kept))
+    order_y = post_order(y._succ, dict.fromkeys(b for _, b in kept))
+    at_x = {e: p for p, e in enumerate(order_x)}
+    at_y = {e: p for p, e in enumerate(order_y)}
+    kept.sort(key=lambda pair: at_x[pair[0]] + at_y[pair[1]])
     rendered = {pair: pair_id(*pair) for pair in kept}
-    partners: dict[str, list[str]] = {}
-    for a, b in kept:
-        partners.setdefault(a, []).append(b)
+    by_left: dict[str, list[int]] = {}
+    by_right: dict[str, list[int]] = {}
+    for i, (a, b) in enumerate(kept):
+        by_left.setdefault(a, []).append(i)
+        by_right.setdefault(b, []).append(i)
+    left = down_bits(order_x, x._succ, {a: _bitset(numbers) for a, numbers in by_left.items()})
+    right = down_bits(order_y, y._succ, {b: _bitset(numbers) for b, numbers in by_right.items()})
+    below = {}
+    for i, (a, b) in enumerate(kept):
+        (top_a, bits_a), (top_b, bits_b) = left[a], right[b]
+        below[i] = (bits_a >> (top_a - i)) & (bits_b >> (top_b - i))
+    return _pair_space(x, y, rendered, covers(list(rendered.values()), below))
 
-    below: dict[str, frozenset[str]] = {}
-    for l1, r1 in kept:
-        right_below = y.down_set(r1)
-        below[rendered[(l1, r1)]] = frozenset(
-            rendered[(l2, r2)] for l2 in x.down_set(l1)
-            for r2 in partners.get(l2, ())
-            if r2 in right_below)
-    return _pair_space(x, y, rendered, covers(below))
+
+def _bitset(numbers: list[int]) -> tuple[int, int]:
+    """Increasing numbers as a ``(top, bits)`` bitset of ``down_bits``."""
+    top = numbers[-1]
+    return top, bitmask(top - n for n in numbers)
 
 
 def fibre_product(u: SpaceMap, p: SpaceMap) -> tuple[Space, SpaceMap, SpaceMap]:

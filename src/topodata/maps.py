@@ -84,6 +84,20 @@ class SpaceMap:
         self.codomain = codomain
         self.mapping = table
 
+    @classmethod
+    def _trusted(cls, domain: Space, codomain: Space, table: dict[str, str]) -> "SpaceMap":
+        """A map from a table that is valid by construction, unchecked.
+
+        For operator results only: the table must map every element of
+        the domain, and nothing else, to an element of the codomain.  The
+        table is kept, not copied.
+        """
+        space_map = cls.__new__(cls)
+        space_map.domain = domain
+        space_map.codomain = codomain
+        space_map.mapping = table
+        return space_map
+
     def __call__(self, element: str) -> str:
         try:
             return self.mapping[element]
@@ -111,7 +125,7 @@ class SpaceMap:
 
 def identity_map(space: Space) -> SpaceMap:
     """The identity on a space; always continuous."""
-    return SpaceMap(space, space, {e: e for e in space.elements})
+    return SpaceMap._trusted(space, space, {e: e for e in space.elements})
 
 
 def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
@@ -120,7 +134,7 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
         raise DomainMismatchError(
             f"cannot compose: codomain {f.codomain.name!r} of the first map "
             f"differs from domain {g.domain.name!r} of the second")
-    return SpaceMap(f.domain, g.codomain, {x: g(f(x)) for x in f.domain.elements})
+    return SpaceMap._trusted(f.domain, g.codomain, {x: g(f(x)) for x in f.domain.elements})
 
 
 def is_continuous(f: SpaceMap) -> ContinuityResult:
@@ -207,5 +221,5 @@ def find_homeomorphism(x: Space, y: Space, max_elements: int = 10) -> SpaceMap |
         return False
 
     if extend(0):
-        return SpaceMap(x, y, dict(assigned))
+        return SpaceMap._trusted(x, y, dict(assigned))
     return None

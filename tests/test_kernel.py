@@ -1,9 +1,10 @@
 """The graph kernel of ``space``: Kahn order, reachability, covers, and cycle reports.
 
 Each fast routine is compared with the naive definition it replaces, on
-a few hundred seeded random graphs small enough for the brute force.
-Operator results, which skip the input checks, are compared with the
-same data built through the validating constructor.
+a few hundred seeded random graphs small enough for the brute force, and
+the reductions also on seeded deep chains.  Operator results, which skip
+the input checks, are compared with the same data built through the
+validating constructors.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import random
 
 import pytest
 
-from topodata import (CyclicIncidenceError, Partition, Space, ThetaRelation, paste_union,
-                      product, pullback_intersection, quotient, select_subspace, theta_join)
-from topodata.space import covers
+from topodata import (CyclicIncidenceError, Partition, Space, SpaceMap, ThetaRelation, compose,
+                      identity_map, paste_union, product, pullback_intersection, quotient,
+                      select_subspace, theta_join)
+from topodata.space import covers, down_bits, post_order
 
-from naive import brute_covers, brute_dimension, strict_below
+from naive import (brute_covers, brute_dimension, naive_intersect, naive_reduce, naive_select,
+                   naive_theta_join, strict_below)
 
 TRIALS = 300
 
@@ -43,6 +46,25 @@ def assert_reach_and_order(space: Space) -> None:
     assert all(position[b] < position[a] for a, b in space.incidence)
 
 
+def linear_extension(rng: random.Random, below: dict[str, set[str]]) -> list[str]:
+    """A random order of the elements that puts each one after everything below it."""
+    order: list[str] = []
+    left = sorted(below)
+    while left:
+        ready = [e for e in left if below[e] <= set(order)]
+        order.append(rng.choice(ready))
+        left.remove(order[-1])
+    return order
+
+
+def bitsets(order: list[str], below: dict[str, set[str]], keep) -> dict[int, int]:
+    """The down sets, each element included, of the kept elements, in the form
+    ``covers`` reads: keyed by position, bit i standing for position p - i."""
+    position = {e: p for p, e in enumerate(order)}
+    return {p: sum(1 << (p - position[b]) for b in below[e] | {e})
+            for p, e in enumerate(order) if e in keep}
+
+
 def test_kernel_matches_naive_definitions():
     rng = random.Random(2024)
     for _ in range(TRIALS):
@@ -50,11 +72,82 @@ def test_kernel_matches_naive_definitions():
         assert_reach_and_order(space)
         below = strict_below(space.elements, space.incidence)
         expected = brute_covers(below)
-        assert covers({e: frozenset(bs) for e, bs in below.items()}) == expected
-        assert covers({e: frozenset(bs | {e}) for e, bs in below.items()}) == expected
         assert space.transitive_reduce().incidence == expected
         for e in space.elements:
             assert space.dimension(e) == brute_dimension(space, e)
+
+
+def test_covers_matches_brute_force_on_every_shape():
+    """Whole orders (reduce), masked orders (select) and the meet of two
+    orders on shared ids (intersect), each on a random linear extension."""
+    rng = random.Random(2027)
+    for _ in range(TRIALS):
+        x, y = random_dag(rng), random_dag(rng, "E")
+        below_x = strict_below(x.elements, x.incidence)
+        order = linear_extension(rng, below_x)
+        assert covers(order, bitsets(order, below_x, x.elements)) == brute_covers(below_x)
+
+        kept = {e for e in x.elements if rng.random() < 0.5}
+        masked = {e: below_x[e] & kept for e in kept}
+        assert covers(order, bitsets(order, masked, kept)) == brute_covers(masked)
+        assert select_subspace(x, kept)[0].incidence == brute_covers(masked)
+
+        common = x.elements & y.elements
+        below_y = strict_below(y.elements, y.incidence)
+        meet = {e: below_x[e] & below_y[e] for e in common}
+        assert covers(order, bitsets(order, meet, common)) == brute_covers(meet)
+        assert pullback_intersection(x, y)[0].incidence == brute_covers(meet)
+
+
+def test_post_order_and_down_bits_stay_below_the_roots():
+    """The post-order numbers exactly the down-closure of the roots, each
+    element after its successors, and the bitsets it feeds are the down
+    sets among the numbered roots."""
+    rng = random.Random(2029)
+    for _ in range(TRIALS):
+        space = random_dag(rng)
+        below = strict_below(space.elements, space.incidence)
+        roots = {e for e in space.elements if rng.random() < 0.3}
+        order = post_order(space._succ, roots)
+        closure = set(roots).union(*(below[e] for e in roots))
+        assert len(order) == len(closure) and set(order) == closure
+        position = {e: p for p, e in enumerate(order)}
+        assert all(position[b] < position[a] for a in order for b in space._succ[a])
+
+        numbered = [e for e in order if e in roots]
+        down = down_bits(order, space._succ, {e: (p, 1) for p, e in enumerate(numbered)})
+        for e in order:
+            top, bits = down[e]
+            expected = {p for p, r in enumerate(numbered) if r == e or r in below[e]}
+            assert {top - i for i in range(bits.bit_length()) if bits >> i & 1} == expected
+            assert top == max(expected, default=0)
+
+
+def deep_chain(rng: random.Random, n: int, name: str = "C") -> Space:
+    """k0 > k1 > ... > k(n-1), plus one skip pair of length 2-16 from each element."""
+    ids = [f"k{i}" for i in range(n)]
+    pairs = list(zip(ids, ids[1:]))
+    for i in range(n):
+        j = i + rng.randint(2, 16)
+        if j < n:
+            pairs.append((ids[i], ids[j]))
+    return Space(name, ids, pairs)
+
+
+def test_reductions_of_deep_chains_match_naive_operators():
+    rng = random.Random(2028)
+    for _ in range(12):
+        n = rng.randint(1, 80)
+        x, y = deep_chain(rng, n), deep_chain(rng, n, "D")
+        assert x.transitive_reduce() == naive_reduce(x)
+        kept = [e for e in sorted(x.elements) if rng.random() < 0.5]
+        assert select_subspace(x, kept) == naive_select(x, kept)
+        assert pullback_intersection(x, y) == naive_intersect(x, y)
+    for _ in range(6):  # the naive join builds the whole product
+        x, y = deep_chain(rng, rng.randint(1, 14)), deep_chain(rng, rng.randint(1, 14), "D")
+        theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
+                              if rng.random() < 0.4)
+        assert theta_join(x, y, theta) == naive_theta_join(x, y, theta)
 
 
 def test_cycle_message_names_a_closed_walk_of_input_pairs():
@@ -89,19 +182,23 @@ def with_attributes(rng: random.Random, space: Space) -> Space:
 
 
 def trusted_results(rng: random.Random, x: Space, y: Space):
-    """The results of every operator that builds them without the input checks."""
-    yield x.transitive_reduce()
-    yield select_subspace(x, rng.sample(sorted(x.elements), rng.randint(0, len(x))))[0]
-    yield select_subspace(x, lambda attrs: attrs.get("k") == "1")[0]
-    yield pullback_intersection(x, y)[0]
-    yield product(x, y)[0]
+    """The results of every operator that builds them without the input checks,
+    each as the result space and its linking maps."""
+    yield (x.transitive_reduce(),)
+    sub, inclusion = select_subspace(x, rng.sample(sorted(x.elements), rng.randint(0, len(x))))
+    yield sub, inclusion
+    yield select_subspace(x, lambda attrs: attrs.get("k") == "1")
+    yield pullback_intersection(x, y)
+    yield product(x, y)
     theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
                           if rng.random() < 0.3)
-    yield theta_join(x, y, theta)[0]
+    yield theta_join(x, y, theta)
     classes = {e: rng.choice(["c0", "c1", "c2", e]) for e in x.elements}
-    yield quotient(x, Partition(classes, x.name), on_cycle="collapse")[0]
+    quotiented, projection = quotient(x, Partition(classes, x.name), on_cycle="collapse")
+    yield quotiented, projection
+    yield x, identity_map(x), compose(projection, inclusion)
     try:  # the two relations may order shared ids both ways
-        glued = paste_union(x, y)[0]
+        glued = paste_union(x, y)
     except CyclicIncidenceError:
         return
     yield glued
@@ -113,10 +210,12 @@ def test_trusted_results_equal_validated_rebuilds():
     for trial in range(TRIALS // 2):
         x = with_attributes(rng, random_dag(rng))
         y = with_attributes(rng, random_dag(rng, "E"))
-        for result in trusted_results(rng, x, y):
+        for result, *maps in trusted_results(rng, x, y):
             rebuilt = Space(result.name, result.elements, result.incidence, result.attributes)
             assert result == rebuilt, trial
             assert type(result.elements) is type(result.incidence) is frozenset
             assert_reach_and_order(result)
+            for linking in maps:
+                assert SpaceMap(linking.domain, linking.codomain, linking.mapping) == linking
             glued += result.name == "D∪E"
     assert glued > TRIALS // 8

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from topodata import Space
 from topodata.io import serialize_space
 
 from conftest import DATA_DIR
@@ -121,3 +123,43 @@ def test_bench_pairs_failures_and_src_lines(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "c.py").write_text("w = 4\n", encoding="utf-8")
     assert tool.src_lines(tmp_path) == 2
+
+
+# -- tools/scale_probe.py: a run at tiny sizes ------------------------------------
+
+def test_scale_probe_runs_at_tiny_sizes(capsys):
+    tool = load_tool("scale_probe")
+    assert tool.main(["--chains", "20,40", "--grid", "3", "--repeat", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert list(results) == ["chain_20", "chain_40", "grid_3x3"]
+    assert results["grid_3x3"]["elements"] == 49
+    for row in results.values():
+        for name in ("transitive_reduce", "select_subspace", "pullback_intersection",
+                     "select_three", "intersect_three"):
+            assert row[name]["cpu_s"] >= 0 and row[name]["peak_mb"] > 0
+            assert 1 <= row[name]["runs"] <= 2
+    # over the limit, the longer chains are skipped and the grid still runs
+    tool.main(["--chains", "20,40", "--grid", "2", "--repeat", "1", "--limit", "0"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert "skipped" in results["chain_40"]["transitive_reduce"]
+    assert "cpu_s" in results["grid_2x2"]["transitive_reduce"]
+
+
+def test_scale_probe_times_two_trees_in_alternation(capsys):
+    tool = load_tool("scale_probe")
+    root = Path(tool.__file__).resolve().parents[1]
+    assert tool.main(["--chains", "20", "--grid", "0", "--repeat", "3",
+                      "--against", str(root)]) == 0
+    row = json.loads(capsys.readouterr().out)["results"]["chain_20"]
+    for name in ("transitive_reduce", "select_subspace", "pullback_intersection"):
+        assert row[name]["runs"] == row[name]["against"]["runs"] == 3
+        assert row[name]["against"]["peak_mb"] > 0
+        assert 0 <= row[name]["faster_runs"] <= 3
+    assert tool.load_against(root).Space is not tool.topodata.Space
+
+
+def test_scale_probe_chains_reduce_to_chains():
+    tool = load_tool("scale_probe")
+    ids, pairs = tool.deep_chain(50, "C")
+    reduced = Space("C", ids, pairs).transitive_reduce()
+    assert reduced.incidence == set(zip(ids, ids[1:]))

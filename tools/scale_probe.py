@@ -1,0 +1,199 @@
+#!/usr/bin/env python3
+"""Time the reductions in process on deep chains and a cubical grid.
+
+    python3 tools/scale_probe.py > probe.json
+    python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60
+    python3 tools/scale_probe.py --chains '' --against ../parent-checkout
+
+For every input the probe runs ``transitive_reduce``,
+``select_subspace`` of every other element, ``pullback_intersection``
+of two such spaces, and the selection and the intersection of only
+three ids of the input (``select_three``, ``intersect_three``), whose
+cost should follow the three ids, not the input.  It prints one JSON
+document with each operation's least and median process CPU time and its
+tracemalloc peak.
+
+- A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
+  skip pair of length 2-16 from each element, so its reduction, the
+  selection and the intersection of two chains are all plain chains.
+- The grid is an n x n cubical grid, (2n + 1)^2 cells, intersected with
+  a second copy of itself.
+
+Every run gets inputs built anew with ``Space(...)``, outside the timer,
+so that no cache of an earlier run is read.  The times are the least
+and the median process CPU time (``time.process_time``) over
+``--repeat`` runs; a run that takes more than a second is not repeated.
+The peak is taken in one further run, with ``tracemalloc`` started
+after the inputs were built, so it counts what the operation allocates.
+When one run of an operation takes more than ``--limit`` seconds, the
+larger chains are skipped for that operation, and the result says so.
+
+With ``--against``, the ``topodata`` package of another checkout (say
+a ``git archive`` of an earlier commit) is imported too, under another
+name, and the runs of every operation alternate between the two trees
+in this one process, so that both see the same load.  Each result then
+also holds the other tree's figures and the number of runs in which
+this tree was the faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import topodata  # noqa: E402  (the tree that holds this script)
+
+MAX_SKIP = 16
+
+
+def deep_chain(n: int, seed: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ids and pairs of a chain of n elements with one skip pair per element."""
+    rng = random.Random(f"scale_probe:{seed}:{n}")
+    ids = [f"k{i}" for i in range(n)]
+    pairs = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    for i in range(n):
+        j = i + rng.randint(2, MAX_SKIP)
+        if j < n:
+            pairs.append((ids[i], ids[j]))
+    return ids, pairs
+
+
+def grid(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ids and pairs of an n x n cubical grid, each cell bounded by its faces."""
+    ids = {(cx, cy): f"g{cx}_{cy}" for cx in range(2 * n + 1) for cy in range(2 * n + 1)}
+    pairs = []
+    for (cx, cy), cell in ids.items():
+        if cx % 2:
+            pairs += [(cell, ids[cx - 1, cy]), (cell, ids[cx + 1, cy])]
+        if cy % 2:
+            pairs += [(cell, ids[cx, cy - 1]), (cell, ids[cx, cy + 1])]
+    return list(ids.values()), pairs
+
+
+def load_against(root: Path):
+    """The ``topodata`` package of the checkout at ``root``, under another name."""
+    package = root / "src" / "topodata"
+    spec = importlib.util.spec_from_file_location(
+        "topodata_against", package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def operations(lib, first, second):
+    """Name -> (function of fresh inputs, builder of fresh inputs), with the
+    ``Space``, ``select_subspace`` and ``pullback_intersection`` of ``lib``."""
+    Space, select_subspace, pullback_intersection = (
+        lib.Space, lib.select_subspace, lib.pullback_intersection)
+    ids, pairs = first
+    three = ids[len(ids) // 2:][:3]
+
+    def one():
+        return (Space("X", ids, pairs),)
+
+    def two():
+        return Space("X", ids, pairs), Space("Y", *second)
+
+    def with_three():
+        return Space("X", ids, pairs), Space("Y", three)
+
+    return {
+        "transitive_reduce": (lambda x: x.transitive_reduce(), one),
+        "select_subspace": (lambda x: select_subspace(x, ids[::2]), one),
+        "pullback_intersection": (pullback_intersection, two),
+        "select_three": (lambda x: select_subspace(x, three), one),
+        "intersect_three": (pullback_intersection, with_three),
+    }
+
+
+def measure(run, build, repeat: int, against=None) -> dict:
+    """The least and the median process CPU time over the runs, and the
+    tracemalloc peak of one more run.  ``against`` is the same operation
+    of another tree as a ``(run, build)`` pair; the two then take turns,
+    each going first in every other round."""
+    sides = [(run, build)] + ([against] if against else [])
+    times: list[list[float]] = [[] for _ in sides]
+    while len(times[0]) < repeat and all(not t or t[-1] <= 1.0 for t in times):
+        turns = list(enumerate(sides))
+        if len(times[0]) % 2:
+            turns.reverse()
+        for i, (run_i, build_i) in turns:
+            inputs = build_i()
+            start = time.process_time()
+            run_i(*inputs)
+            times[i].append(time.process_time() - start)
+    figures = []
+    for (run_i, build_i), seconds in zip(sides, times):
+        inputs = build_i()
+        tracemalloc.start()
+        run_i(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        figures.append({"cpu_s": min(seconds), "median_s": statistics.median(seconds),
+                        "runs": len(seconds), "peak_mb": peak / 2 ** 20})
+    result = figures[0]
+    if against:
+        result["against"] = figures[1]
+        result["faster_runs"] = sum(ours < theirs for ours, theirs in zip(*times))
+    return result
+
+
+def probe(chains: list[int], grid_n: int, repeat: int, limit: float, against=None) -> dict:
+    results = {}
+    too_slow: dict[str, str] = {}
+    inputs = [(f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D")) for n in sorted(chains)]
+    if grid_n:
+        inputs.append((f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
+    for label, first, second in inputs:
+        row = {"elements": len(first[0]), "pairs": len(first[1])}
+        theirs = operations(against, first, second) if against else {}
+        for name, (run, build) in operations(topodata, first, second).items():
+            if label.startswith("chain") and name in too_slow:
+                row[name] = {"skipped": too_slow[name]}
+                continue
+            row[name] = measure(run, build, repeat, theirs.get(name))
+            if row[name]["cpu_s"] > limit:
+                too_slow[name] = (f"{label} took {row[name]['cpu_s']:.1f} s, "
+                                  f"over the {limit:g} s limit")
+        results[label] = row
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--chains", default="320,1500,3000",
+                        help="comma-separated chain lengths")
+    parser.add_argument("--grid", type=int, default=60, help="grid side; 0 for no grid")
+    parser.add_argument("--repeat", type=int, default=5, help="timed runs per operation")
+    parser.add_argument("--limit", type=float, default=60.0,
+                        help="seconds after which larger chains are skipped")
+    parser.add_argument("--against", type=Path,
+                        help="root of another checkout to time in alternation with this one")
+    args = parser.parse_args(argv)
+    chains = [int(n) for n in args.chains.split(",") if n]
+    result = {
+        "machine": f"{platform.system()} {platform.machine()}, "
+                   f"Python {platform.python_version()}",
+        "repeat": args.repeat,
+        "limit_s": args.limit,
+        "against": str(args.against) if args.against else None,
+        "results": probe(chains, args.grid, args.repeat, args.limit,
+                         load_against(args.against) if args.against else None),
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
