@@ -150,7 +150,7 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
         kept = space._subset(keep)
     order, below = _kept_down_sets(kept, space)
     attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
-    sub = Space._trusted(space.name, kept, covers(order, below), attributes)
+    sub = Space._trusted(space.name, kept, covers(order, below), attributes, order)
     return sub, SpaceMap._trusted(sub, space, {e: e for e in kept})
 
 
@@ -281,7 +281,8 @@ def pullback_intersection(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap
         for element, kv in source.attributes.items():
             if element in common:
                 attributes.setdefault(element, {}).update(kv)
-    result = Space._trusted(f"{x.name}∩{y.name}", common, covers(order, below), attributes)
+    result = Space._trusted(f"{x.name}∩{y.name}", common, covers(order, below), attributes,
+                            order)
     include_x = SpaceMap._trusted(result, x, {e: e for e in common})
     include_y = SpaceMap._trusted(result, y, {e: e for e in common})
     return result, include_x, include_y
@@ -297,13 +298,13 @@ def _check_separator(*spaces: Space) -> None:
                 f"{SEPARATOR!r}: {clashing}")
 
 
-def _pair_space(x: Space, y: Space, ids: Mapping[Pair, str],
+def _pair_space(x: Space, y: Space, order: list[str], onto_x: dict[str, str],
+                onto_y: dict[str, str],
                 incidence: frozenset[Pair]) -> tuple[Space, SpaceMap, SpaceMap]:
-    """The space on the ids of the kept (left, right) pairs, with its two projections."""
-    result = Space._trusted(pair_id(x.name, y.name), frozenset(ids.values()), incidence, {})
-    left = SpaceMap._trusted(result, x, {rid: a for (a, _), rid in ids.items()})
-    right = SpaceMap._trusted(result, y, {rid: b for (_, b), rid in ids.items()})
-    return result, left, right
+    """The space on the pair ids of ``order``, a linear extension of ``incidence``,
+    with its two projections, given as tables."""
+    result = Space._trusted(pair_id(x.name, y.name), frozenset(order), incidence, {}, order)
+    return result, SpaceMap._trusted(result, x, onto_x), SpaceMap._trusted(result, y, onto_y)
 
 
 def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -315,16 +316,28 @@ def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
     (c*y, d*y) with (c, d) related on the left.  Dimensions of pair
     elements are the sums of the component dimensions.  This is the
     topological generalisation of extrusion.
+
+    The pair ids are made once, in one row per left element, both rows
+    and columns in the inputs' linear extensions; read row by row, the
+    table is a linear extension of the componentwise product order.
     """
     _check_separator(x, y)
     total = len(x.elements) * len(y.elements)
     if total > PRODUCT_WARN_LIMIT:
         warnings.warn(f"product has {total} elements, above the advisory "
                       f"limit {PRODUCT_WARN_LIMIT}", RuntimeWarning, stacklevel=2)
-    ids = {(t, u): pair_id(t, u) for t in x.elements for u in y.elements}
-    incidence = frozenset([(ids[t, a], ids[t, b]) for t in x.elements for a, b in y.incidence]
-                          + [(ids[c, u], ids[d, u]) for c, d in x.incidence for u in y.elements])
-    return _pair_space(x, y, ids, incidence)
+    columns = y._order
+    rows = [[pair_id(t, u) for u in columns] for t in x._order]
+    row_of = dict(zip(x._order, rows))
+    at = {u: j for j, u in enumerate(columns)}
+    positions = [(at[a], at[b]) for a, b in y.incidence]
+    incidence = [(row[i], row[j]) for row in rows for i, j in positions]
+    for c, d in x.incidence:
+        incidence += zip(row_of[c], row_of[d])
+    order = [rid for row in rows for rid in row]
+    onto_x = dict(zip(order, [t for t in x._order for _ in columns]))
+    onto_y = dict(zip(order, columns * len(rows)))
+    return _pair_space(x, y, order, onto_x, onto_y, frozenset(incidence))
 
 
 def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMap, SpaceMap]:
@@ -336,12 +349,13 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
     is decided directly on the inputs and only the kept pairs are ever
     touched.  The kept pairs are numbered by the sum of their components'
     positions in post-orders of the down sets of theta's left and right
-    ids, a linear extension of the componentwise order.  One pass over
-    each of those down sets gives every element in it the bitset of the
-    kept pairs whose left (right) component lies below it, and the down
-    set of a kept pair (l, r) is the meet of those of l and r: the cost
-    is one bitset operation over the kept pairs per element and incidence
-    pair below theta's ids, not the square of the number of kept pairs.
+    ids, a linear extension of the componentwise order that the result
+    keeps as its order.  One pass over each of those down sets gives
+    every element in it the bitset of the kept pairs whose left (right)
+    component lies below it, and the down set of a kept pair (l, r) is
+    the meet of those of l and r: the cost is one bitset operation over
+    the kept pairs per element and incidence pair below theta's ids, not
+    the square of the number of kept pairs.
     Side names that theta declares must be the names of x and y.
     """
     for declared, actual, side in ((theta.left_name, x.name, "left"),
@@ -361,7 +375,7 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
     at_x = {e: p for p, e in enumerate(order_x)}
     at_y = {e: p for p, e in enumerate(order_y)}
     kept.sort(key=lambda pair: at_x[pair[0]] + at_y[pair[1]])
-    rendered = {pair: pair_id(*pair) for pair in kept}
+    order = [pair_id(a, b) for a, b in kept]
     by_left: dict[str, list[int]] = {}
     by_right: dict[str, list[int]] = {}
     for i, (a, b) in enumerate(kept):
@@ -373,7 +387,9 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
     for i, (a, b) in enumerate(kept):
         (top_a, bits_a), (top_b, bits_b) = left[a], right[b]
         below[i] = (bits_a >> (top_a - i)) & (bits_b >> (top_b - i))
-    return _pair_space(x, y, rendered, covers(list(rendered.values()), below))
+    onto_x = {rid: a for rid, (a, _) in zip(order, kept)}
+    onto_y = {rid: b for rid, (_, b) in zip(order, kept)}
+    return _pair_space(x, y, order, onto_x, onto_y, covers(order, below))
 
 
 def _bitset(numbers: list[int]) -> tuple[int, int]:

@@ -8,7 +8,13 @@ serializing is idempotent on its own output.
 The serializers write that layout directly, with the C string escaper
 of the ``json`` module; the bytes are those of
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``, which for an
-indented document runs the pure-Python encoder instead.
+indented document runs the pure-Python encoder instead.  A space is
+written from its successor lists: its ids are sorted and escaped once,
+and each id's successors are sorted by rank, which lists the pairs in
+sorted order without sorting them as string pairs.
+
+``parse_document`` reads a document of any kind from one JSON parse,
+choosing the kind by its fields as ``detect_kind`` does.
 """
 
 from __future__ import annotations
@@ -48,11 +54,18 @@ def _require(doc, key, kind, source):
 
 
 def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered items as one JSON array (or object) starting on a line at ``indent``."""
+    """Rendered items as one JSON array (or object) starting on a line at ``indent``.
+
+    The brackets are put onto the first and last items, which changes the
+    list, so that the text is copied once, by the join: for the pairs of a
+    large space that copy is the writer's peak.
+    """
     if not items:
         return brackets
     inner = indent + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
+    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}"
+    return f",\n{inner}".join(items)
 
 
 def _object(fields: list[tuple[str, str]], indent: str) -> str:
@@ -66,7 +79,8 @@ def _document(fields: list[tuple[str, str]]) -> str:
 # the two repeated shapes, as line templates: an element entry without
 # attributes, and an id pair, each an item of a top-level field's list
 _ELEMENT = '{\n      "id": %s\n    }'
-_PAIR = '[\n      %s,\n      %s\n    ]'
+_PAIR_HEAD, _PAIR_TAIL = '[\n      %s,\n      ', '\n    ]'
+_PAIR = _PAIR_HEAD + '%s' + _PAIR_TAIL
 
 
 def _pairs(pairs) -> str:
@@ -91,7 +105,10 @@ def _build(source, constructor, *args, **kwargs):
 # -- spaces ------------------------------------------------------------------
 
 def parse_space(text: str, source: str = "<space>") -> Space:
-    doc = _load_json(text, source)
+    return _space_of(_load_json(text, source), source)
+
+
+def _space_of(doc, source: str) -> Space:
     name = _require(doc, "name", str, source)
     raw_elements = _require(doc, "elements", list, source)
     ids = []
@@ -109,24 +126,48 @@ def parse_space(text: str, source: str = "<space>") -> Space:
 
 
 def serialize_space(space: Space) -> str:
-    elements = []
-    for element in sorted(space.elements):
+    ids = sorted(space.elements)
+    quoted = [_string(e) for e in ids]
+    return _document([("name", _string(space.name)),
+                      ("elements", _elements(space, ids, quoted)),
+                      ("incidence", _incidence(space, ids, quoted))])
+
+
+def _elements(space: Space, ids: list[str], quoted: list[str]) -> str:
+    entries = []
+    for element, rendered in zip(ids, quoted):
         attrs = space.attributes.get(element)
         if attrs:
             values = [(key, _string(value)) for key, value in sorted(attrs.items())]
-            elements.append(_object([("id", _string(element)),
-                                     ("attrs", _object(values, "      "))], "    "))
+            entries.append(_object([("id", rendered),
+                                    ("attrs", _object(values, "      "))], "    "))
         else:
-            elements.append(_ELEMENT % _string(element))
-    return _document([("name", _string(space.name)),
-                      ("elements", _layout(elements, "  ")),
-                      ("incidence", _pairs(sorted(space.incidence)))])
+            entries.append(_ELEMENT % rendered)
+    return _layout(entries, "  ")
+
+
+def _incidence(space: Space, ids: list[str], quoted: list[str]) -> str:
+    """The pairs in sorted order: the sources by rank, and each one's successor
+    list sorted by rank.  Ids are distinct and pairs unique, so this is the
+    order of ``sorted(space.incidence)``."""
+    rank = {e: i for i, e in enumerate(ids)}
+    succ = space._succ
+    items = []
+    for a, rendered in zip(ids, quoted):
+        below = succ[a]
+        if below:
+            head = _PAIR_HEAD % rendered
+            items += [head + quoted[j] + _PAIR_TAIL for j in sorted(map(rank.__getitem__, below))]
+    return _layout(items, "  ")
 
 
 # -- maps --------------------------------------------------------------------
 
 def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> SpaceMap:
-    doc = _load_json(text, source)
+    return _map_of(_load_json(text, source), spaces, source)
+
+
+def _map_of(doc, spaces: Mapping[str, Space], source: str) -> SpaceMap:
     domain_name = _require(doc, "domain", str, source)
     codomain_name = _require(doc, "codomain", str, source)
     for name in (domain_name, codomain_name):
@@ -146,7 +187,10 @@ def serialize_map(space_map: SpaceMap) -> str:
 # -- theta relations -----------------------------------------------------------
 
 def parse_theta(text: str, source: str = "<theta>") -> ThetaRelation:
-    doc = _load_json(text, source)
+    return _theta_of(_load_json(text, source), source)
+
+
+def _theta_of(doc, source: str) -> ThetaRelation:
     left = _require(doc, "left", str, source)
     right = _require(doc, "right", str, source)
     pairs = _require(doc, "pairs", list, source)
@@ -162,7 +206,10 @@ def serialize_theta(theta: ThetaRelation) -> str:
 # -- partitions ----------------------------------------------------------------
 
 def parse_partition(text: str, source: str = "<partition>") -> Partition:
-    doc = _load_json(text, source)
+    return _partition_of(_load_json(text, source), source)
+
+
+def _partition_of(doc, source: str) -> Partition:
     space_name = _require(doc, "space", str, source)
     labelled = {}
     for entry in _require(doc, "classes", list, source):
@@ -192,7 +239,10 @@ def serialize_partition(partition: Partition) -> str:
 
 def detect_kind(text: str, source: str = "<document>") -> str:
     """Classify a document as space, map, theta, or partition by its fields."""
-    doc = _load_json(text, source)
+    return _kind(_load_json(text, source), source)
+
+
+def _kind(doc, source: str) -> str:
     if not isinstance(doc, dict):
         raise ParseError("expected an object at top level", source=source)
     keys = doc.keys()
@@ -205,6 +255,20 @@ def detect_kind(text: str, source: str = "<document>") -> str:
     if {"space", "classes"} <= keys:
         return "partition"
     raise ParseError(f"cannot classify document with fields {sorted(keys)}", source=source)
+
+
+def parse_document(text: str, spaces: Mapping[str, Space], source: str = "<document>"):
+    """The space, map, theta relation or partition a document holds, by its
+    fields, from one parse; ``spaces`` are those a map may name."""
+    doc = _load_json(text, source)
+    kind = _kind(doc, source)
+    if kind == "space":
+        return _space_of(doc, source)
+    if kind == "map":
+        return _map_of(doc, spaces, source)
+    if kind == "theta":
+        return _theta_of(doc, source)
+    return _partition_of(doc, source)
 
 
 # -- path helpers -----------------------------------------------------------------

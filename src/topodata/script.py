@@ -158,21 +158,14 @@ class _Runner:
             text = io.read_text(path)
         except OSError as err:
             raise ScriptError(f"line {stmt.line}: cannot read {stmt.path!r}: {err}") from err
-        kind = io.detect_kind(text, source=source)
-        if kind == "space":
-            value = io.parse_space(text, source=source)
+        value = io.parse_document(text, self.registry, source=source)
+        if isinstance(value, Space):
             known = self.registry.get(value.name)
             if known is not None and known != value:
                 raise ScriptNameError(
                     f"line {stmt.line}: space name {value.name!r} already loaded "
                     "with different content")
             self.registry[value.name] = value
-        elif kind == "map":
-            value = io.parse_map(text, self.registry, source=source)
-        elif kind == "theta":
-            value = io.parse_theta(text, source=source)
-        else:
-            value = io.parse_partition(text, source=source)
         self.bind(stmt.line, stmt.name, value)
 
     @execute.register

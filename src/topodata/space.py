@@ -312,45 +312,53 @@ class Space:
 
     @classmethod
     def _trusted(cls, name: str, elements: frozenset[str], incidence: frozenset[Pair],
-                 attributes: dict[str, dict[str, str]]) -> "Space":
+                 attributes: dict[str, dict[str, str]],
+                 order: list[str] | None = None) -> "Space":
         """A space from parts that are valid by construction, unchecked.
 
         For operator results only: the ids must be valid and distinct, the
         pairs must join two distinct elements, and every attribute dict
         must be a non-empty str-to-str dict of an element.  The parts are
-        kept, not copied.  Acyclicity is still checked, by the Kahn order.
+        kept, not copied.  ``order``, when the operator holds one, is a
+        linear extension of the result: every element once, each after
+        everything it is bounded by.  It is kept as given, unchecked.
+        Without it the Kahn order is built, which checks acyclicity: an
+        operator whose result can fold into a cycle passes none.
         """
         space = cls.__new__(cls)
-        space._build(name, elements, incidence, attributes)
+        space._build(name, elements, incidence, attributes, order=order)
         return space
 
-    def _build(self, name, elements, incidence, attributes, held=None):
+    def _build(self, name, elements, incidence, attributes, held=None, order=None):
         self.name = name
         self.elements = elements
         self.incidence = incidence
         self.attributes = attributes
 
-        # successor lists, and the number of pairs ending at each element
+        # successor lists, and without an order the number of pairs ending at each element
         succ: dict[str, list[str]] = {e: [] for e in elements}
-        pending = dict.fromkeys(elements, 0)
-        for a, b in incidence:
-            succ[a].append(b)
-            pending[b] += 1
         self._succ = succ
-
-        # Kahn's sort from the sources down: an element is placed once
-        # everything bounded by it is placed.  Reversed, _order lists
-        # every element after its whole boundary.
-        order = [e for e, n in pending.items() if not n]
-        for a in order:
-            for b in succ[a]:
-                pending[b] -= 1
-                if not pending[b]:
-                    order.append(b)
-        if len(order) < len(elements):
-            raise CyclicIncidenceError(
-                f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle(incidence))}")
-        order.reverse()
+        if order is not None:
+            for a, b in incidence:
+                succ[a].append(b)
+        else:
+            pending = dict.fromkeys(elements, 0)
+            for a, b in incidence:
+                succ[a].append(b)
+                pending[b] += 1
+            # Kahn's sort from the sources down: an element is placed once
+            # everything bounded by it is placed.  Reversed, the order lists
+            # every element after its whole boundary.
+            order = [e for e, n in pending.items() if not n]
+            for a in order:
+                for b in succ[a]:
+                    pending[b] -= 1
+                    if not pending[b]:
+                        order.append(b)
+            if len(order) < len(elements):
+                raise CyclicIncidenceError(
+                    f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle(incidence))}")
+            order.reverse()
         self._order = order
 
         # lazily filled caches; recomputation under a race is benign
@@ -542,4 +550,4 @@ class Space:
         reduced = covers(order, dict(down.values()))  # each element's top is its own position
         if reduced == self.incidence:
             return self
-        return Space._trusted(self.name, self.elements, reduced, self.attributes)
+        return Space._trusted(self.name, self.elements, reduced, self.attributes, order)

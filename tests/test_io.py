@@ -17,9 +17,11 @@ from topodata import (
     UnresolvedReferenceError,
     quotient,
 )
+import topodata.io
 from topodata.io import (
     detect_kind,
     load_dataset,
+    parse_document,
     parse_map,
     parse_partition,
     parse_space,
@@ -30,6 +32,8 @@ from topodata.io import (
     serialize_space,
     serialize_theta,
 )
+
+from test_kernel import random_dag, trusted_results, with_attributes
 
 
 class TestSpaceFiles:
@@ -209,6 +213,20 @@ class TestWriterMatchesJsonDumps:
             assert serialize_partition(partition) == dumped(
                 partition_doc(partition.space_name, partition)), trial
 
+    def test_operator_results(self):
+        """The space writer reads successor lists, which every operator builds
+        for its result; each result, and each linking map, against json.dumps."""
+        rng = random.Random(7008)
+        for trial in range(150):
+            x = with_attributes(rng, random_dag(rng))
+            y = with_attributes(rng, random_dag(rng, "E"))
+            for result, *maps in trusted_results(rng, x, y):
+                assert serialize_space(result) == dumped(space_doc(result)), trial
+                for linking in maps:
+                    assert serialize_map(linking) == dumped(
+                        {"domain": linking.domain.name, "codomain": linking.codomain.name,
+                         "pairs": [list(pair) for pair in linking.pairs()]}), trial
+
     def test_empty_lists(self):
         empty = Space("", [], [])
         assert serialize_space(empty) == dumped(space_doc(empty))
@@ -232,6 +250,24 @@ class TestDetectKind:
     def test_unclassifiable(self):
         with pytest.raises(ParseError):
             detect_kind('{"foo": 1}')
+        with pytest.raises(ParseError, match="cannot classify"):
+            parse_document('{"foo": 1}', {})
+        with pytest.raises(ParseError, match="at top level"):
+            parse_document('[]', {})
+
+    def test_parse_document_reads_each_kind_from_one_parse(self, space_y, theta, monkeypatch):
+        flip = SpaceMap(space_y, space_y, {e: e for e in space_y.elements})
+        partition = Partition.from_classes({"c": sorted(space_y.elements)[:2]}, space_y.name)
+        texts = [serialize_space(space_y), serialize_map(flip), serialize_theta(theta),
+                 serialize_partition(partition)]
+        parses = []
+        load_json = topodata.io._load_json
+        monkeypatch.setattr(topodata.io, "_load_json",
+                            lambda text, source: parses.append(source) or load_json(text, source))
+        values = [parse_document(text, {space_y.name: space_y}, source=f"doc{i}")
+                  for i, text in enumerate(texts)]
+        assert values == [space_y, flip, theta, partition]
+        assert parses == ["doc0", "doc1", "doc2", "doc3"]
 
 
 class TestManifest:

@@ -18,8 +18,8 @@ from topodata import (CyclicIncidenceError, Partition, Space, SpaceMap, ThetaRel
                       select_subspace, theta_join)
 from topodata.space import covers, down_bits, post_order
 
-from naive import (brute_covers, brute_dimension, naive_intersect, naive_reduce, naive_select,
-                   naive_theta_join, strict_below)
+from naive import (brute_covers, brute_dimension, naive_intersect, naive_product, naive_reduce,
+                   naive_select, naive_theta_join, strict_below)
 
 TRIALS = 300
 
@@ -44,6 +44,9 @@ def assert_reach_and_order(space: Space) -> None:
     assert len(space._order) == len(position) == len(space.elements)
     assert position.keys() == space.elements
     assert all(position[b] < position[a] for a, b in space.incidence)
+    assert space._succ.keys() == space.elements
+    listed = [(a, b) for a, below in space._succ.items() for b in below]
+    assert len(listed) == len(space.incidence) and set(listed) == space.incidence
 
 
 def linear_extension(rng: random.Random, below: dict[str, set[str]]) -> list[str]:
@@ -148,6 +151,22 @@ def test_reductions_of_deep_chains_match_naive_operators():
         theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
                               if rng.random() < 0.4)
         assert theta_join(x, y, theta) == naive_theta_join(x, y, theta)
+
+
+def test_products_match_the_naive_product():
+    """Random factors, and the empty, one-element and pairless factors, each
+    way round; the row table hands the result its order."""
+    empty, point = Space("nil", []), Space("pt", ["p"])
+    discrete = Space("dis", ["b", "a", "c"])
+    segment = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
+    factors = [empty, point, discrete, segment]
+    rng = random.Random(2030)
+    cases = [(x, y) for x in factors for y in factors]
+    cases += [(random_dag(rng), random_dag(rng, "E")) for _ in range(60)]
+    for x, y in cases:
+        got = product(x, y)
+        assert got == naive_product(x, y), (x, y)
+        assert_reach_and_order(got[0])
 
 
 def test_cycle_message_names_a_closed_walk_of_input_pairs():

@@ -133,9 +133,11 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert list(results) == ["chain_20", "chain_40", "grid_3x3"]
     assert results["grid_3x3"]["elements"] == 49
-    for row in results.values():
+    for label, row in results.items():
+        extruded = ("product", "serialize") if label.startswith("grid") else ()
+        assert not set(row) & {"product", "serialize"} - set(extruded)
         for name in ("transitive_reduce", "select_subspace", "pullback_intersection",
-                     "select_three", "intersect_three"):
+                     "select_three", "intersect_three") + extruded:
             assert row[name]["cpu_s"] >= 0 and row[name]["peak_mb"] > 0
             assert 1 <= row[name]["runs"] <= 2
     # over the limit, the longer chains are skipped and the grid still runs
@@ -148,14 +150,29 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
 def test_scale_probe_times_two_trees_in_alternation(capsys):
     tool = load_tool("scale_probe")
     root = Path(tool.__file__).resolve().parents[1]
-    assert tool.main(["--chains", "20", "--grid", "0", "--repeat", "3",
+    assert tool.main(["--chains", "20", "--grid", "2", "--repeat", "3",
                       "--against", str(root)]) == 0
-    row = json.loads(capsys.readouterr().out)["results"]["chain_20"]
-    for name in ("transitive_reduce", "select_subspace", "pullback_intersection"):
-        assert row[name]["runs"] == row[name]["against"]["runs"] == 3
-        assert row[name]["against"]["peak_mb"] > 0
-        assert 0 <= row[name]["faster_runs"] <= 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
+                                       "pullback_intersection")),
+                         ("grid_2x2", ("product", "serialize"))):
+        row = results[label]
+        for name in names:
+            assert row[name]["runs"] == row[name]["against"]["runs"] == 3
+            assert row[name]["against"]["peak_mb"] > 0
+            assert 0 <= row[name]["faster_runs"] <= 3
     assert tool.load_against(root).Space is not tool.topodata.Space
+
+
+def test_scale_probe_extrudes_the_grid_along_a_segment_chain():
+    tool = load_tool("scale_probe")
+    ids, pairs = tool.segments(tool.SEGMENTS)
+    assert len(ids) == 9 and len(pairs) == 8
+    chain = Space("S", ids, pairs)
+    assert chain.dimension_histogram() == {0: 5, 1: 4}
+    product, factors = tool.extrusion(tool.topodata, tool.grid(3))["product"]
+    extruded = product(*factors())[0]
+    assert len(extruded) == 49 * 9 and extruded.space_dimension() == 3
 
 
 def test_scale_probe_chains_reduce_to_chains():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the reductions in process on deep chains and a cubical grid.
+"""Time the reductions and the product path in process on deep chains and a cubical grid.
 
     python3 tools/scale_probe.py > probe.json
     python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60
@@ -9,9 +9,11 @@ For every input the probe runs ``transitive_reduce``,
 ``select_subspace`` of every other element, ``pullback_intersection``
 of two such spaces, and the selection and the intersection of only
 three ids of the input (``select_three``, ``intersect_three``), whose
-cost should follow the three ids, not the input.  It prints one JSON
-document with each operation's least and median process CPU time and its
-tracemalloc peak.
+cost should follow the three ids, not the input.  The grid is also
+extruded: ``product`` with a chain of 4 segments, the way a solid is
+swept, and ``serialize`` (``serialize_space``) of that product.  It
+prints one JSON document with each operation's least and median process
+CPU time and its tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
   skip pair of length 2-16 from each element, so its reduction, the
@@ -54,6 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import topodata  # noqa: E402  (the tree that holds this script)
 
 MAX_SKIP = 16
+SEGMENTS = 4  # the chain the grid is extruded along
 
 
 def deep_chain(n: int, seed: str) -> tuple[list[str], list[tuple[str, str]]]:
@@ -78,6 +81,12 @@ def grid(n: int) -> tuple[list[str], list[tuple[str, str]]]:
         if cy % 2:
             pairs += [(cell, ids[cx, cy - 1]), (cell, ids[cx, cy + 1])]
     return list(ids.values()), pairs
+
+
+def segments(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ids and pairs of a chain of n segments, each bounded by its two ends."""
+    ids = [f"s{c}" for c in range(2 * n + 1)]
+    return ids, [(ids[c], ids[c + d]) for c in range(1, 2 * n, 2) for d in (-1, 1)]
 
 
 def load_against(root: Path):
@@ -115,6 +124,21 @@ def operations(lib, first, second):
         "select_three": (lambda x: select_subspace(x, three), one),
         "intersect_three": (pullback_intersection, with_three),
     }
+
+
+def extrusion(lib, first):
+    """``product`` of the input with a chain of ``SEGMENTS`` segments, and
+    ``serialize`` of that product, with the functions of ``lib``."""
+    chain = segments(SEGMENTS)
+
+    def factors():
+        return lib.Space("G", *first), lib.Space("S", *chain)
+
+    def extruded():
+        return (lib.product(*factors())[0],)
+
+    serialize_space = importlib.import_module(f"{lib.__name__}.io").serialize_space
+    return {"product": (lib.product, factors), "serialize": (serialize_space, extruded)}
 
 
 def measure(run, build, repeat: int, against=None) -> dict:
@@ -157,8 +181,15 @@ def probe(chains: list[int], grid_n: int, repeat: int, limit: float, against=Non
         inputs.append((f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
     for label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
-        theirs = operations(against, first, second) if against else {}
-        for name, (run, build) in operations(topodata, first, second).items():
+
+        def timed(lib):
+            found = operations(lib, first, second)
+            if not label.startswith("chain"):
+                found.update(extrusion(lib, first))
+            return found
+
+        theirs = timed(against) if against else {}
+        for name, (run, build) in timed(topodata).items():
             if label.startswith("chain") and name in too_slow:
                 row[name] = {"skipped": too_slow[name]}
                 continue
