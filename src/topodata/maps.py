@@ -7,12 +7,18 @@ only the stored relation plus reachability in the codomain, no open-set
 enumeration; it accepts a pair whose images are equal or directly
 incident before it tests reachability.  The brute-force open-preimage
 check lives in ``oracle`` and is used by the tests to confirm agreement.
+
+Map pairs are read by C loops of the interpreter over the ids the
+spaces hold (``_held_table``); only pairs they refuse are walked entry
+by entry, to name their fault.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -21,7 +27,7 @@ from .errors import (
     MapTotalityError,
     UnknownElementError,
 )
-from .space import Pair, Space, check_pairs, check_size
+from .space import Pair, Space, _iterate, check_pairs, check_size
 
 
 class ContinuityResult(NamedTuple):
@@ -51,35 +57,22 @@ class SpaceMap:
 
     The mapping is stored as an explicit table, never as code, so maps
     serialize, compare, and diff exactly.  It is given as a mapping, which
-    is copied, or as pairs that list each source once; pairs are read in
-    one walk that keys the table on the ids the spaces hold.  Construction
-    checks totality and that every value is an element of the codomain.
+    is copied and checked, or as pairs that list each source once.  Pairs
+    are read by C loops into a table keyed on the ids the spaces hold
+    (``_held_table``), and only pairs those loops refuse are walked, to
+    name their fault.  Either way a map is total, and every value is an
+    element of the codomain.
     """
 
     def __init__(self, domain: Space, codomain: Space, mapping):
         if isinstance(mapping, Mapping):
             table = dict(mapping)
+            _check_table(domain, codomain, table)
         else:
-            pairs = list(check_pairs(mapping, "map pairs"))
-            keys, values = domain._held_ids(), codomain._held_ids()
-            table = {keys.get(a, a): values.get(b, b) for a, b in pairs}  # an unheld id stays
-            if len(table) < len(pairs):
-                repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
-                raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
-        missing = domain.elements - table.keys()
-        if missing:
-            raise MapTotalityError(
-                f"map {domain.name!r} -> {codomain.name!r} misses {sorted(missing)}")
-        extra = table.keys() - domain.elements
-        if extra:
-            raise UnknownElementError(
-                f"map {domain.name!r} -> {codomain.name!r} maps unknown keys "
-                f"{sorted(extra, key=str)}")
-        bad = [v for v in table.values() if not isinstance(v, str) or v not in codomain.elements]
-        if bad:
-            raise UnknownElementError(
-                f"map {domain.name!r} -> {codomain.name!r} has values outside "
-                f"the codomain: {sorted(bad, key=str)}")
+            entries = list(_iterate(mapping, "map pairs"))
+            table = _held_table(domain, codomain, entries)
+            if table is None:
+                _refuse_pairs(domain, codomain, entries)
         self.domain = domain
         self.codomain = codomain
         self.mapping = table
@@ -121,6 +114,65 @@ class SpaceMap:
 
     def __repr__(self):
         return f"SpaceMap({self.domain.name!r} -> {self.codomain.name!r}, {len(self.mapping)} entries)"
+
+
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _held_table(domain: Space, codomain: Space, entries: list) -> dict[str, str] | None:
+    """The map pairs as a table on the held ids, or None if they may have a fault.
+
+    Each entry must pass the tests of ``check_pairs``, and each test is
+    one pass of ``map`` over the list, so the interpreter runs it in C,
+    with no Python frame per entry.  The keys and values are looked up in
+    the held ids of the two spaces.  As many distinct held keys as the
+    domain has elements make a total table with no unknown key, so no
+    set difference is needed.
+    """
+    if not (len(entries) == len(domain.elements)
+            and all(map(isinstance, entries, repeat((list, tuple))))
+            and set(map(len, entries)) <= {2}
+            and all(map(isinstance, map(_first, entries), repeat(str)))
+            and all(map(isinstance, map(_second, entries), repeat(str)))):
+        return None
+    try:
+        table = dict(zip(map(domain._held_ids().__getitem__, map(_first, entries)),
+                         map(codomain._held_ids().__getitem__, map(_second, entries))))
+    except KeyError:
+        return None
+    return table if len(table) == len(entries) else None
+
+
+def _refuse_pairs(domain: Space, codomain: Space, entries: list) -> None:
+    """Raise the error for map pairs that ``_held_table`` refused: a malformed
+    entry, then a repeated source, then the faults of the table.
+
+    Once the entries are well formed and no source repeats, a refused list
+    has too few or too many entries, so a key is missing or unknown, or it
+    has an id that is not held, an unknown key or a value outside the
+    codomain; ``_check_table`` raises for each.
+    """
+    pairs = list(check_pairs(entries, "map pairs"))
+    repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
+    if repeated:
+        raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
+    _check_table(domain, codomain, dict(pairs))
+
+
+def _check_table(domain: Space, codomain: Space, table: dict) -> None:
+    """Refuse a table with missing keys, then unknown keys, then values
+    outside the codomain."""
+    what = f"map {domain.name!r} -> {codomain.name!r}"
+    missing = domain.elements - table.keys()
+    if missing:
+        raise MapTotalityError(f"{what} misses {sorted(missing)}")
+    extra = table.keys() - domain.elements
+    if extra:
+        raise UnknownElementError(f"{what} maps unknown keys {sorted(extra, key=str)}")
+    bad = [v for v in table.values() if not isinstance(v, str) or v not in codomain.elements]
+    if bad:
+        raise UnknownElementError(
+            f"{what} has values outside the codomain: {sorted(bad, key=str)}")
 
 
 def identity_map(space: Space) -> SpaceMap:

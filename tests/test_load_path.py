@@ -1,6 +1,7 @@
 """The load path of spaces and maps: error precedence, a seeded
-differential test against a reference checker, shared id objects, and
-output that does not depend on the hash seed.
+differential test against a reference checker, a walk that runs only to
+name a fault, shared id objects, and output that does not depend on the
+hash seed.
 
 A loaded space holds one object per element id, and every incidence
 endpoint and every map key and value is that object, so dict and set
@@ -10,12 +11,14 @@ error an input with several faults reports.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,7 @@ from topodata import (
     SpaceMap,
     UnknownElementError,
     select_subspace,
+    validate,
 )
 from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
                          serialize_partition, serialize_space)
@@ -202,16 +206,23 @@ def reference_table(domain, codomain, table):
     return table
 
 
-def reference_map_pairs(domain, codomain, pairs, source):
+def reference_pairs(domain, codomain, pairs):
     for entry in pairs:
-        if not (isinstance(entry, list) and len(entry) == 2
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and all(isinstance(x, str) for x in entry)):
-            raise ParseError(f"map pairs: entry {entry!r} is not a pair of string ids",
-                             source=source)
+            raise InvalidElementIdError(f"map pairs: entry {entry!r} is not a pair of string ids")
     repeated = sorted(a for a, n in Counter(a for a, _ in pairs).items() if n > 1)
     if repeated:
-        raise ParseError(f"map pairs list source ids more than once: {repeated}", source=source)
+        raise InvalidElementIdError(f"map pairs list source ids more than once: {repeated}")
     return reference_table(domain, codomain, dict(pairs))
+
+
+def reference_map_pairs(domain, codomain, pairs, source):
+    """The pairs of a map file: the library's id error is the file's parse error."""
+    try:
+        return reference_pairs(domain, codomain, pairs)
+    except InvalidElementIdError as err:
+        raise ParseError(str(err), source=source) from err
 
 
 POOL = ["a", "b", "c", "d", "e"]
@@ -356,6 +367,166 @@ def test_space_map_matches_reference(pairs):
         if got[0] == "ok":
             assert got[1].mapping == expected[1]
             assert_shared_map(got[1])
+
+
+# -- inputs in every form; the map-pair walk runs only for a fault ------------------
+# ``SpaceMap`` reads map pairs in C loops (``_held_table``) and walks the
+# entries only to name the fault of pairs those loops refused.  The inputs
+# below come in every form the library accepts:
+# lists, tuples and one-shot iterators of 2-lists, 2-tuples and their
+# subclasses, whose ids may be str subclasses, with a non-str planted that
+# hashes and compares equal to an id.
+
+class Row(list):
+    pass
+
+
+class Couple(tuple):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Lookalike:
+    """Not a str, but equal to one and with its hash: still not an id."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return other == self.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"Lookalike({self.text!r})"
+
+
+@contextmanager
+def counted_walks():
+    """A list that gets an entry each time the map-pair walk is entered inside the block."""
+    entered = []
+    maps = sys.modules["topodata.maps"]
+    walk = maps._refuse_pairs
+
+    def counted(*args):
+        entered.append(args)
+        return walk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_refuse_pairs", counted)
+        yield entered
+
+
+@st.composite
+def dressed(draw, entries):
+    """The entries in a drawn container, each 2-list in a drawn form, with drawn id forms.
+
+    Returns the entries for the library and a list of the same objects for the
+    reference, which reads them more than once."""
+    def component(x):
+        if not isinstance(x, str):
+            return x
+        return draw(st.sampled_from([x] * 16 + [Name(x)] * 3 + [Lookalike(x)]))
+
+    forms = []
+    for entry in entries:
+        if isinstance(entry, (list, tuple)) and len(entry) == 2:
+            form = draw(st.sampled_from([list, tuple, Row, Couple]))
+            entry = form(map(component, entry))
+        forms.append(entry)
+    container = draw(st.sampled_from(["list", "tuple", "iterator"]))
+    given = {"list": list, "tuple": tuple, "iterator": iter}[container](forms)
+    return given, forms
+
+
+@seed(20131009)
+@DIFFERENTIAL
+@given(st.data())
+def test_space_matches_reference_in_every_form(data):
+    ids, incidence, attributes = data.draw(space_inputs())
+    given_pairs, pairs = data.draw(dressed(incidence))
+    expected = outcome(lambda: reference_space("s", ids, pairs, attributes))
+    got = outcome(lambda: Space("s", ids, given_pairs, attributes))
+    same(got, expected)
+    if got[0] == "ok":
+        assert (got[1].elements, got[1].incidence) == expected[1]
+        assert_shared_space(got[1])
+
+
+@seed(20131009)
+@DIFFERENTIAL
+@given(st.data())
+def test_space_map_walks_only_for_a_fault(data):
+    given_pairs, pairs = data.draw(dressed(data.draw(map_pairs())))
+    expected = outcome(lambda: reference_pairs(SEGMENT, SEGMENT, pairs))
+    with counted_walks() as entered:
+        got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, given_pairs))
+    same(got, expected)
+    assert len(entered) == (expected[0] != "ok"), expected
+    if got[0] == "ok":
+        assert got[1].mapping == expected[1]
+        assert_shared_map(got[1])
+        # the same table as a mapping, with the lookalike never in it
+        assert SpaceMap(SEGMENT, SEGMENT, dict(pairs)).mapping == expected[1]
+
+
+MAPPING_CASES = {
+    "valid": ({"e": "e", "v1": "v1", "v2": "v2"}, "ok"),
+    # a mapping's keys are matched by equality, as they always were
+    "lookalike key": ({"e": "e", "v1": "v1", Lookalike("v2"): "v2"}, "ok"),
+    "lookalike value": ({"e": "e", "v1": "v1", "v2": Lookalike("v2")},
+                        "has values outside the codomain: [Lookalike('v2')]"),
+    "unknown value": ({"e": "e", "v1": "v1", "v2": "zz"},
+                      "has values outside the codomain: ['zz']"),
+    "unknown key": ({"e": "e", "v1": "v1", "v2": "v2", "zz": "e"}, "maps unknown keys ['zz']"),
+    "missing key": ({"e": "e", "v1": "v1"}, "misses ['v2']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAPPING_CASES))
+def test_space_map_from_a_mapping(case):
+    table, expected = MAPPING_CASES[case]
+    got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, table))
+    if expected == "ok":
+        assert got[0] == "ok" and got[1].mapping == table
+    else:
+        assert got[1] == f"map 'seg' -> 'seg' {expected}"
+
+
+def lod_case(tmp_path: Path, seed: int, n: int) -> Path:
+    """The benchmark's level-of-detail files for a seed at grid size n, written out."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:  # its dataclass needs the module registered
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    case = workloads.lod_validate(seed, n)
+    for name, data in case.files.items():
+        (tmp_path / name).write_bytes(data)
+    return tmp_path / "manifest.json"
+
+
+@pytest.mark.parametrize("case", ["demo", "bench 7", "bench 8"])
+def test_loading_valid_files_never_walks(case, tmp_path, monkeypatch):
+    if case == "demo":
+        manifest = LOD_MANIFEST
+    else:
+        manifest = lod_case(tmp_path, int(case.split()[1]), 8)
+    read = []
+    check_pairs = sys.modules["topodata.maps"].check_pairs
+    monkeypatch.setattr(sys.modules["topodata.maps"], "check_pairs",
+                        lambda *args: read.append(args) or check_pairs(*args))
+    with counted_walks() as entered:
+        dataset = load_dataset(manifest)
+        verdicts = [check.ok for check in validate(dataset).checks]
+    assert entered == [] and read == []
+    assert len(dataset.spaces) == (2 if case == "demo" else 3)
+    assert verdicts.count(False) == (0 if case == "demo" else 1)
 
 
 # -- shared id objects --------------------------------------------------------------

@@ -22,6 +22,7 @@ from topodata import (
     is_homeomorphism,
     oracle_find_homeomorphism,
     oracle_is_continuous,
+    select_subspace,
 )
 
 from conftest import random_space, random_total_map
@@ -186,6 +187,50 @@ class TestIsContinuous:
             assert len(tested) == needs_test
             verdicts[verdict.ok] += 1
         assert min(routes["equal"], routes["direct"], routes["reachable"]) >= 50, routes
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    def test_images_equal_to_ids_but_other_objects(self):
+        # A table given as a mapping keeps its value objects, and compose
+        # passes them on, also through an operator's map.  Such images equal
+        # the codomain's ids without being them, so the check must tell
+        # equal, direct and reachable images apart by value, not identity.
+        # Reduced codomains and maps that mostly keep the index order make
+        # reachable but not incident images common, as in the test above.
+        rng = random.Random(36)
+
+        def copied_map(x, y):
+            names = sorted(y.elements)
+            table = {}
+            for i in range(len(x)):
+                target = (f"{y.name}{i * len(y) // len(x)}" if rng.random() < 0.7
+                          else rng.choice(names))
+                table[f"{x.name}{i}"] = target[:1] + target[1:]  # equal, another object
+            return SpaceMap(x, y, table)
+
+        routes = Counter()
+        verdicts = Counter()
+        for _ in range(150):
+            x, y, z = (random_space(rng, max_elements=8, name=name, min_elements=1)
+                       for name in ("X", "Y", "Z"))
+            y, z = y.transitive_reduce(), z.transitive_reduce()
+            copied, later = copied_map(x, y), copied_map(y, z)
+            _, inclusion = select_subspace(x, sorted(x.elements)[::2])
+            for f in (copied, compose(later, copied), compose(copied, inclusion)):
+                held = {e: e for e in f.codomain.elements}
+                assert all(held[v] is not v for v in f.mapping.values())
+                preorder = naive_preorder(f.codomain)
+                for a, b in f.domain.incidence:
+                    image = (f(a), f(b))
+                    routes["equal" if image[0] == image[1] else
+                           "direct" if image in f.codomain.incidence else
+                           "reachable" if image in preorder else "violation"] += 1
+                witness = next(((a, b) for a, b in sorted(f.domain.incidence)
+                                if (f(a), f(b)) not in preorder), None)
+                verdict = is_continuous(f)
+                assert verdict.ok == (witness is None)
+                assert verdict.witness == witness
+                verdicts[verdict.ok] += 1
+        assert min(routes.values()) >= 50, routes
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 

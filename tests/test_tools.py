@@ -131,13 +131,15 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     tool = load_tool("scale_probe")
     assert tool.main(["--chains", "20,40", "--grid", "3", "--repeat", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert list(results) == ["chain_20", "chain_40", "grid_3x3"]
-    assert results["grid_3x3"]["elements"] == 49
+    assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3"]
+    assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
     for label, row in results.items():
         extruded = ("product", "serialize") if label.startswith("grid") else ()
-        assert not set(row) & {"product", "serialize"} - set(extruded)
-        for name in ("transitive_reduce", "select_subspace", "pullback_intersection",
-                     "select_three", "intersect_three") + extruded:
+        names = (("parse_space", "parse_map", "is_continuous") if label.startswith("load") else
+                 ("transitive_reduce", "select_subspace", "pullback_intersection",
+                  "select_three", "intersect_three") + extruded)
+        assert set(row) == {"elements", "pairs", *names}
+        for name in names:
             assert row[name]["cpu_s"] >= 0 and row[name]["peak_mb"] > 0
             assert 1 <= row[name]["runs"] <= 2
     # over the limit, the longer chains are skipped and the grid still runs
@@ -155,13 +157,37 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
                                        "pullback_intersection")),
-                         ("grid_2x2", ("product", "serialize"))):
+                         ("grid_2x2", ("product", "serialize")),
+                         ("load_2x2", ("parse_space", "parse_map", "is_continuous"))):
         row = results[label]
         for name in names:
             assert row[name]["runs"] == row[name]["against"]["runs"] == 3
             assert row[name]["against"]["peak_mb"] > 0
             assert 0 <= row[name]["faster_runs"] <= 3
     assert tool.load_against(root).Space is not tool.topodata.Space
+
+
+def test_scale_probe_loads_another_tree_twice():
+    tool = load_tool("scale_probe")
+    root = Path(tool.__file__).resolve().parents[1]
+    first = tool.load_against(root)
+    second = tool.load_against(root)
+    assert first is not second
+    assert second.io.parse_space is not first.io.parse_space
+    assert second.io.Space is second.Space is not first.Space
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scale_probe_coarsening_is_continuous(n):
+    tool = load_tool("scale_probe")
+    found = tool.loading(tool.topodata, n)
+    run, build = found["parse_space"]
+    assert run(*build()) == Space("G", *tool.grid(n))
+    run, build = found["is_continuous"]
+    coarse_map, = build()
+    assert run(coarse_map)
+    assert len(coarse_map.mapping) == (2 * n + 1) ** 2
+    assert set(coarse_map.mapping.values()) == set(tool.grid(n // 2)[0])
 
 
 def test_scale_probe_extrudes_the_grid_along_a_segment_chain():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the reductions and the product path in process on deep chains and a cubical grid.
+"""Time the reductions, the product path and loading in process on deep chains and a cubical grid.
 
     python3 tools/scale_probe.py > probe.json
     python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60
@@ -11,9 +11,12 @@ of two such spaces, and the selection and the intersection of only
 three ids of the input (``select_three``, ``intersect_three``), whose
 cost should follow the three ids, not the input.  The grid is also
 extruded: ``product`` with a chain of 4 segments, the way a solid is
-swept, and ``serialize`` (``serialize_space``) of that product.  It
-prints one JSON document with each operation's least and median process
-CPU time and its tracemalloc peak.
+swept, and ``serialize`` (``serialize_space``) of that product.  The
+grid is loaded as well, in its own row: ``parse_space`` of its JSON
+document, ``parse_map`` of its 2x coarsening onto the grid of half its
+side, and ``is_continuous`` of that map.  It prints one JSON document
+with each operation's least and median process CPU time and its
+tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
   skip pair of length 2-16 from each element, so its reduction, the
@@ -89,11 +92,41 @@ def segments(n: int) -> tuple[list[str], list[tuple[str, str]]]:
     return ids, [(ids[c], ids[c + d]) for c in range(1, 2 * n, 2) for d in (-1, 1)]
 
 
+def coarsen(c: int) -> int:
+    """The centre of the 2x coarser 1-D cell that holds the cell of centre c."""
+    if c % 2 == 0:
+        return c // 2
+    i = (c - 1) // 2
+    return i if i % 2 else i + 1
+
+
+def coarsening(n: int) -> list[list[str]]:
+    """The pairs of the 2x coarsening of the n x n grid onto the grid of side n // 2.
+
+    For an odd n the cells past the last row or column of the smaller grid
+    go to that row or column, which keeps the map continuous."""
+    top = 2 * (n // 2)
+
+    def down(c):
+        return min(coarsen(c), top)
+
+    return [[f"g{cx}_{cy}", f"g{down(cx)}_{down(cy)}"]
+            for cx in range(2 * n + 1) for cy in range(2 * n + 1)]
+
+
+AGAINST = "topodata_against"
+
+
 def load_against(root: Path):
-    """The ``topodata`` package of the checkout at ``root``, under another name."""
+    """The ``topodata`` package of the checkout at ``root``, under another name.
+
+    The modules of an earlier call are dropped first, so that every call
+    executes the package at its root anew, submodules included."""
+    for name in [name for name in sys.modules if name.partition(".")[0] == AGAINST]:
+        del sys.modules[name]
     package = root / "src" / "topodata"
     spec = importlib.util.spec_from_file_location(
-        "topodata_against", package / "__init__.py", submodule_search_locations=[str(package)])
+        AGAINST, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -141,6 +174,26 @@ def extrusion(lib, first):
     return {"product": (lib.product, factors), "serialize": (serialize_space, extruded)}
 
 
+def loading(lib, n: int):
+    """``parse_space`` of the n x n grid's document, ``parse_map`` of its
+    ``coarsening``, and ``is_continuous`` of that map, with the functions of ``lib``."""
+    io = importlib.import_module(f"{lib.__name__}.io")
+    fine, half = grid(n), grid(n // 2)
+    space_text = json.dumps({"name": "G", "elements": [{"id": e} for e in fine[0]],
+                             "incidence": [list(pair) for pair in fine[1]]})
+    map_text = json.dumps({"domain": "G", "codomain": "H", "pairs": coarsening(n)})
+
+    def spaces():
+        return ({"G": lib.Space("G", *fine), "H": lib.Space("H", *half)},)
+
+    def coarse_map():
+        return (io.parse_map(map_text, *spaces()),)
+
+    return {"parse_space": (io.parse_space, lambda: (space_text,)),
+            "parse_map": (lambda named: io.parse_map(map_text, named), spaces),
+            "is_continuous": (lib.is_continuous, coarse_map)}
+
+
 def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
@@ -179,12 +232,15 @@ def probe(chains: list[int], grid_n: int, repeat: int, limit: float, against=Non
     inputs = [(f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D")) for n in sorted(chains)]
     if grid_n:
         inputs.append((f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
+        inputs.append((f"load_{grid_n}x{grid_n}", grid(grid_n), None))
     for label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
 
         def timed(lib):
+            if label.startswith("load"):
+                return loading(lib, grid_n)
             found = operations(lib, first, second)
-            if not label.startswith("chain"):
+            if label.startswith("grid"):
                 found.update(extrusion(lib, first))
             return found
 
