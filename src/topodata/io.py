@@ -5,13 +5,16 @@ order, element ids and pairs sorted, two-space indentation, trailing
 newline.  Parsing a serialized value returns an equal value, and
 serializing is idempotent on its own output.
 
-The serializers write that layout directly, with the C string escaper
+The writers produce that layout directly, with the C string escaper
 of the ``json`` module; the bytes are those of
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``, which for an
-indented document runs the pure-Python encoder instead.  A space is
-written from its successor lists: its ids are sorted and escaped once,
-and each id's successors are sorted by rank, which lists the pairs in
-sorted order without sorting them as string pairs.
+indented document runs the pure-Python encoder instead.  They produce
+text blocks: the header, then the items of each top-level list
+``_BLOCK`` at a time.  ``serialize_*`` joins them, and
+``write_document`` (a script's ``emit``) streams them to the file.  A
+space is written from its successor lists: its ids are sorted and
+escaped once, and each id's successors are sorted by rank, which lists
+the pairs in sorted order without sorting them as string pairs.
 
 ``parse_document`` reads a document of any kind from one JSON parse,
 choosing the kind by its fields as ``detect_kind`` does.
@@ -20,9 +23,11 @@ choosing the kind by its fields as ``detect_kind`` does.
 from __future__ import annotations
 
 import json
+from functools import singledispatch
+from itertools import islice
 from json.encoder import encode_basestring as _string  # the escaper of ensure_ascii=False
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import Partition, ThetaRelation
 from .constraints import Dataset, ForeignKeyConstraint
@@ -54,26 +59,40 @@ def _require(doc, key, kind, source):
 
 
 def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered items as one JSON array (or object) starting on a line at ``indent``.
-
-    The brackets are put onto the first and last items, which changes the
-    list, so that the text is copied once, by the join: for the pairs of a
-    large space that copy is the writer's peak.
-    """
+    """Rendered items as one JSON array (or object) starting on a line at ``indent``."""
     if not items:
         return brackets
-    inner = indent + "  "
-    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
-    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}"
-    return f",\n{inner}".join(items)
+    inner = f"\n{indent}  "
+    return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{indent}{brackets[1]}"
 
 
 def _object(fields: list[tuple[str, str]], indent: str) -> str:
     return _layout([f"{_string(key)}: {value}" for key, value in fields], indent, "{}")
 
 
-def _document(fields: list[tuple[str, str]]) -> str:
-    return _object(fields, "") + "\n"
+_BLOCK = 512  # top-level list items per block; one write per item was slower
+
+
+def _document(fields: list[tuple[str, str | Iterable[str]]]) -> Iterator[str]:
+    """The blocks of a top-level object.  A field's value is its rendered
+    text, or the rendered items of a list, which go out ``_BLOCK`` at a time."""
+    text, separator = "{", "\n  "
+    for key, value in fields:
+        text += f"{separator}{_string(key)}: "
+        separator = ",\n  "
+        if isinstance(value, str):
+            text += value
+            continue
+        items = iter(value)
+        block = list(islice(items, _BLOCK))
+        if not block:
+            text += "[]"
+            continue
+        yield f"{text}[\n    " + ",\n    ".join(block)
+        while block := list(islice(items, _BLOCK)):
+            yield ",\n    " + ",\n    ".join(block)
+        text = "\n  ]"
+    yield text + "\n}\n"
 
 
 # the two repeated shapes, as line templates: an element entry without
@@ -83,8 +102,8 @@ _PAIR_HEAD, _PAIR_TAIL = '[\n      %s,\n      ', '\n    ]'
 _PAIR = _PAIR_HEAD + '%s' + _PAIR_TAIL
 
 
-def _pairs(pairs) -> str:
-    return _layout([_PAIR % (_string(a), _string(b)) for a, b in pairs], "  ")
+def _pairs(pairs) -> Iterator[str]:
+    return (_PAIR % (_string(a), _string(b)) for a, b in pairs)
 
 
 def _declared(name: str | None, what: str) -> str:
@@ -125,7 +144,17 @@ def _space_of(doc, source: str) -> Space:
     return _build(source, Space, name, ids, incidence, attributes)
 
 
+@singledispatch
+def _blocks(value) -> Iterator[str]:
+    raise TypeError(f"cannot write {type(value).__name__}")
+
+
 def serialize_space(space: Space) -> str:
+    return "".join(_space_blocks(space))
+
+
+@_blocks.register
+def _space_blocks(space: Space) -> Iterator[str]:
     ids = sorted(space.elements)
     quoted = [_string(e) for e in ids]
     return _document([("name", _string(space.name)),
@@ -133,32 +162,27 @@ def serialize_space(space: Space) -> str:
                       ("incidence", _incidence(space, ids, quoted))])
 
 
-def _elements(space: Space, ids: list[str], quoted: list[str]) -> str:
-    entries = []
+def _elements(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
     for element, rendered in zip(ids, quoted):
         attrs = space.attributes.get(element)
         if attrs:
             values = [(key, _string(value)) for key, value in sorted(attrs.items())]
-            entries.append(_object([("id", rendered),
-                                    ("attrs", _object(values, "      "))], "    "))
+            yield _object([("id", rendered), ("attrs", _object(values, "      "))], "    ")
         else:
-            entries.append(_ELEMENT % rendered)
-    return _layout(entries, "  ")
+            yield _ELEMENT % rendered
 
 
-def _incidence(space: Space, ids: list[str], quoted: list[str]) -> str:
+def _incidence(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
     """The pairs in sorted order: the sources by rank, and each one's successor
     list sorted by rank.  Ids are distinct and pairs unique, so this is the
     order of ``sorted(space.incidence)``."""
     rank = {e: i for i, e in enumerate(ids)}
     succ = space._succ
-    items = []
     for a, rendered in zip(ids, quoted):
         below = succ[a]
         if below:
             head = _PAIR_HEAD % rendered
-            items += [head + quoted[j] + _PAIR_TAIL for j in sorted(map(rank.__getitem__, below))]
-    return _layout(items, "  ")
+            yield from [head + quoted[j] + _PAIR_TAIL for j in sorted(map(rank.__getitem__, below))]
 
 
 # -- maps --------------------------------------------------------------------
@@ -179,6 +203,11 @@ def _map_of(doc, spaces: Mapping[str, Space], source: str) -> SpaceMap:
 
 
 def serialize_map(space_map: SpaceMap) -> str:
+    return "".join(_map_blocks(space_map))
+
+
+@_blocks.register
+def _map_blocks(space_map: SpaceMap) -> Iterator[str]:
     return _document([("domain", _string(space_map.domain.name)),
                       ("codomain", _string(space_map.codomain.name)),
                       ("pairs", _pairs(space_map.pairs()))])
@@ -198,6 +227,11 @@ def _theta_of(doc, source: str) -> ThetaRelation:
 
 
 def serialize_theta(theta: ThetaRelation) -> str:
+    return "".join(_theta_blocks(theta))
+
+
+@_blocks.register
+def _theta_blocks(theta: ThetaRelation) -> Iterator[str]:
     return _document([("left", _declared(theta.left_name, "theta left side")),
                       ("right", _declared(theta.right_name, "theta right side")),
                       ("pairs", _pairs(sorted(theta.pairs)))])
@@ -224,6 +258,11 @@ def _partition_of(doc, source: str) -> Partition:
 
 
 def serialize_partition(partition: Partition) -> str:
+    return "".join(_partition_blocks(partition))
+
+
+@_blocks.register
+def _partition_blocks(partition: Partition) -> Iterator[str]:
     by_label: dict[str, list[str]] = {}
     for element, label in partition.classes.items():
         by_label.setdefault(label, []).append(element)
@@ -232,7 +271,7 @@ def serialize_partition(partition: Partition) -> str:
         listed = _layout([_string(member) for member in sorted(by_label[label])], "      ")
         classes.append(_object([("label", _string(label)), ("members", listed)], "    "))
     return _document([("space", _declared(partition.space_name, "partition")),
-                      ("classes", _layout(classes, "  "))])
+                      ("classes", classes)])
 
 
 # -- document detection ----------------------------------------------------------
@@ -279,6 +318,25 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except ValueError as err:  # undecodable bytes, or a NUL in the path
         raise ParseError(str(err), source=str(path)) from err
+
+
+def write_document(value: Space | SpaceMap | ThetaRelation | Partition, path) -> None:
+    """Write a space, map, theta relation or partition to ``path``: the bytes
+    of its ``serialize_*`` text in UTF-8, written block by block.
+
+    The value's checks run before the directory is made or the file
+    opened, so a value that cannot be written leaves no file.  Lines end
+    in LF on every platform.
+    """
+    blocks = _blocks(value)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with path.open("wb") as out:
+            out.writelines(map(str.encode, blocks))
+    except UnicodeEncodeError:  # a lone surrogate in a name or id: no partial document
+        path.unlink()
+        raise
 
 
 def load_space(path) -> Space:

@@ -160,8 +160,8 @@ def _refuse_pairs(domain: Space, codomain: Space, entries: list) -> None:
 
 
 def _check_table(domain: Space, codomain: Space, table: dict) -> None:
-    """Refuse a table with missing keys, then unknown keys, then values
-    outside the codomain."""
+    """Refuse a table with missing keys, then unknown keys, then keys that
+    equal an id but are not strings, then values outside the codomain."""
     what = f"map {domain.name!r} -> {codomain.name!r}"
     missing = domain.elements - table.keys()
     if missing:
@@ -169,6 +169,10 @@ def _check_table(domain: Space, codomain: Space, table: dict) -> None:
     extra = table.keys() - domain.elements
     if extra:
         raise UnknownElementError(f"{what} maps unknown keys {sorted(extra, key=str)}")
+    not_ids = [key for key in table if not isinstance(key, str)]
+    if not_ids:
+        raise InvalidElementIdError(f"{what} has keys that are not string ids: "
+                                    f"{sorted(not_ids, key=repr)}")
     bad = [v for v in table.values() if not isinstance(v, str) or v not in codomain.elements]
     if bad:
         raise UnknownElementError(

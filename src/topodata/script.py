@@ -228,21 +228,9 @@ class _Runner:
     @execute.register
     def run_emit(self, stmt: EmitStmt) -> None:
         value = self.lookup(stmt.line, stmt.name)
-        path = self.base_dir / stmt.path
-        if isinstance(value, Space):
-            text = io.serialize_space(value)
-        elif isinstance(value, SpaceMap):
-            text = io.serialize_map(value)
-        elif isinstance(value, ThetaRelation):
-            text = io.serialize_theta(value)
-        elif isinstance(value, Partition):
-            text = io.serialize_partition(value)
-        else:  # pragma: no cover - env only ever holds the above
-            raise ScriptError(f"line {stmt.line}: cannot emit {type(value).__name__}")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-        except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+            io.write_document(value, self.base_dir / stmt.path)
+        except (OSError, ValueError) as err:  # ValueError: a NUL in the path, a lone surrogate
             raise ScriptError(f"line {stmt.line}: cannot write {stmt.path!r}: {err}") from err
         self.output.append(f"emit {stmt.name} -> {stmt.path}")
 

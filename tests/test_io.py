@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,9 +32,11 @@ from topodata.io import (
     serialize_partition,
     serialize_space,
     serialize_theta,
+    write_document,
 )
 
 from test_kernel import random_dag, trusted_results, with_attributes
+from test_tools import load_tool
 
 
 class TestSpaceFiles:
@@ -198,20 +201,29 @@ def random_documents(rng):
     return space, space_map, theta, partition
 
 
+def canonical(value) -> str:
+    """The canonical text of a record, as json.dumps writes it."""
+    if isinstance(value, Space):
+        return dumped(space_doc(value))
+    if isinstance(value, SpaceMap):
+        return dumped({"domain": value.domain.name, "codomain": value.codomain.name,
+                       "pairs": [list(pair) for pair in value.pairs()]})
+    if isinstance(value, ThetaRelation):
+        return dumped({"left": value.left_name, "right": value.right_name,
+                       "pairs": [list(pair) for pair in sorted(value.pairs)]})
+    return dumped(partition_doc(value.space_name, value))
+
+
+SERIALIZERS = {Space: serialize_space, SpaceMap: serialize_map,
+               ThetaRelation: serialize_theta, Partition: serialize_partition}
+
+
 class TestWriterMatchesJsonDumps:
     def test_seeded_documents(self):
         rng = random.Random(7007)
         for trial in range(300):
-            space, space_map, theta, partition = random_documents(rng)
-            assert serialize_space(space) == dumped(space_doc(space)), trial
-            assert serialize_map(space_map) == dumped(
-                {"domain": space.name, "codomain": space.name,
-                 "pairs": [list(pair) for pair in space_map.pairs()]}), trial
-            assert serialize_theta(theta) == dumped(
-                {"left": theta.left_name, "right": theta.right_name,
-                 "pairs": [list(pair) for pair in sorted(theta.pairs)]}), trial
-            assert serialize_partition(partition) == dumped(
-                partition_doc(partition.space_name, partition)), trial
+            for value in random_documents(rng):
+                assert SERIALIZERS[type(value)](value) == canonical(value), trial
 
     def test_operator_results(self):
         """The space writer reads successor lists, which every operator builds
@@ -221,11 +233,9 @@ class TestWriterMatchesJsonDumps:
             x = with_attributes(rng, random_dag(rng))
             y = with_attributes(rng, random_dag(rng, "E"))
             for result, *maps in trusted_results(rng, x, y):
-                assert serialize_space(result) == dumped(space_doc(result)), trial
+                assert serialize_space(result) == canonical(result), trial
                 for linking in maps:
-                    assert serialize_map(linking) == dumped(
-                        {"domain": linking.domain.name, "codomain": linking.codomain.name,
-                         "pairs": [list(pair) for pair in linking.pairs()]}), trial
+                    assert serialize_map(linking) == canonical(linking), trial
 
     def test_empty_lists(self):
         empty = Space("", [], [])
@@ -236,6 +246,82 @@ class TestWriterMatchesJsonDumps:
             {"left": "l", "right": "r", "pairs": []})
         assert serialize_partition(Partition({"a": "a"}, "s")) == dumped(
             {"space": "s", "classes": []})
+
+
+BLOCK = topodata.io._BLOCK
+
+
+def sized_documents(n: int, attributes: bool):
+    """Records whose every top-level list has n items: the elements of one space,
+    the pairs of another, and a map's pairs, a theta relation's pairs and a
+    partition's classes; with attributes on every other element, if asked."""
+    ids = [f"e{i}" for i in range(n)]
+    attrs = {e: {"k": e, "w": "2"} for e in ids[::2]} if attributes else {}
+    isolated = Space("I", ids, [], attrs)
+    star = Space("S", ["hub", *ids], [("hub", e) for e in ids], attrs)
+    return (isolated, star, SpaceMap(isolated, isolated, {e: e for e in ids}),
+            ThetaRelation([(e, f"r{e}") for e in ids], "I", "R"),
+            Partition.from_classes({f"c{e}": [e] for e in ids}, "I"))
+
+
+class TestBlocks:
+    """The writers produce the items of a top-level list in blocks of BLOCK."""
+
+    @pytest.mark.parametrize("attributes", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_every_list_size_around_a_block(self, n, attributes):
+        for value in sized_documents(n, attributes):
+            assert SERIALIZERS[type(value)](value) == canonical(value), type(value)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK, 2 * BLOCK + 1])
+    def test_written_bytes_are_the_serialized_text(self, tmp_path, n):
+        for i, value in enumerate(sized_documents(n, True)):
+            path = tmp_path / "out" / f"{i}.json"
+            write_document(value, path)
+            assert path.read_bytes() == SERIALIZERS[type(value)](value).encode("utf-8")
+
+    def test_written_bytes_of_seeded_documents(self, tmp_path):
+        rng = random.Random(7009)
+        path = tmp_path / "doc.json"
+        for trial in range(100):
+            for value in random_documents(rng):
+                try:
+                    expected = SERIALIZERS[type(value)](value).encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate: no partial document
+                    with pytest.raises(UnicodeEncodeError):
+                        write_document(value, path)
+                    assert not path.exists(), trial
+                    continue
+                write_document(value, path)
+                assert path.read_bytes() == expected, trial
+
+    @pytest.mark.parametrize("value", [ThetaRelation([("a", "b")], right_name="Y"),
+                                       Partition({"a": "m"})],
+                             ids=["theta", "partition"])
+    def test_nameless_record_writes_nothing(self, tmp_path, value):
+        folder = tmp_path / "new"
+        with pytest.raises(UnresolvedReferenceError, match="names no space"):
+            write_document(value, folder / "doc.json")
+        assert not folder.exists()
+
+    def test_emit_memory_follows_the_block(self, tmp_path):
+        """Writing the extruded 14x14 grid peaks at under half of what
+        serializing it and encoding the text does."""
+        probe = load_tool("scale_probe")
+        product, factors = probe.extrusion(topodata, probe.grid(14), tmp_path / "p.json")["product"]
+        extruded = product(*factors())[0]
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: serialize_space(extruded).encode("utf-8"))
+        streamed = peak(lambda: write_document(extruded, tmp_path / "p.json"))
+        assert streamed < whole / 2, (streamed, whole)
 
 
 class TestDetectKind:

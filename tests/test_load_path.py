@@ -475,26 +475,28 @@ def test_space_map_walks_only_for_a_fault(data):
 
 
 MAPPING_CASES = {
-    "valid": ({"e": "e", "v1": "v1", "v2": "v2"}, "ok"),
-    # a mapping's keys are matched by equality, as they always were
-    "lookalike key": ({"e": "e", "v1": "v1", Lookalike("v2"): "v2"}, "ok"),
-    "lookalike value": ({"e": "e", "v1": "v1", "v2": Lookalike("v2")},
+    "valid": ({"e": "e", "v1": "v1", "v2": "v2"}, "ok", None),
+    # equal to an id, but not a str: refused as pairs refuse it
+    "lookalike key": ({"e": "e", "v1": "v1", Lookalike("v2"): "v2"}, InvalidElementIdError,
+                      "has keys that are not string ids: [Lookalike('v2')]"),
+    "lookalike value": ({"e": "e", "v1": "v1", "v2": Lookalike("v2")}, UnknownElementError,
                         "has values outside the codomain: [Lookalike('v2')]"),
-    "unknown value": ({"e": "e", "v1": "v1", "v2": "zz"},
+    "unknown value": ({"e": "e", "v1": "v1", "v2": "zz"}, UnknownElementError,
                       "has values outside the codomain: ['zz']"),
-    "unknown key": ({"e": "e", "v1": "v1", "v2": "v2", "zz": "e"}, "maps unknown keys ['zz']"),
-    "missing key": ({"e": "e", "v1": "v1"}, "misses ['v2']"),
+    "unknown key": ({"e": "e", "v1": "v1", "v2": "v2", "zz": "e"}, UnknownElementError,
+                    "maps unknown keys ['zz']"),
+    "missing key": ({"e": "e", "v1": "v1"}, MapTotalityError, "misses ['v2']"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MAPPING_CASES))
 def test_space_map_from_a_mapping(case):
-    table, expected = MAPPING_CASES[case]
+    table, kind, message = MAPPING_CASES[case]
     got = outcome(lambda: SpaceMap(SEGMENT, SEGMENT, table))
-    if expected == "ok":
+    if kind == "ok":
         assert got[0] == "ok" and got[1].mapping == table
     else:
-        assert got[1] == f"map 'seg' -> 'seg' {expected}"
+        assert got == (kind.__name__, f"map 'seg' -> 'seg' {message}")
 
 
 def lod_case(tmp_path: Path, seed: int, n: int) -> Path:

@@ -134,7 +134,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3"]
     assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
     for label, row in results.items():
-        extruded = ("product", "serialize") if label.startswith("grid") else ()
+        extruded = ("product", "serialize", "emit") if label.startswith("grid") else ()
         names = (("parse_space", "parse_map", "is_continuous") if label.startswith("load") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
@@ -157,7 +157,7 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
                                        "pullback_intersection")),
-                         ("grid_2x2", ("product", "serialize")),
+                         ("grid_2x2", ("product", "serialize", "emit")),
                          ("load_2x2", ("parse_space", "parse_map", "is_continuous"))):
         row = results[label]
         for name in names:
@@ -196,7 +196,7 @@ def test_scale_probe_extrudes_the_grid_along_a_segment_chain():
     assert len(ids) == 9 and len(pairs) == 8
     chain = Space("S", ids, pairs)
     assert chain.dimension_histogram() == {0: 5, 1: 4}
-    product, factors = tool.extrusion(tool.topodata, tool.grid(3))["product"]
+    product, factors = tool.extrusion(tool.topodata, tool.grid(3), Path("unused"))["product"]
     extruded = product(*factors())[0]
     assert len(extruded) == 49 * 9 and extruded.space_dimension() == 3
 

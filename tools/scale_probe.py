@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the reductions, the product path and loading in process on deep chains and a cubical grid.
+"""Time the reductions, the product path, emitting and loading in process on deep chains and a cubical grid.
 
     python3 tools/scale_probe.py > probe.json
     python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60
@@ -11,7 +11,10 @@ of two such spaces, and the selection and the intersection of only
 three ids of the input (``select_three``, ``intersect_three``), whose
 cost should follow the three ids, not the input.  The grid is also
 extruded: ``product`` with a chain of 4 segments, the way a solid is
-swept, and ``serialize`` (``serialize_space``) of that product.  The
+swept, ``serialize`` (``serialize_space``) of that product, and
+``emit`` of it: ``io.write_document`` to a file in a temporary
+directory, or, in a tree that has no ``write_document``, what its
+script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.  The
 grid is loaded as well, in its own row: ``parse_space`` of its JSON
 document, ``parse_map`` of its 2x coarsening onto the grid of half its
 side, and ``is_continuous`` of that map.  It prints one JSON document
@@ -50,6 +53,7 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -159,9 +163,10 @@ def operations(lib, first, second):
     }
 
 
-def extrusion(lib, first):
+def extrusion(lib, first, target: Path):
     """``product`` of the input with a chain of ``SEGMENTS`` segments, and
-    ``serialize`` of that product, with the functions of ``lib``."""
+    ``serialize`` and ``emit`` of that product to ``target``, with the
+    functions of ``lib``."""
     chain = segments(SEGMENTS)
 
     def factors():
@@ -170,8 +175,16 @@ def extrusion(lib, first):
     def extruded():
         return (lib.product(*factors())[0],)
 
-    serialize_space = importlib.import_module(f"{lib.__name__}.io").serialize_space
-    return {"product": (lib.product, factors), "serialize": (serialize_space, extruded)}
+    io = importlib.import_module(f"{lib.__name__}.io")
+
+    def emit(space):
+        if hasattr(io, "write_document"):
+            io.write_document(space, target)
+        else:
+            target.write_text(io.serialize_space(space), encoding="utf-8")
+
+    return {"product": (lib.product, factors), "serialize": (io.serialize_space, extruded),
+            "emit": (emit, extruded)}
 
 
 def loading(lib, n: int):
@@ -226,7 +239,9 @@ def measure(run, build, repeat: int, against=None) -> dict:
     return result
 
 
-def probe(chains: list[int], grid_n: int, repeat: int, limit: float, against=None) -> dict:
+def probe(chains: list[int], grid_n: int, repeat: int, limit: float, target: Path,
+          against=None) -> dict:
+    """The rows of every input; ``emit`` writes to ``target``."""
     results = {}
     too_slow: dict[str, str] = {}
     inputs = [(f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D")) for n in sorted(chains)]
@@ -241,7 +256,7 @@ def probe(chains: list[int], grid_n: int, repeat: int, limit: float, against=Non
                 return loading(lib, grid_n)
             found = operations(lib, first, second)
             if label.startswith("grid"):
-                found.update(extrusion(lib, first))
+                found.update(extrusion(lib, first, target))
             return found
 
         theirs = timed(against) if against else {}
@@ -269,14 +284,16 @@ def main(argv=None) -> int:
                         help="root of another checkout to time in alternation with this one")
     args = parser.parse_args(argv)
     chains = [int(n) for n in args.chains.split(",") if n]
+    with tempfile.TemporaryDirectory() as scratch:
+        results = probe(chains, args.grid, args.repeat, args.limit, Path(scratch) / "emitted.json",
+                        load_against(args.against) if args.against else None)
     result = {
         "machine": f"{platform.system()} {platform.machine()}, "
                    f"Python {platform.python_version()}",
         "repeat": args.repeat,
         "limit_s": args.limit,
         "against": str(args.against) if args.against else None,
-        "results": probe(chains, args.grid, args.repeat, args.limit,
-                         load_against(args.against) if args.against else None),
+        "results": results,
     }
     print(json.dumps(result, indent=1))
     return 0
