@@ -14,6 +14,8 @@ input relations), redundant pairs included.
 from __future__ import annotations
 
 import warnings
+from itertools import accumulate, repeat
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -204,17 +206,21 @@ def quotient(space: Space, partition: Partition,
     label = {e: partition.classes.get(e, e) for e in space.elements}
 
     def induced(labelling):
-        classes = frozenset(labelling.values())
-        pairs = frozenset((labelling[a], labelling[b]) for a, b in space.incidence
-                          if labelling[a] != labelling[b])
-        return classes, pairs
+        """The classes, and the tuple of the other classes below each one."""
+        below: dict[str, dict[str, None]] = {c: {} for c in labelling.values()}
+        for a, successors in space._succ.items():
+            targets = below[labelling[a]]
+            for b in successors:
+                targets[labelling[b]] = None
+        return frozenset(below), {c: tuple(t for t in targets if t != c)
+                                  for c, targets in below.items()}
 
     name = f"{space.name}/~"
-    classes, pairs = induced(label)
+    classes, succ = induced(label)
     for c in sorted(classes):  # labels become ids; collapsing renames them to valid ids
         check_element_id(c)
     try:
-        result = Space._trusted(name, classes, pairs, {})
+        result = Space._trusted(name, classes, succ, {})
     except CyclicIncidenceError as err:
         if on_cycle == "error":
             raise QuotientCycleError(
@@ -222,7 +228,7 @@ def quotient(space: Space, partition: Partition,
                 f"({err})") from err
         merged: dict[str, str] = {}
         named: set[str] = set()
-        for component in strongly_connected_components(classes, pairs):
+        for component in strongly_connected_components(succ):
             target = min(component)
             if len(component) > 1:
                 target = "scc:" + target
@@ -234,8 +240,8 @@ def quotient(space: Space, partition: Partition,
             for member in component:
                 merged[member] = target
         label = {e: merged[label[e]] for e in space.elements}
-        classes, pairs = induced(label)
-        result = Space._trusted(name, classes, pairs, {})
+        classes, succ = induced(label)
+        result = Space._trusted(name, classes, succ, {})
     return result, SpaceMap._trusted(space, result, label)
 
 
@@ -251,9 +257,11 @@ def paste_union(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
     for source in (x, y):
         for element, kv in source.attributes.items():
             attributes.setdefault(element, {}).update(kv)
+    succ = dict(x._succ)
+    for e, below in y._succ.items():
+        succ[e] = tuple(dict.fromkeys(succ[e] + below)) if e in succ else below
     try:
-        glued = Space._trusted(f"{x.name}∪{y.name}", elements,
-                               x.incidence | y.incidence, attributes)
+        glued = Space._trusted(f"{x.name}∪{y.name}", elements, succ, attributes)
     except CyclicIncidenceError as err:
         raise CyclicIncidenceError(
             f"gluing {x.name!r} and {y.name!r} by shared ids creates a cycle "
@@ -300,10 +308,10 @@ def _check_separator(*spaces: Space) -> None:
 
 def _pair_space(x: Space, y: Space, order: list[str], onto_x: dict[str, str],
                 onto_y: dict[str, str],
-                incidence: frozenset[Pair]) -> tuple[Space, SpaceMap, SpaceMap]:
-    """The space on the pair ids of ``order``, a linear extension of ``incidence``,
-    with its two projections, given as tables."""
-    result = Space._trusted(pair_id(x.name, y.name), frozenset(order), incidence, {}, order)
+                succ: dict[str, Iterable[str]]) -> tuple[Space, SpaceMap, SpaceMap]:
+    """The space on the pair ids of ``order``, a linear extension of the
+    relation ``succ``, with its two projections, given as tables."""
+    result = Space._trusted(pair_id(x.name, y.name), frozenset(order), succ, {}, order)
     return result, SpaceMap._trusted(result, x, onto_x), SpaceMap._trusted(result, y, onto_y)
 
 
@@ -330,14 +338,22 @@ def product(x: Space, y: Space) -> tuple[Space, SpaceMap, SpaceMap]:
     rows = [[pair_id(t, u) for u in columns] for t in x._order]
     row_of = dict(zip(x._order, rows))
     at = {u: j for j, u in enumerate(columns)}
-    positions = [(at[a], at[b]) for a, b in y.incidence]
-    incidence = [(row[i], row[j]) for row in rows for i, j in positions]
-    for c, d in x.incidence:
-        incidence += zip(row_of[c], row_of[d])
+    # the positions in a row of every column's right successors, end to end,
+    # and each column's slice of them
+    right = [at[b] for u in columns for b in y._succ[u]]
+    ends = list(accumulate(len(y._succ[u]) for u in columns))
+    spans = list(map(slice, [0, *ends], ends))
+    succ: dict[str, tuple[str, ...]] = {}
+    for t, row in zip(x._order, rows):
+        # each id's right successors in its row, then its left ones in its column
+        within = tuple(map(row.__getitem__, right))
+        lower = x._succ[t]
+        across = zip(*map(row_of.__getitem__, lower)) if lower else repeat(())
+        succ.update(zip(row, map(add, map(within.__getitem__, spans), across)))
     order = [rid for row in rows for rid in row]
     onto_x = dict(zip(order, [t for t in x._order for _ in columns]))
     onto_y = dict(zip(order, columns * len(rows)))
-    return _pair_space(x, y, order, onto_x, onto_y, frozenset(incidence))
+    return _pair_space(x, y, order, onto_x, onto_y, succ)
 
 
 def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMap, SpaceMap]:

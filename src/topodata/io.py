@@ -174,8 +174,8 @@ def _elements(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
 
 def _incidence(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
     """The pairs in sorted order: the sources by rank, and each one's successor
-    list sorted by rank.  Ids are distinct and pairs unique, so this is the
-    order of ``sorted(space.incidence)``."""
+    tuple sorted by rank.  Ids are distinct and each pair is held once, so
+    this is the sorted order of the pairs."""
     rank = {e: i for i, e in enumerate(ids)}
     succ = space._succ
     for a, rendered in zip(ids, quoted):

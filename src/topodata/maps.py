@@ -200,17 +200,30 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
     lies in the preorder (reflexive-transitive closure) of the codomain.
     The witness is the least violating pair, so repeated checks of the
     same map report the same pair.  A loaded map's ids are the objects
-    its spaces hold, so the lookups here match by identity first.
+    its spaces hold, so the lookups here match by identity first.  The
+    direct test reads a set of the successors of each distinct image,
+    made once in the call, so it costs the same for any out-degree.
     """
     image = f.mapping
-    direct = f.codomain.incidence
+    succ = f.codomain._succ
     in_preorder = f.codomain.in_preorder
-    bad = min(((a, b) for a, b in f.domain.incidence
-               if (fa := image[a]) != (fb := image[b]) and (fa, fb) not in direct
-               and not in_preorder(fa, fb)), default=None)
-    if bad is None:
+    direct: dict[str, frozenset[str]] = {}
+    bad = []
+    for a, below in f.domain._succ.items():
+        if not below:
+            continue
+        fa = image[a]
+        near = direct.get(fa)
+        if near is None:
+            near = direct[fa] = frozenset(succ[fa])
+        for b in below:
+            fb = image[b]
+            if fb != fa and fb not in near and not in_preorder(fa, fb):
+                bad.append((a, b))
+    if not bad:
         return ContinuityResult(True)
-    return ContinuityResult(False, bad, (image[bad[0]], image[bad[1]]))
+    a, b = min(bad)
+    return ContinuityResult(False, (a, b), (image[a], image[b]))
 
 
 def is_homeomorphism(f: SpaceMap, g: SpaceMap) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CyclicIncidenceError,
@@ -77,14 +77,12 @@ def check_size(max_elements: int, *spaces: "Space") -> None:
                                  f"guard allows {max_elements}")
 
 
-def strongly_connected_components(nodes, edges):
+def strongly_connected_components(succ: Mapping[str, Sequence[str]]) -> list[list[str]]:
     """The strongly connected components of a directed graph, as node lists.
 
-    Tarjan's algorithm, iterative; roots are visited in sorted order.
+    The graph is given by the successors of every node.  Tarjan's
+    algorithm, iterative; roots are visited in sorted order.
     """
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -92,7 +90,7 @@ def strongly_connected_components(nodes, edges):
     components: list[list[str]] = []
     counter = [0]
 
-    for root in sorted(nodes):
+    for root in sorted(succ):
         if root in index:
             continue
         work = [(root, 0)]
@@ -142,7 +140,7 @@ def bitmask(positions: Iterable[int]) -> int:
     return int(digits, 2)
 
 
-def post_order(succ: Mapping[str, list[str]], roots: Collection[str]) -> list[str]:
+def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str]) -> list[str]:
     """Every element below the roots, each after all of its successors.
 
     A depth-first post-order, searched from each root in turn.  Each
@@ -212,8 +210,9 @@ def down_bits(order: Iterable[str], succ: Mapping[str, Iterable[str]],
     return down
 
 
-def covers(order: list[str], below: Mapping[int, int]) -> frozenset[Pair]:
-    """The covering pairs of a partial order given by bitset down sets.
+def covers(order: list[str], below: Mapping[int, int]) -> dict[str, list[str]]:
+    """The covering pairs of a partial order given by bitset down sets, as
+    the list of the elements each element covers, keyed by element.
 
     ``order[p]`` is the element at position p, and the positions must be
     a linear extension: an element lies at a higher position than
@@ -232,14 +231,15 @@ def covers(order: list[str], below: Mapping[int, int]) -> frozenset[Pair]:
     covers of a, with a few int operations per cover (Goralčíková &
     Koubek 1979; Simon 1988).
     """
-    pairs = []
+    succ = {}
     for a, candidates in below.items():
+        succ[order[a]] = found = []
         candidates &= ~1
         while candidates:
             i = (candidates & -candidates).bit_length() - 1
-            pairs.append((order[a], order[a - i]))
+            found.append(order[a - i])
             candidates &= ~(below[a - i] << i)
-    return frozenset(pairs)
+    return succ
 
 
 class Space:
@@ -250,9 +250,13 @@ class Space:
     All derived data (reachability, dimensions) is memoised internally,
     never exposed, and safe to share across concurrent readers.
 
-    The incidence relation is stored exactly as given.  It is not closed
-    or reduced implicitly; ``preorder`` computes the closure on demand and
-    ``transitive_reduce`` returns the canonical minimal relation.
+    The incidence relation is held as successor tuples: each element
+    maps to the tuple of the elements it is bounded by, in the order its
+    pairs were given, a pair given more than once held once.  It is not
+    closed or reduced implicitly; ``preorder`` computes the closure on
+    demand and ``transitive_reduce`` returns the canonical minimal
+    relation.  ``incidence``, the relation as a frozenset of pairs, is
+    built on each read and not kept.
 
     The reductions (``transitive_reduce``, and the operators that restrict
     a space to some of its elements) number the elements below the ones
@@ -276,20 +280,22 @@ class Space:
             raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
         elements = frozenset(held)
 
-        # one walk; a malformed entry raises at once, the first self or dangling pair after it
-        pairs, fault = [], None
+        # one walk that puts each pair in its source's list; a malformed
+        # entry raises at once, the first self or dangling pair after it
+        succ: dict[str, list[str]] = {e: [] for e in held}
         get = held.get
-        for a, b in check_pairs(incidence, f"incidence of {name!r}"):
+        walk = check_pairs(incidence, f"incidence of {name!r}")
+        for a, b in walk:
             ha, hb = get(a), get(b)
-            if (ha is hb or ha is None or hb is None) and fault is None:
-                fault = (a, b)
-            pairs.append((ha, hb))
-        if fault is not None:
-            a, b = fault
-            if a == b:
-                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
-            raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} references "
-                                         f"unknown element {a if a not in held else b!r}")
+            if ha is hb or ha is None or hb is None:
+                for _ in walk:  # a malformed entry later on is reported first
+                    pass
+                if a == b:
+                    raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+                raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} "
+                                             f"references unknown element "
+                                             f"{a if a not in held else b!r}")
+            succ[ha].append(hb)
 
         if attributes is not None and not isinstance(attributes, Mapping):
             raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")
@@ -308,44 +314,47 @@ class Space:
             if kv:
                 cleaned[el] = dict(kv)
 
-        self._build(name, elements, frozenset(pairs), cleaned, held)
+        # a pair given more than once is held once, at its first place
+        for a, below in succ.items():
+            if len(below) > 1:
+                succ[a] = tuple(dict.fromkeys(below))
+        self._build(name, elements, succ, cleaned, held)
 
     @classmethod
-    def _trusted(cls, name: str, elements: frozenset[str], incidence: frozenset[Pair],
+    def _trusted(cls, name: str, elements: frozenset[str], succ: dict[str, Iterable[str]],
                  attributes: dict[str, dict[str, str]],
                  order: list[str] | None = None) -> "Space":
         """A space from parts that are valid by construction, unchecked.
 
-        For operator results only: the ids must be valid and distinct, the
-        pairs must join two distinct elements, and every attribute dict
-        must be a non-empty str-to-str dict of an element.  The parts are
-        kept, not copied.  ``order``, when the operator holds one, is a
+        For operator results only: the ids must be valid and distinct,
+        ``succ`` must map every element to the elements it is bounded by,
+        each listed once and none the element itself, and every attribute
+        dict must be a non-empty str-to-str dict of an element.  The parts
+        are kept, not copied: ``succ``'s values are frozen to tuples in
+        place.  ``order``, when the operator holds one, is a
         linear extension of the result: every element once, each after
         everything it is bounded by.  It is kept as given, unchecked.
         Without it the Kahn order is built, which checks acyclicity: an
         operator whose result can fold into a cycle passes none.
         """
         space = cls.__new__(cls)
-        space._build(name, elements, incidence, attributes, order=order)
+        space._build(name, elements, succ, attributes, order=order)
         return space
 
-    def _build(self, name, elements, incidence, attributes, held=None, order=None):
+    def _build(self, name, elements, succ, attributes, held=None, order=None):
         self.name = name
         self.elements = elements
-        self.incidence = incidence
         self.attributes = attributes
 
-        # successor lists, and without an order the number of pairs ending at each element
-        succ: dict[str, list[str]] = {e: [] for e in elements}
-        self._succ = succ
-        if order is not None:
-            for a, b in incidence:
-                succ[a].append(b)
-        else:
+        # the successor lists frozen in place, each freed as its tuple replaces it
+        succ.update(zip(succ, map(tuple, succ.values())))
+        self._succ: dict[str, tuple[str, ...]] = succ
+        if order is None:
+            # the number of pairs ending at each element
             pending = dict.fromkeys(elements, 0)
-            for a, b in incidence:
-                succ[a].append(b)
-                pending[b] += 1
+            for below in succ.values():
+                for b in below:
+                    pending[b] += 1
             # Kahn's sort from the sources down: an element is placed once
             # everything bounded by it is placed.  Reversed, the order lists
             # every element after its whole boundary.
@@ -357,7 +366,7 @@ class Space:
                         order.append(b)
             if len(order) < len(elements):
                 raise CyclicIncidenceError(
-                    f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle(incidence))}")
+                    f"incidence of {name!r} has a cycle: {' -> '.join(self._cycle())}")
             order.reverse()
         self._order = order
 
@@ -373,11 +382,11 @@ class Space:
             self._held = {e: e for e in self.elements}
         return self._held
 
-    def _cycle(self, pairs) -> list[str]:
+    def _cycle(self) -> list[str]:
         # A closed walk inside the cyclic component holding the least
         # element on any cycle: from that element, always step to the
         # least successor in the component until an element repeats.
-        component = set(min((c for c in strongly_connected_components(self.elements, pairs)
+        component = set(min((c for c in strongly_connected_components(self._succ)
                              if len(c) > 1), key=min))
         walk = [min(component)]
         position: dict[str, int] = {}
@@ -385,6 +394,11 @@ class Space:
             position[walk[-1]] = len(walk) - 1
             walk.append(min(b for b in self._succ[walk[-1]] if b in component))
         return walk[position[walk[-1]]:]
+
+    @property
+    def incidence(self) -> frozenset[Pair]:
+        """The incidence pairs, built from the successor tuples on each read."""
+        return frozenset((a, b) for a, below in self._succ.items() for b in below)
 
     # -- value semantics ---------------------------------------------------
 
@@ -409,7 +423,8 @@ class Space:
         return element in self.elements
 
     def __repr__(self):
-        return f"Space({self.name!r}, {len(self.elements)} elements, {len(self.incidence)} pairs)"
+        pairs = sum(map(len, self._succ.values()))
+        return f"Space({self.name!r}, {len(self.elements)} elements, {pairs} pairs)"
 
     # -- fundamental queries -----------------------------------------------
 
@@ -429,7 +444,7 @@ class Space:
     def is_open(self, subset: Iterable[str]) -> bool:
         """True iff for every pair (a, b) with b in the subset, a is in it too."""
         inside = self._subset(subset)
-        return all(a in inside for a, b in self.incidence if b in inside)
+        return all(a in inside or inside.isdisjoint(below) for a, below in self._succ.items())
 
     @staticmethod
     def _reach(adjacency, cache, start):
@@ -474,8 +489,9 @@ class Space:
             raise self._not_an_element(element)
         if self._pred is None:
             pred: dict[str, list[str]] = {e: [] for e in self.elements}
-            for a, b in self.incidence:
-                pred[b].append(a)
+            for a, below in self._succ.items():
+                for b in below:
+                    pred[b].append(a)
             self._pred = pred
         return self._reach(self._pred, self._up, element)
 
@@ -548,6 +564,7 @@ class Space:
         order = post_order(self._succ, self.elements)
         down = down_bits(order, self._succ, {e: (p, 1) for p, e in enumerate(order)})
         reduced = covers(order, dict(down.values()))  # each element's top is its own position
-        if reduced == self.incidence:
+        # the covers are pairs of the relation, so equal counts make equal relations
+        if sum(map(len, reduced.values())) == sum(map(len, self._succ.values())):
             return self
         return Space._trusted(self.name, self.elements, reduced, self.attributes, order)

@@ -1,10 +1,13 @@
-"""The graph kernel of ``space``: Kahn order, reachability, covers, and cycle reports.
+"""The graph kernel of ``space``: successor tuples, Kahn order, reachability, covers,
+and cycle reports.
 
 Each fast routine is compared with the naive definition it replaces, on
 a few hundred seeded random graphs small enough for the brute force, and
 the reductions also on seeded deep chains.  Operator results, which skip
 the input checks, are compared with the same data built through the
-validating constructors.
+validating constructors, and the relation every space holds, as one
+tuple of successors per element, with the pairs it was given or the
+naive operator's pairs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from topodata import (CyclicIncidenceError, Partition, Space, SpaceMap, ThetaRel
                       select_subspace, theta_join)
 from topodata.space import covers, down_bits, post_order
 
-from naive import (brute_covers, brute_dimension, naive_intersect, naive_product, naive_reduce,
-                   naive_select, naive_theta_join, strict_below)
+from naive import (brute_covers, brute_dimension, naive_intersect, naive_product, naive_quotient,
+                   naive_reduce, naive_select, naive_theta_join, naive_union, strict_below)
 
 TRIALS = 300
 
@@ -44,9 +47,20 @@ def assert_reach_and_order(space: Space) -> None:
     assert len(space._order) == len(position) == len(space.elements)
     assert position.keys() == space.elements
     assert all(position[b] < position[a] for a, b in space.incidence)
-    assert space._succ.keys() == space.elements
-    listed = [(a, b) for a, below in space._succ.items() for b in below]
-    assert len(listed) == len(space.incidence) and set(listed) == space.incidence
+    assert_successor_tuples(space._succ, space.elements)
+    assert pairs_of(space._succ) == space.incidence
+
+
+def pairs_of(succ) -> set[tuple[str, str]]:
+    """The pairs of a successor map."""
+    return {(a, b) for a, below in succ.items() for b in below}
+
+
+def assert_successor_tuples(succ, elements) -> None:
+    """One tuple per element, which lists no successor twice and not the element itself."""
+    assert succ.keys() == elements
+    for a, below in succ.items():
+        assert type(below) is tuple and len(set(below)) == len(below) and a not in below, a
 
 
 def linear_extension(rng: random.Random, below: dict[str, set[str]]) -> list[str]:
@@ -88,18 +102,25 @@ def test_covers_matches_brute_force_on_every_shape():
         x, y = random_dag(rng), random_dag(rng, "E")
         below_x = strict_below(x.elements, x.incidence)
         order = linear_extension(rng, below_x)
-        assert covers(order, bitsets(order, below_x, x.elements)) == brute_covers(below_x)
+        assert_covers(covers(order, bitsets(order, below_x, x.elements)), below_x)
 
         kept = {e for e in x.elements if rng.random() < 0.5}
         masked = {e: below_x[e] & kept for e in kept}
-        assert covers(order, bitsets(order, masked, kept)) == brute_covers(masked)
+        assert_covers(covers(order, bitsets(order, masked, kept)), masked)
         assert select_subspace(x, kept)[0].incidence == brute_covers(masked)
 
         common = x.elements & y.elements
         below_y = strict_below(y.elements, y.incidence)
         meet = {e: below_x[e] & below_y[e] for e in common}
-        assert covers(order, bitsets(order, meet, common)) == brute_covers(meet)
+        assert_covers(covers(order, bitsets(order, meet, common)), meet)
         assert pullback_intersection(x, y)[0].incidence == brute_covers(meet)
+
+
+def assert_covers(succ, below) -> None:
+    """``covers`` lists, for every element, each of its covers once."""
+    assert succ.keys() == below.keys()
+    assert all(len(set(found)) == len(found) for found in succ.values())
+    assert pairs_of(succ) == brute_covers(below)
 
 
 def test_post_order_and_down_bits_stay_below_the_roots():
@@ -238,3 +259,84 @@ def test_trusted_results_equal_validated_rebuilds():
                 assert SpaceMap(linking.domain, linking.codomain, linking.mapping) == linking
             glued += result.name == "D∪E"
     assert glued > TRIALS // 8
+
+
+def with_repeats(rng: random.Random, pairs: list) -> list:
+    """The pairs and about half of them again, shuffled, each as a list or a tuple."""
+    given = [rng.choice((list, tuple))(pair) for pair in pairs + rng.sample(pairs, len(pairs) // 2)]
+    rng.shuffle(given)
+    return given
+
+
+def test_constructed_spaces_hold_each_given_pair_once():
+    """``Space(...)`` keeps one tuple per element, in the order each pair was
+    first given; ``_trusted`` freezes the lists it is given."""
+    rng = random.Random(2031)
+    repeated = 0
+    for _ in range(TRIALS):
+        space = random_dag(rng)
+        pairs = sorted(space.incidence)
+        given = with_repeats(rng, pairs)
+        repeated += len(given) > len(pairs)
+        built = Space("D", space.elements, given)
+        assert_successor_tuples(built._succ, space.elements)
+        assert built.incidence == frozenset(pairs) == space.incidence
+        for a, below in built._succ.items():
+            assert list(below) == list(dict.fromkeys(b for c, b in map(tuple, given) if c == a))
+        assert built == space and hash(built) == hash(space)
+        assert repr(built) == f"Space('D', {len(space)} elements, {len(pairs)} pairs)"
+
+        lists = {e: [b for c, b in pairs if c == e] for e in space.elements}
+        trusted = Space._trusted("D", space.elements, lists, {})
+        assert_successor_tuples(trusted._succ, space.elements)
+        assert trusted == space
+    assert repeated > TRIALS // 2
+
+
+def operators_and_naive(rng: random.Random, x: Space, y: Space):
+    """The result space of every operator, each with the naive operator's."""
+    yield x.transitive_reduce(), naive_reduce(x)
+    kept = rng.sample(sorted(x.elements), rng.randint(0, len(x)))
+    yield select_subspace(x, kept)[0], naive_select(x, kept)[0]
+    yield pullback_intersection(x, y)[0], naive_intersect(x, y)[0]
+    yield product(x, y)[0], naive_product(x, y)[0]
+    theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
+                          if rng.random() < 0.3)
+    yield theta_join(x, y, theta)[0], naive_theta_join(x, y, theta)[0]
+    label = {e: rng.choice(["c0", "c1", "c2", e]) for e in sorted(x.elements)}
+    yield (quotient(x, Partition(label, x.name), on_cycle="collapse")[0],
+           naive_quotient(x, label, on_cycle="collapse")[0])
+    try:  # the two relations may order shared ids both ways
+        glued = paste_union(x, y)[0]
+    except CyclicIncidenceError:
+        return
+    yield glued, naive_union(x, y)[0]
+
+
+def test_operator_results_hold_the_naive_pairs_once():
+    rng = random.Random(2032)
+    results = 0
+    for _ in range(TRIALS // 3):
+        x = random_dag(rng)
+        # y shares ids and pairs with x, so the union gets pairs from both sides
+        y = Space("E", x.elements, [pair for pair in x.incidence if rng.random() < 0.7])
+        for y in (y, random_dag(rng, "E")):
+            for got, expected in operators_and_naive(rng, x, y):
+                assert_successor_tuples(got._succ, got.elements)
+                assert got.elements == expected.elements
+                assert got.incidence == expected.incidence
+                results += 1
+    assert results > TRIALS * 4
+
+
+def test_reduce_returns_the_space_exactly_when_it_is_reduced():
+    rng = random.Random(2033)
+    outcomes = set()
+    for trial in range(TRIALS):
+        space = random_dag(rng)
+        if trial % 3 == 0:
+            space = naive_reduce(space)
+        unchanged = brute_covers(strict_below(space.elements, space.incidence)) == space.incidence
+        assert (space.transitive_reduce() is space) == unchanged
+        outcomes.add(unchanged)
+    assert outcomes == {True, False}

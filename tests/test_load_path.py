@@ -102,6 +102,12 @@ SPACE_PRECEDENCE = {
     "bad attribute value and a malformed entry": (
         (["a", "b"], ["ab"], {"a": {"k": 1}}),
         InvalidElementIdError, "incidence of 's': entry 'ab' is not a pair of string ids"),
+    "repeated pair and then a self pair": (
+        (["a", "b"], [("a", "b"), ["a", "b"], ("b", "b")]),
+        SelfLoopError, "self pair ('b', 'b') in 's'"),
+    "repeated pair and then a dangling pair": (
+        (["a", "b"], [["a", "b"], ("a", "b"), ("b", "zz")]),
+        DanglingIncidenceError, "incidence pair ('b', 'zz') in 's' references unknown element 'zz'"),
 }
 
 
@@ -113,6 +119,24 @@ def test_space_error_precedence(case):
     args = (args[0], iter(args[1]), *args[2:])
     assert outcome(lambda: Space("s", *args)) == (kind.__name__, message)
 
+
+
+def test_repeated_pairs_are_held_once():
+    # a pair given again, in any form, is merged into its first place
+    once = Space("s", ["a", "b", "c"], [("a", "c"), ("a", "b")])
+    for given in ([("a", "c"), ["a", "c"], ("a", "b")], [("a", "c"), ("a", "b"), ("a", "c")],
+                  [["a", "c"], ("a", "b"), ["a", "b"], ("a", "c")]):
+        twice = Space("s", ["a", "b", "c"], given)
+        assert twice._succ == {"a": ("c", "b"), "b": (), "c": ()}
+        assert twice.incidence == frozenset({("a", "c"), ("a", "b")})
+        assert twice == once and hash(twice) == hash(once)
+        assert repr(twice) == "Space('s', 3 elements, 2 pairs)"
+        assert serialize_space(twice) == serialize_space(once)
+        assert twice.transitive_reduce() is twice
+    # the file form is read the same way
+    text = json.dumps({"name": "s", "elements": [{"id": "a"}, {"id": "b"}],
+                       "incidence": [["a", "b"], ["a", "b"]]})
+    assert parse_space(text)._succ == {"a": ("b",), "b": ()}
 
 MAP_PRECEDENCE = {
     "malformed entry after an unknown key": (

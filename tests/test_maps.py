@@ -233,6 +233,47 @@ class TestIsContinuous:
         assert min(routes.values()) >= 50, routes
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
+    def test_stars_agree_with_the_oracle_and_name_the_least_violation(self):
+        # Spaces with one element of high out- or in-degree next to random
+        # ones: the direct test reads a set of each image's successors, and
+        # its verdicts and witnesses must not depend on the degree.
+        rng = random.Random(37)
+        verdicts = Counter()
+        for _ in range(200):
+            x, y = (rng.choice([star, random_space])(rng, max_elements=rng.randint(1, 6),
+                                                     name=name, min_elements=1)
+                    for name in ("X", "Y"))
+            f = random_total_map(rng, x, y)
+            preorder = naive_preorder(y)
+            violations = [(a, b) for a, b in x.incidence if (f(a), f(b)) not in preorder]
+            verdict = is_continuous(f)
+            assert verdict.ok == oracle_is_continuous(f) == (not violations)
+            assert verdict.witness == min(violations, default=None)
+            verdicts[verdict.ok] += 1
+        assert verdicts[True] >= 40 and verdicts[False] >= 40
+
+    def test_star_under_its_identity(self):
+        hub = Space("S", ["h", *(f"l{i}" for i in range(2000))],
+                    [("h", f"l{i}") for i in range(2000)])
+        assert is_continuous(identity_map(hub))
+        lifted = SpaceMap(hub, hub, dict(identity_map(hub).mapping, h="l7"))
+        verdict = is_continuous(lifted)
+        assert verdict.witness == ("h", "l0") and verdict.image == ("l7", "l0")
+
+
+def star(rng: random.Random, max_elements: int, name: str, min_elements: int) -> Space:
+    """A hub bounded by most of up to 11 leaves, plus a few pairs between the
+    leaves; every pair turned round in half the stars, so that the leaves
+    are bounded by the hub."""
+    ids = [f"{name}{i}" for i in range(rng.randint(max(min_elements, 2), 12))]
+    hub, leaves = ids[0], ids[1:]
+    pairs = [(hub, leaf) for leaf in leaves if rng.random() < 0.8]
+    pairs += [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
+              if rng.random() < 0.05]
+    if rng.random() < 0.5:
+        pairs = [(b, a) for a, b in pairs]
+    return Space(name, ids, pairs)
+
 
 class TestIsHomeomorphism:
     def test_identity_pair(self, space_x):

@@ -129,13 +129,16 @@ def test_bench_pairs_failures_and_src_lines(tmp_path):
 
 def test_scale_probe_runs_at_tiny_sizes(capsys):
     tool = load_tool("scale_probe")
-    assert tool.main(["--chains", "20,40", "--grid", "3", "--repeat", "2"]) == 0
+    assert tool.main(["--chains", "20,40", "--grid", "3", "--star", "5", "--repeat", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3"]
+    assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5"]
     assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
+    assert results["continuity_star_5"]["elements"] == 6
+    assert results["continuity_star_5"]["pairs"] == 5
     for label, row in results.items():
         extruded = ("product", "serialize", "emit") if label.startswith("grid") else ()
         names = (("parse_space", "parse_map", "is_continuous") if label.startswith("load") else
+                 ("is_continuous",) if label.startswith("continuity_star") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
         assert set(row) == {"elements", "pairs", *names}
@@ -143,7 +146,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
             assert row[name]["cpu_s"] >= 0 and row[name]["peak_mb"] > 0
             assert 1 <= row[name]["runs"] <= 2
     # over the limit, the longer chains are skipped and the grid still runs
-    tool.main(["--chains", "20,40", "--grid", "2", "--repeat", "1", "--limit", "0"])
+    tool.main(["--chains", "20,40", "--grid", "2", "--star", "0", "--repeat", "1", "--limit", "0"])
     results = json.loads(capsys.readouterr().out)["results"]
     assert "skipped" in results["chain_40"]["transitive_reduce"]
     assert "cpu_s" in results["grid_2x2"]["transitive_reduce"]
@@ -152,13 +155,14 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
 def test_scale_probe_times_two_trees_in_alternation(capsys):
     tool = load_tool("scale_probe")
     root = Path(tool.__file__).resolve().parents[1]
-    assert tool.main(["--chains", "20", "--grid", "2", "--repeat", "3",
+    assert tool.main(["--chains", "20", "--grid", "2", "--star", "4", "--repeat", "3",
                       "--against", str(root)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
                                        "pullback_intersection")),
                          ("grid_2x2", ("product", "serialize", "emit")),
-                         ("load_2x2", ("parse_space", "parse_map", "is_continuous"))):
+                         ("load_2x2", ("parse_space", "parse_map", "is_continuous")),
+                         ("continuity_star_4", ("is_continuous",))):
         row = results[label]
         for name in names:
             assert row[name]["runs"] == row[name]["against"]["runs"] == 3
@@ -206,3 +210,12 @@ def test_scale_probe_chains_reduce_to_chains():
     ids, pairs = tool.deep_chain(50, "C")
     reduced = Space("C", ids, pairs).transitive_reduce()
     assert reduced.incidence == set(zip(ids, ids[1:]))
+
+
+def test_scale_probe_star_is_continuous_under_its_identity():
+    tool = load_tool("scale_probe")
+    ids, pairs = tool.star(6)
+    run, build = tool.continuity(tool.topodata, (ids, pairs))["is_continuous"]
+    identity, = build()
+    assert identity.domain == Space("S", ids, pairs) and len(identity.domain) == 7
+    assert identity.domain.dimension("h") == 1 and run(identity)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the reductions, the product path, emitting and loading in process on deep chains and a cubical grid.
+"""Time reductions, product, emit, loading and continuity in process on chains, a grid and a star.
 
     python3 tools/scale_probe.py > probe.json
-    python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60
+    python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60 --star 20000
     python3 tools/scale_probe.py --chains '' --against ../parent-checkout
 
 For every input the probe runs ``transitive_reduce``,
@@ -17,9 +17,12 @@ directory, or, in a tree that has no ``write_document``, what its
 script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.  The
 grid is loaded as well, in its own row: ``parse_space`` of its JSON
 document, ``parse_map`` of its 2x coarsening onto the grid of half its
-side, and ``is_continuous`` of that map.  It prints one JSON document
-with each operation's least and median process CPU time and its
-tracemalloc peak.
+side, and ``is_continuous`` of that map.  A star, one hub bounded by
+each of n leaves, is checked in a row of its own: ``is_continuous`` of
+its identity map, whose every pair is a pair of the codomain, so the
+cost of the direct test shows at a high out-degree.  It prints one JSON
+document with each operation's least and median process CPU time and
+its tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
   skip pair of length 2-16 from each element, so its reduction, the
@@ -94,6 +97,12 @@ def segments(n: int) -> tuple[list[str], list[tuple[str, str]]]:
     """The ids and pairs of a chain of n segments, each bounded by its two ends."""
     ids = [f"s{c}" for c in range(2 * n + 1)]
     return ids, [(ids[c], ids[c + d]) for c in range(1, 2 * n, 2) for d in (-1, 1)]
+
+
+def star(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ids and pairs of a hub bounded by each of n leaves."""
+    ids = ["h", *(f"l{i}" for i in range(n))]
+    return ids, [("h", leaf) for leaf in ids[1:]]
 
 
 def coarsen(c: int) -> int:
@@ -207,6 +216,15 @@ def loading(lib, n: int):
             "is_continuous": (lib.is_continuous, coarse_map)}
 
 
+def continuity(lib, first):
+    """``is_continuous`` of the identity map of the space on ``first``, with
+    the functions of ``lib``."""
+    def identity():
+        return (lib.identity_map(lib.Space("S", *first)),)
+
+    return {"is_continuous": (lib.is_continuous, identity)}
+
+
 def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
@@ -239,8 +257,8 @@ def measure(run, build, repeat: int, against=None) -> dict:
     return result
 
 
-def probe(chains: list[int], grid_n: int, repeat: int, limit: float, target: Path,
-          against=None) -> dict:
+def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float,
+          target: Path, against=None) -> dict:
     """The rows of every input; ``emit`` writes to ``target``."""
     results = {}
     too_slow: dict[str, str] = {}
@@ -248,12 +266,16 @@ def probe(chains: list[int], grid_n: int, repeat: int, limit: float, target: Pat
     if grid_n:
         inputs.append((f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
         inputs.append((f"load_{grid_n}x{grid_n}", grid(grid_n), None))
+    if star_n:
+        inputs.append((f"continuity_star_{star_n}", star(star_n), None))
     for label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
 
         def timed(lib):
             if label.startswith("load"):
                 return loading(lib, grid_n)
+            if label.startswith("continuity_star"):
+                return continuity(lib, first)
             found = operations(lib, first, second)
             if label.startswith("grid"):
                 found.update(extrusion(lib, first, target))
@@ -277,6 +299,8 @@ def main(argv=None) -> int:
     parser.add_argument("--chains", default="320,1500,3000",
                         help="comma-separated chain lengths")
     parser.add_argument("--grid", type=int, default=60, help="grid side; 0 for no grid")
+    parser.add_argument("--star", type=int, default=20000,
+                        help="leaves of the star whose identity map is checked; 0 for no star")
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per operation")
     parser.add_argument("--limit", type=float, default=60.0,
                         help="seconds after which larger chains are skipped")
@@ -285,7 +309,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     chains = [int(n) for n in args.chains.split(",") if n]
     with tempfile.TemporaryDirectory() as scratch:
-        results = probe(chains, args.grid, args.repeat, args.limit, Path(scratch) / "emitted.json",
+        results = probe(chains, args.grid, args.star, args.repeat, args.limit,
+                        Path(scratch) / "emitted.json",
                         load_against(args.against) if args.against else None)
     result = {
         "machine": f"{platform.system()} {platform.machine()}, "
