@@ -3,6 +3,10 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input or
 an operation error.  Every subcommand is a thin wrapper over one library
 call; no logic lives only here.
+
+``main`` pauses the cyclic collector for one command, restores it and
+freezes nothing; ``entry``, the ``topo`` process, also freezes the heap
+so that the interpreter's exit-time collections skip it.
 """
 
 from __future__ import annotations
@@ -174,5 +178,12 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def entry() -> None:
+    """The ``topo`` process: ``main``, then a heap freeze, then exit with its code."""
+    code = main()
+    gc.freeze()  # the collections at interpreter exit skip the permanent generation
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

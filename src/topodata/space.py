@@ -413,8 +413,8 @@ class Space:
                 and self.attributes == other.attributes)
 
     def __hash__(self):
-        return hash((self.name, self.elements, self.incidence,
-                     frozenset((el, frozenset(kv.items())) for el, kv in self.attributes.items())))
+        # equal spaces have equal names and elements; the frozenset caches its hash
+        return hash((self.name, self.elements))
 
     def __len__(self):
         return len(self.elements)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import gc
+import importlib
 import json
 import os
 import shutil
@@ -131,6 +133,7 @@ class TestValidate:
                                    (files["bad_manifest.json"], 1), (str(malformed), 2)):
                 assert main(["validate", manifest]) == code
                 assert gc.isenabled() == enabled
+                assert gc.get_freeze_count() == 0
         finally:
             gc.enable()
         assert during == [False, False]
@@ -359,3 +362,30 @@ def test_startup_does_not_import_dataclasses():
          "import topodata.cli, sys; assert 'dataclasses' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# -- the topo process -----------------------------------------------------------------
+
+def test_console_script_is_the_entry_of_the_main_block():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    module, _, name = project["scripts"]["topo"].partition(":")
+    assert importlib.import_module(module) is cli
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    block, = (node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == [name] and callable(getattr(cli, name))
+
+
+def test_entry_freezes_the_heap_and_exits_with_the_code_of_main(files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["topo", "validate", files["bad_manifest.json"]])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == 1
+    assert "witness (e,v1) -> (v1,e)" in capsys.readouterr().out

@@ -41,6 +41,7 @@ from topodata import (
     select_subspace,
     validate,
 )
+from topodata.cli import main
 from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
                          serialize_partition, serialize_space)
 
@@ -657,7 +658,7 @@ QUOTIENT_OF_S = ('let Q = quotient(S, P)\nemit Q "out/Q.json"\nemit Q.proj "out/
                  'emit P "out/P.json"\n')
 
 
-def test_output_is_independent_of_the_hash_seed(tmp_path):
+def test_output_is_independent_of_the_hash_seed(tmp_path, capsys):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps(CYCLIC_SPACE), encoding="utf-8")
     # the demo dataset with its broken map checked for continuity, so a witness is chosen
@@ -711,17 +712,26 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
                 "run quotient of select": ["run", str(overlay / "select_quotient.topo")],
                 "run quotient of product": ["run", str(overlay / "product_quotient.topo")],
                 "dim": ["dim", str(ring)]}
+
+    def take_emitted():
+        """The files a run emitted, removed so that the next run writes them anew."""
+        emitted = tuple((p.name, p.read_bytes()) for p in sorted(overlay.glob("out/*")))
+        shutil.rmtree(overlay / "out", ignore_errors=True)
+        return emitted
+
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
         for name, command in commands.items():
             done = subprocess.run([sys.executable, "-m", "topodata.cli", *command],
                                   env=env, capture_output=True, text=True, timeout=60)
-            # the files a run emitted, removed so that the next run writes them anew
-            emitted = tuple((p.name, p.read_bytes()) for p in sorted(overlay.glob("out/*")))
-            shutil.rmtree(overlay / "out", ignore_errors=True)
-            seen[name].add((done.returncode, done.stdout, done.stderr, emitted))
+            seen[name].add((done.returncode, done.stdout, done.stderr, take_emitted()))
     assert {name: len(runs) for name, runs in seen.items()} == dict.fromkeys(commands, 1)
+    # the process entry adds and drops nothing: every spawned run equals main() in process
+    for name, command in commands.items():
+        code = main(command)
+        out, err = capsys.readouterr()
+        assert seen[name] == {(code, out, err, take_emitted())}, name
     (code, out, err, _), = seen["validate"]
     assert (code, err) == (0, "")
     assert out.splitlines() == ["PASS lod_reference (continuous)", "PASS legacy_reference (plain)"]

@@ -116,6 +116,15 @@ class TestConstruction:
         g = SpaceMap(y, y, {"c": "c", "b": "b", "a": "a"})
         assert f == g and hash(f) == hash(g)
 
+    def test_hash_does_not_read_the_incidence(self, space_x, monkeypatch):
+        def unread(space):
+            raise AssertionError("incidence built")
+
+        expected = hash(space_x)
+        monkeypatch.setattr(Space, "incidence", property(unread))
+        assert hash(space_x) == expected
+        assert hash(Space(space_x.name, space_x.elements)) == expected
+
     @pytest.mark.parametrize("entry", [("a",), None, "ab", {"a": 1, "b": 2}, {"a", "b"},
                                        (["a"], "b"), ("m", ["a"])])
     def test_malformed_incidence_entry(self, entry):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -219,3 +220,27 @@ def test_scale_probe_star_is_continuous_under_its_identity():
     identity, = build()
     assert identity.domain == Space("S", ids, pairs) and len(identity.domain) == 7
     assert identity.domain.dimension("h") == 1 and run(identity)
+
+
+# -- tools/spawn_probe.py: a tiny run ------------------------------------------------
+
+def test_spawn_probe_splits_each_invocation_into_phases(tmp_path, capsys):
+    tool = load_tool("spawn_probe")
+    # a tree without the process entry, which the driver ends through sys.exit(main())
+    shutil.copytree(tool.ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "topodata" / "cli.py", "a", encoding="utf-8") as cli:
+        cli.write("\ndel entry\n")
+    assert tool.main(["--workload", "overlay", "--runs", "1", "--against", str(tmp_path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert list(results) == ["uncached", "cached"]
+    for mode in results.values():
+        entry, = mode.values()
+        assert list(mode) == ["overlay"]
+        for side in ("this", "against"):
+            assert entry[side]["runs"] == 1 and entry[side]["failed"] == []
+            phases = [entry[side][p] for p in ("start_import_s", "command_s", "exit_s")]
+            assert min(phases) > 0
+            assert sum(phases) == pytest.approx(entry[side]["total_s"])
+        assert set(entry["saving_s"]) == set(entry["this_faster_pairs"]) == set(tool.PHASES)
+        assert set(entry["this_faster_pairs"].values()) <= {0, 1}
