@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input or
-an operation error.  Every subcommand is a thin wrapper over one library
-call; no logic lives only here.
+Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input, an
+operation error, or an id that stdout cannot encode.  Every subcommand
+is a thin wrapper over one library call; no logic lives only here.
 
 ``main`` pauses the cyclic collector for one command, restores it and
 freezes nothing; ``entry``, the ``topo`` process, also freezes the heap
@@ -172,6 +172,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TopologyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as err:  # a lone surrogate in an id: the lines before it stay
+        print(f"error: cannot print output: {err}", file=sys.stderr)
         return 2
     finally:
         if collecting:

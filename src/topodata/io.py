@@ -18,6 +18,15 @@ the pairs in sorted order without sorting them as string pairs.
 
 ``parse_document`` reads a document of any kind from one JSON parse,
 choosing the kind by its fields as ``detect_kind`` does.
+
+Loading releases a document as it reads it.  ``parse_space`` and
+``parse_map`` drop their text once it is parsed; on CPython 3.11 and
+later, where the text ``load_space`` and ``load_map`` pass is held by
+the call alone, it is freed then.  ``_space_of`` consumes its document:
+it drops the element entries before it reads a pair, and hands the
+pairs to ``Space`` as an iterator, which frees them when the walk over
+them ends.  The peak of a load is then the JSON parse of its largest
+file.
 """
 
 from __future__ import annotations
@@ -124,10 +133,17 @@ def _build(source, constructor, *args, **kwargs):
 # -- spaces ------------------------------------------------------------------
 
 def parse_space(text: str, source: str = "<space>") -> Space:
-    return _space_of(_load_json(text, source), source)
+    doc = _load_json(text, source)
+    del text  # a caller that passed a temporary frees it here
+    return _space_of(doc, source)
 
 
 def _space_of(doc, source: str) -> Space:
+    """The space of a parsed document, which it consumes: it removes the
+    element entries once it has read their ids and attributes, before
+    any pair is read, and removes the pairs and hands them to ``Space``
+    as an iterator, which frees them when the walk over them ends, before
+    the repeats are merged and the order is built."""
     name = _require(doc, "name", str, source)
     raw_elements = _require(doc, "elements", list, source)
     ids = []
@@ -140,8 +156,10 @@ def _space_of(doc, source: str) -> Space:
         attrs = entry.get("attrs")
         if attrs is not None:
             attributes[entry["id"]] = attrs
-    incidence = _require(doc, "incidence", list, source)
-    return _build(source, Space, name, ids, incidence, attributes)
+    del doc["elements"], raw_elements
+    pairs = iter(_require(doc, "incidence", list, source))
+    del doc["incidence"]
+    return _build(source, Space, name, ids, pairs, attributes)
 
 
 @singledispatch
@@ -188,7 +206,9 @@ def _incidence(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]
 # -- maps --------------------------------------------------------------------
 
 def parse_map(text: str, spaces: Mapping[str, Space], source: str = "<map>") -> SpaceMap:
-    return _map_of(_load_json(text, source), spaces, source)
+    doc = _load_json(text, source)
+    del text  # a caller that passed a temporary frees it here
+    return _map_of(doc, spaces, source)
 
 
 def _map_of(doc, spaces: Mapping[str, Space], source: str) -> SpaceMap:

@@ -245,8 +245,9 @@ def covers(order: list[str], below: Mapping[int, int]) -> dict[str, list[str]]:
 class Space:
     """A finite topological space represented by an incidence DAG.
 
-    Spaces are immutable value objects: equality and hashing cover the
-    name, the element set, the incidence relation, and the attributes.
+    Spaces are immutable value objects: equality covers the name, the
+    element set, the incidence relation, and the attributes; hashing
+    covers the name and the element set only, which equal spaces share.
     All derived data (reachability, dimensions) is memoised internally,
     never exposed, and safe to share across concurrent readers.
 

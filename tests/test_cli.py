@@ -389,3 +389,53 @@ def test_entry_freezes_the_heap_and_exits_with_the_code_of_main(files, monkeypat
         gc.unfreeze()
     assert exited.value.code == 1
     assert "witness (e,v1) -> (v1,e)" in capsys.readouterr().out
+
+
+# -- ids that stdout cannot encode ------------------------------------------------------
+# A lone surrogate is valid JSON and a valid id, but no output encoding can
+# print it: the lines before it are printed, then one error line, exit 2.
+
+LONE = "e\ud800"
+
+
+@pytest.fixture
+def surrogate_files(tmp_path):
+    def put(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+
+    put("seg.json", {"name": "seg", "elements": [{"id": e} for e in (LONE, "v1", "v2")],
+                     "incidence": [[LONE, "v1"], [LONE, "v2"]]})
+    put("pt.json", {"name": "pt", "elements": [{"id": "P"}], "incidence": []})
+    put("part_of.json", {"domain": "seg", "codomain": "pt",
+                         "pairs": [[e, "P"] for e in (LONE, "v1", "v2")]})
+    put("swap.json", {"domain": "seg", "codomain": "seg",
+                      "pairs": [[LONE, "v1"], ["v1", LONE], ["v2", "v2"]]})
+    put("manifest.json", {"spaces": ["seg.json", "pt.json"], "maps": ["part_of.json", "swap.json"],
+                          "constraints": [{"name": "ref", "map": "part_of"},
+                                          {"name": "bad", "map": "swap"}]})
+    put("up.json", {"name": "up", "elements": [{"id": e} for e in (LONE, "v")],
+                    "incidence": [["v", LONE]]})
+    (tmp_path / "closure.topo").write_text('load U "up.json"\ndim U\nclosure U v\n',
+                                           encoding="utf-8")
+    return tmp_path
+
+
+def topo_process(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, "-m", "topodata.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("args, printed", [
+    (("star", "seg.json", "v1"), b""),
+    (("validate", "manifest.json"), b"PASS ref (continuous)\n"),
+    (("run", "closure.topo"), b"dim U = 1\n"),
+], ids=["star", "validate", "run"])
+def test_an_unprintable_id_is_an_error_line(surrogate_files, args, printed):
+    done = topo_process(*args, cwd=surrogate_files)
+    assert done.returncode == 2
+    assert done.stdout == printed
+    err = done.stderr.decode("utf-8")
+    assert err.startswith("error: cannot print output: ") and err.count("\n") == 1
+    assert "\\ud800" in err

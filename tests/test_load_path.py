@@ -1,7 +1,7 @@
 """The load path of spaces and maps: error precedence, a seeded
 differential test against a reference checker, a walk that runs only to
-name a fault, shared id objects, and output that does not depend on the
-hash seed.
+name a fault, shared id objects, a document released before its space is
+built, and output that does not depend on the hash seed.
 
 A loaded space holds one object per element id, and every incidence
 endpoint and every map key and value is that object, so dict and set
@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +42,7 @@ from topodata import (
     select_subspace,
     validate,
 )
+from topodata import io
 from topodata.cli import main
 from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
                          serialize_partition, serialize_space)
@@ -613,6 +615,33 @@ def test_a_space_equals_itself_without_comparing_contents():
     space = Space("s", ["a"])
     space.elements = Uncomparable()
     assert space == space and not space != space
+
+
+
+# -- what loading releases ------------------------------------------------------------
+
+class Listed(list):
+    """A list that a weakref can follow."""
+
+
+def test_a_space_document_is_released_before_the_space_is_built(monkeypatch):
+    entries = [{"id": "e", "attrs": {"k": "v"}}, {"id": "v1"}, {"id": "v2"}]
+    pairs = [["e", "v1"], ["e", "v2"], ["e", "v1"]]
+    doc = {"name": "seg", "elements": Listed(entries), "incidence": Listed(pairs)}
+    refs = [weakref.ref(doc["elements"]), weakref.ref(doc["incidence"])]
+    alive = []
+    build = Space._build
+
+    def recording(self, *args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Space, "_build", recording)
+    space = io._space_of(doc, "<space>")
+    monkeypatch.undo()
+    # the entries went before the walk, the pairs with the end of the walk
+    assert alive == [[False, False]]
+    assert space == Space("seg", ["e", "v1", "v2"], pairs, {"e": {"k": "v"}})
 
 
 # -- the same output under every hash seed --------------------------------------------

@@ -138,7 +138,8 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert results["continuity_star_5"]["pairs"] == 5
     for label, row in results.items():
         extruded = ("product", "serialize", "emit") if label.startswith("grid") else ()
-        names = (("parse_space", "parse_map", "is_continuous") if label.startswith("load") else
+        names = (("parse_space", "load_space", "parse_map", "is_continuous")
+                 if label.startswith("load") else
                  ("is_continuous",) if label.startswith("continuity_star") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
@@ -162,7 +163,8 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
     for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
                                        "pullback_intersection")),
                          ("grid_2x2", ("product", "serialize", "emit")),
-                         ("load_2x2", ("parse_space", "parse_map", "is_continuous")),
+                         ("load_2x2", ("parse_space", "load_space", "parse_map",
+                                       "is_continuous")),
                          ("continuity_star_4", ("is_continuous",))):
         row = results[label]
         for name in names:
@@ -183,11 +185,12 @@ def test_scale_probe_loads_another_tree_twice():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_scale_probe_coarsening_is_continuous(n):
+def test_scale_probe_coarsening_is_continuous(n, tmp_path):
     tool = load_tool("scale_probe")
-    found = tool.loading(tool.topodata, n)
-    run, build = found["parse_space"]
-    assert run(*build()) == Space("G", *tool.grid(n))
+    found = tool.loading(tool.topodata, n, tmp_path)
+    for name in ("parse_space", "load_space"):
+        run, build = found[name]
+        assert run(*build()) == Space("G", *tool.grid(n))
     run, build = found["is_continuous"]
     coarse_map, = build()
     assert run(coarse_map)
@@ -244,3 +247,19 @@ def test_spawn_probe_splits_each_invocation_into_phases(tmp_path, capsys):
             assert sum(phases) == pytest.approx(entry[side]["total_s"])
         assert set(entry["saving_s"]) == set(entry["this_faster_pairs"]) == set(tool.PHASES)
         assert set(entry["this_faster_pairs"].values()) <= {0, 1}
+
+
+def test_spawn_probe_alternates_the_modes_round_by_round(tmp_path, monkeypatch):
+    tool = load_tool("spawn_probe")
+    seen = []
+
+    def invoke(self):
+        seen.append("uncached" if "PYTHONDONTWRITEBYTECODE" in self.env else "cached")
+        return {phase: 1.0 for phase in tool.PHASES}
+
+    monkeypatch.setattr(tool.Invoker, "invoke", invoke)
+    results = tool.probe(tool.bench_run(), ["overlay"], 1, 4, {"this": tool.ROOT}, tmp_path)
+    assert sorted(seen[:2]) == ["cached", "uncached"]  # the warm-ups
+    assert seen[2:] == ["uncached", "cached", "cached", "uncached"] * 2
+    assert list(results) == ["uncached", "cached"]
+    assert all(entry["this"]["runs"] == 4 for mode in results.values() for entry in mode.values())

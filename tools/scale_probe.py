@@ -16,7 +16,9 @@ swept, ``serialize`` (``serialize_space``) of that product, and
 directory, or, in a tree that has no ``write_document``, what its
 script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.  The
 grid is loaded as well, in its own row: ``parse_space`` of its JSON
-document, ``parse_map`` of its 2x coarsening onto the grid of half its
+document, whose text the probe keeps, ``load_space`` of that document
+written to a file in the temporary directory, whose text only the load
+holds, ``parse_map`` of its 2x coarsening onto the grid of half its
 side, and ``is_continuous`` of that map.  A star, one hub bounded by
 each of n leaves, is checked in a row of its own: ``is_continuous`` of
 its identity map, whose every pair is a pair of the codomain, so the
@@ -196,13 +198,16 @@ def extrusion(lib, first, target: Path):
             "emit": (emit, extruded)}
 
 
-def loading(lib, n: int):
-    """``parse_space`` of the n x n grid's document, ``parse_map`` of its
-    ``coarsening``, and ``is_continuous`` of that map, with the functions of ``lib``."""
+def loading(lib, n: int, folder: Path):
+    """``parse_space`` of the n x n grid's document, ``load_space`` of it from
+    a file in ``folder``, ``parse_map`` of its ``coarsening``, and
+    ``is_continuous`` of that map, with the functions of ``lib``."""
     io = importlib.import_module(f"{lib.__name__}.io")
     fine, half = grid(n), grid(n // 2)
     space_text = json.dumps({"name": "G", "elements": [{"id": e} for e in fine[0]],
                              "incidence": [list(pair) for pair in fine[1]]})
+    space_path = folder / "grid.json"
+    space_path.write_text(space_text, encoding="utf-8")
     map_text = json.dumps({"domain": "G", "codomain": "H", "pairs": coarsening(n)})
 
     def spaces():
@@ -212,6 +217,7 @@ def loading(lib, n: int):
         return (io.parse_map(map_text, *spaces()),)
 
     return {"parse_space": (io.parse_space, lambda: (space_text,)),
+            "load_space": (io.load_space, lambda: (space_path,)),
             "parse_map": (lambda named: io.parse_map(map_text, named), spaces),
             "is_continuous": (lib.is_continuous, coarse_map)}
 
@@ -258,8 +264,8 @@ def measure(run, build, repeat: int, against=None) -> dict:
 
 
 def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float,
-          target: Path, against=None) -> dict:
-    """The rows of every input; ``emit`` writes to ``target``."""
+          folder: Path, against=None) -> dict:
+    """The rows of every input; ``emit`` and the load write their files to ``folder``."""
     results = {}
     too_slow: dict[str, str] = {}
     inputs = [(f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D")) for n in sorted(chains)]
@@ -273,12 +279,12 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
 
         def timed(lib):
             if label.startswith("load"):
-                return loading(lib, grid_n)
+                return loading(lib, grid_n, folder)
             if label.startswith("continuity_star"):
                 return continuity(lib, first)
             found = operations(lib, first, second)
             if label.startswith("grid"):
-                found.update(extrusion(lib, first, target))
+                found.update(extrusion(lib, first, folder / "emitted.json"))
             return found
 
         theirs = timed(against) if against else {}
@@ -310,7 +316,7 @@ def main(argv=None) -> int:
     chains = [int(n) for n in args.chains.split(",") if n]
     with tempfile.TemporaryDirectory() as scratch:
         results = probe(chains, args.grid, args.star, args.repeat, args.limit,
-                        Path(scratch) / "emitted.json",
+                        Path(scratch),
                         load_against(args.against) if args.against else None)
     result = {
         "machine": f"{platform.system()} {platform.machine()}, "

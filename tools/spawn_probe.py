@@ -27,7 +27,10 @@ Every case runs in two modes, each from its own copy of ``src/`` with no
 ``__pycache__``: ``uncached`` sets ``PYTHONDONTWRITEBYTECODE=1``, so every
 process compiles the package, as the benchmark's children do;
 ``cached`` does not, so a warm-up run writes the bytecode the timed runs
-read.  One warm-up per case, mode and tree is not timed.
+read.  One warm-up per case, mode and tree is not timed.  Every round
+runs each case in both modes, and the mode that goes first changes from
+round to round, so that a drift in the machine's speed falls on both
+modes alike and does not read as an effect of the mode.
 
 With ``--against``, the ``src/`` of another checkout (say a ``git
 archive`` of an earlier commit) runs too, alternating with this one and
@@ -161,26 +164,27 @@ def probe(runner, workload_names: list[str], seed: int, runs: int, trees: dict[s
     for name in workload_names:
         cases[name] = runner.workloads.WORKLOADS[name](seed)
         runner.materialize(cases[name], work / "cases" / name)
-    results = {}
+    invokers = {}
     for mode, mode_env in MODES.items():
-        invokers = {}
         for side, tree in trees.items():
             src = work / mode / side / "src"
             shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             for name, case in cases.items():
-                invokers[side, name] = Invoker(src, mode_env, runner, case,
-                                               work / "cases" / name, work)
-        for invoker in invokers.values():
-            invoker.invoke()  # warm-up: the file cache, and the bytecode when it is written
-        samples = {(side, name): [] for side, name in invokers}
-        for i in range(runs):
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
+                invokers[mode, side, name] = Invoker(src, mode_env, runner, case,
+                                                     work / "cases" / name, work)
+    for invoker in invokers.values():
+        invoker.invoke()  # warm-up: the file cache, and the bytecode when it is written
+    samples = {key: [] for key in invokers}
+    for i in range(runs):
+        modes, order = (list(MODES), list(trees)) if i % 2 == 0 else (
+            list(reversed(MODES)), list(reversed(trees)))
+        for mode in modes:
             for name in cases:
                 for side in order:
-                    samples[side, name].append(invokers[side, name].invoke())
-        results[mode] = {name: summarize({side: samples[side, name] for side in trees})
-                         for name in cases}
-    return results
+                    samples[mode, side, name].append(invokers[mode, side, name].invoke())
+    return {mode: {name: summarize({side: samples[mode, side, name] for side in trees})
+                   for name in cases}
+            for mode in MODES}
 
 
 def main(argv=None) -> int:
