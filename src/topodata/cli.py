@@ -5,8 +5,9 @@ operation error, or an id that stdout cannot encode.  Every subcommand
 is a thin wrapper over one library call; no logic lives only here.
 
 ``main`` pauses the cyclic collector for one command, restores it and
-freezes nothing; ``entry``, the ``topo`` process, also freezes the heap
-so that the interpreter's exit-time collections skip it.
+freezes nothing, and makes a surrogateescape stdout strict for it, so no
+id prints as a raw byte; ``entry``, the ``topo`` process, also freezes
+the heap so that the interpreter's exit-time collections skip it.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ def main(argv=None) -> int:
     # one command frees few cycles, so the cyclic collector waits for its end
     collecting = gc.isenabled()
     gc.disable()
+    escaping = getattr(sys.stdout, "errors", None) == "surrogateescape"
+    if escaping:  # it would print a lone surrogate U+DC80-U+DCFF as a raw byte
+        sys.stdout.reconfigure(errors="strict")
     try:
         return args.func(args)
     except (TopologyError, OSError) as err:
@@ -177,6 +181,8 @@ def main(argv=None) -> int:
         print(f"error: cannot print output: {err}", file=sys.stderr)
         return 2
     finally:
+        if escaping:
+            sys.stdout.reconfigure(errors="surrogateescape")
         if collecting:
             gc.enable()
 

@@ -12,9 +12,9 @@ indented document runs the pure-Python encoder instead.  They produce
 text blocks: the header, then the items of each top-level list
 ``_BLOCK`` at a time.  ``serialize_*`` joins them, and
 ``write_document`` (a script's ``emit``) streams them to the file.  A
-space is written from its successor lists: its ids are sorted and
-escaped once, and each id's successors are sorted by rank, which lists
-the pairs in sorted order without sorting them as string pairs.
+space is written from its sorted ids, each with its successors sorted,
+and a map from its sorted sources; an id is escaped where it is
+written, so an emit holds the sorted ids and one block, no id table.
 
 ``parse_document`` reads a document of any kind from one JSON parse,
 choosing the kind by its fields as ``detect_kind`` does.
@@ -174,33 +174,30 @@ def serialize_space(space: Space) -> str:
 @_blocks.register
 def _space_blocks(space: Space) -> Iterator[str]:
     ids = sorted(space.elements)
-    quoted = [_string(e) for e in ids]
     return _document([("name", _string(space.name)),
-                      ("elements", _elements(space, ids, quoted)),
-                      ("incidence", _incidence(space, ids, quoted))])
+                      ("elements", _elements(space, ids)),
+                      ("incidence", _incidence(space, ids))])
 
 
-def _elements(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
-    for element, rendered in zip(ids, quoted):
+def _elements(space: Space, ids: list[str]) -> Iterator[str]:
+    for element in ids:
         attrs = space.attributes.get(element)
         if attrs:
             values = [(key, _string(value)) for key, value in sorted(attrs.items())]
-            yield _object([("id", rendered), ("attrs", _object(values, "      "))], "    ")
+            yield _object([("id", _string(element)), ("attrs", _object(values, "      "))], "    ")
         else:
-            yield _ELEMENT % rendered
+            yield _ELEMENT % _string(element)
 
 
-def _incidence(space: Space, ids: list[str], quoted: list[str]) -> Iterator[str]:
-    """The pairs in sorted order: the sources by rank, and each one's successor
-    tuple sorted by rank.  Ids are distinct and each pair is held once, so
-    this is the sorted order of the pairs."""
-    rank = {e: i for i, e in enumerate(ids)}
+def _incidence(space: Space, ids: list[str]) -> Iterator[str]:
+    """The pairs in sorted order: each id of ``ids`` with its successors sorted.
+    Ids are distinct and each pair is held once, so no pair is sorted as a pair."""
     succ = space._succ
-    for a, rendered in zip(ids, quoted):
+    for a in ids:
         below = succ[a]
         if below:
-            head = _PAIR_HEAD % rendered
-            yield from [head + quoted[j] + _PAIR_TAIL for j in sorted(map(rank.__getitem__, below))]
+            head = _PAIR_HEAD % _string(a)
+            yield from [head + _string(b) + _PAIR_TAIL for b in sorted(below)]
 
 
 # -- maps --------------------------------------------------------------------
@@ -228,9 +225,10 @@ def serialize_map(space_map: SpaceMap) -> str:
 
 @_blocks.register
 def _map_blocks(space_map: SpaceMap) -> Iterator[str]:
+    table = space_map.mapping
     return _document([("domain", _string(space_map.domain.name)),
                       ("codomain", _string(space_map.codomain.name)),
-                      ("pairs", _pairs(space_map.pairs()))])
+                      ("pairs", _pairs((a, table[a]) for a in sorted(table)))])
 
 
 # -- theta relations -----------------------------------------------------------

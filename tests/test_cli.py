@@ -394,8 +394,8 @@ def test_entry_freezes_the_heap_and_exits_with_the_code_of_main(files, monkeypat
 # -- ids that stdout cannot encode ------------------------------------------------------
 # A lone surrogate is valid JSON and a valid id, but no output encoding can
 # print it: the lines before it are printed, then one error line, exit 2.
-
-LONE = "e\ud800"
+# That holds for a low surrogate U+DC80-U+DCFF too, which the surrogateescape
+# handler of a POSIX locale or of UTF-8 mode would write as a raw byte.
 
 
 @pytest.fixture
@@ -403,39 +403,64 @@ def surrogate_files(tmp_path):
     def put(name, doc):
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
 
-    put("seg.json", {"name": "seg", "elements": [{"id": e} for e in (LONE, "v1", "v2")],
-                     "incidence": [[LONE, "v1"], [LONE, "v2"]]})
-    put("pt.json", {"name": "pt", "elements": [{"id": "P"}], "incidence": []})
-    put("part_of.json", {"domain": "seg", "codomain": "pt",
-                         "pairs": [[e, "P"] for e in (LONE, "v1", "v2")]})
-    put("swap.json", {"domain": "seg", "codomain": "seg",
-                      "pairs": [[LONE, "v1"], ["v1", LONE], ["v2", "v2"]]})
-    put("manifest.json", {"spaces": ["seg.json", "pt.json"], "maps": ["part_of.json", "swap.json"],
-                          "constraints": [{"name": "ref", "map": "part_of"},
-                                          {"name": "bad", "map": "swap"}]})
-    put("up.json", {"name": "up", "elements": [{"id": e} for e in (LONE, "v")],
-                    "incidence": [["v", LONE]]})
-    (tmp_path / "closure.topo").write_text('load U "up.json"\ndim U\nclosure U v\n',
-                                           encoding="utf-8")
-    return tmp_path
+    def files(lone: str) -> Path:
+        put("seg.json", {"name": "seg", "elements": [{"id": e} for e in (lone, "v1", "v2")],
+                         "incidence": [[lone, "v1"], [lone, "v2"]]})
+        put("pt.json", {"name": "pt", "elements": [{"id": "P"}], "incidence": []})
+        put("part_of.json", {"domain": "seg", "codomain": "pt",
+                             "pairs": [[e, "P"] for e in (lone, "v1", "v2")]})
+        put("swap.json", {"domain": "seg", "codomain": "seg",
+                          "pairs": [[lone, "v1"], ["v1", lone], ["v2", "v2"]]})
+        put("manifest.json", {"spaces": ["seg.json", "pt.json"],
+                              "maps": ["part_of.json", "swap.json"],
+                              "constraints": [{"name": "ref", "map": "part_of"},
+                                              {"name": "bad", "map": "swap"}]})
+        put("up.json", {"name": "up", "elements": [{"id": e} for e in (lone, "v")],
+                        "incidence": [["v", lone]]})
+        (tmp_path / "closure.topo").write_text('load U "up.json"\ndim U\nclosure U v\n',
+                                               encoding="utf-8")
+        return tmp_path
+
+    return files
 
 
-def topo_process(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+def topo_process(*args: str, cwd: Path, errors: str | None = None,
+                 program: tuple[str, ...] = ("-m", "topodata.cli")) -> subprocess.CompletedProcess:
+    """``topo`` (or another ``program``) in a child, with stdout's error handler
+    the platform's default or ``errors``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    return subprocess.run([sys.executable, "-m", "topodata.cli", *args], cwd=cwd, env=env,
+    if errors:
+        env["PYTHONIOENCODING"] = f"utf-8:{errors}"
+    return subprocess.run([sys.executable, *program, *args], cwd=cwd, env=env,
                           capture_output=True, timeout=60)
 
 
-@pytest.mark.parametrize("args, printed", [
-    (("star", "seg.json", "v1"), b""),
-    (("validate", "manifest.json"), b"PASS ref (continuous)\n"),
-    (("run", "closure.topo"), b"dim U = 1\n"),
-], ids=["star", "validate", "run"])
-def test_an_unprintable_id_is_an_error_line(surrogate_files, args, printed):
-    done = topo_process(*args, cwd=surrogate_files)
-    assert done.returncode == 2
-    assert done.stdout == printed
-    err = done.stderr.decode("utf-8")
-    assert err.startswith("error: cannot print output: ") and err.count("\n") == 1
-    assert "\\ud800" in err
+# a child that calls main in process, then prints the error handler main left on stdout
+IN_PROCESS = ("-c", "import sys\nfrom topodata.cli import main\ncode = main(sys.argv[1:])\n"
+                    "print(sys.stdout.errors)\nsys.exit(code)")
+
+
+@pytest.mark.parametrize("lone, args, printed", [
+    pytest.param(lone, args, printed, id=name + suffix)
+    for lone, suffix in [("e\ud800", ""), ("e\udc80", "-udc80")]
+    for name, args, printed in [
+        ("star", ("star", "seg.json", "v1"), b""),
+        ("validate", ("validate", "manifest.json"), b"PASS ref (continuous)\n"),
+        ("run", ("run", "closure.topo"), b"dim U = 1\n"),
+    ]
+])
+def test_an_unprintable_id_is_an_error_line(surrogate_files, lone, args, printed):
+    """Through ``topo`` with the platform's stdout handler and with
+    surrogateescape, and through ``main`` in process, which puts the
+    handler back."""
+    folder = surrogate_files(lone)
+    for errors, program, out in [(None, ("-m", "topodata.cli"), printed),
+                                ("surrogateescape", ("-m", "topodata.cli"), printed),
+                                ("surrogateescape", IN_PROCESS, printed + b"surrogateescape\n")]:
+        done = topo_process(*args, cwd=folder, errors=errors, program=program)
+        assert done.returncode == 2
+        assert done.stdout == out
+        err = done.stderr.decode("utf-8")
+        assert err.startswith("error: cannot print output: ") and err.count("\n") == 1
+        assert ascii(lone[-1])[1:-1] in err

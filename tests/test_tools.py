@@ -137,7 +137,8 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert results["continuity_star_5"]["elements"] == 6
     assert results["continuity_star_5"]["pairs"] == 5
     for label, row in results.items():
-        extruded = ("product", "serialize", "emit") if label.startswith("grid") else ()
+        extruded = (("product", "serialize", "emit", "emit_map") if label.startswith("grid")
+                    else ())
         names = (("parse_space", "load_space", "parse_map", "is_continuous")
                  if label.startswith("load") else
                  ("is_continuous",) if label.startswith("continuity_star") else
@@ -162,7 +163,7 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     for label, names in (("chain_20", ("transitive_reduce", "select_subspace",
                                        "pullback_intersection")),
-                         ("grid_2x2", ("product", "serialize", "emit")),
+                         ("grid_2x2", ("product", "serialize", "emit", "emit_map")),
                          ("load_2x2", ("parse_space", "load_space", "parse_map",
                                        "is_continuous")),
                          ("continuity_star_4", ("is_continuous",))):
@@ -209,6 +210,24 @@ def test_scale_probe_extrudes_the_grid_along_a_segment_chain():
     assert len(extruded) == 49 * 9 and extruded.space_dimension() == 3
 
 
+def test_scale_probe_emits_the_projection_with_or_without_write_document(tmp_path):
+    tool = load_tool("scale_probe")
+    # a tree from before write_document, whose emit wrote the serialized text
+    shutil.copytree(Path(tool.__file__).resolve().parents[1] / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "topodata" / "io.py", "a", encoding="utf-8") as source:
+        source.write("\ndel write_document\n")
+    for lib in (tool.topodata, tool.load_against(tmp_path)):
+        target = tmp_path / f"{lib.__name__}.json"
+        found = tool.extrusion(lib, tool.grid(2), target)
+        run, build = found["emit_map"]
+        projection, = build()
+        assert len(projection.mapping) == 25 * (2 * tool.SEGMENTS + 1)
+        run(projection)
+        assert target.read_text(encoding="utf-8") == lib.io.serialize_map(projection)
+    assert not hasattr(lib.io, "write_document")
+
+
 def test_scale_probe_chains_reduce_to_chains():
     tool = load_tool("scale_probe")
     ids, pairs = tool.deep_chain(50, "C")
@@ -247,6 +266,9 @@ def test_spawn_probe_splits_each_invocation_into_phases(tmp_path, capsys):
             assert sum(phases) == pytest.approx(entry[side]["total_s"])
         assert set(entry["saving_s"]) == set(entry["this_faster_pairs"]) == set(tool.PHASES)
         assert set(entry["this_faster_pairs"].values()) <= {0, 1}
+        assert entry["saving_rss_mb"] == pytest.approx(entry["against"]["max_rss_mb"]
+                                                       - entry["this"]["max_rss_mb"])
+        assert entry["this_smaller_rss_pairs"] in (0, 1)
 
 
 def test_spawn_probe_alternates_the_modes_round_by_round(tmp_path, monkeypatch):
@@ -255,7 +277,7 @@ def test_spawn_probe_alternates_the_modes_round_by_round(tmp_path, monkeypatch):
 
     def invoke(self):
         seen.append("uncached" if "PYTHONDONTWRITEBYTECODE" in self.env else "cached")
-        return {phase: 1.0 for phase in tool.PHASES}
+        return {figure: 1.0 for figure in tool.FIGURES}
 
     monkeypatch.setattr(tool.Invoker, "invoke", invoke)
     results = tool.probe(tool.bench_run(), ["overlay"], 1, 4, {"this": tool.ROOT}, tmp_path)
@@ -263,3 +285,17 @@ def test_spawn_probe_alternates_the_modes_round_by_round(tmp_path, monkeypatch):
     assert seen[2:] == ["uncached", "cached", "cached", "uncached"] * 2
     assert list(results) == ["uncached", "cached"]
     assert all(entry["this"]["runs"] == 4 for mode in results.values() for entry in mode.values())
+
+
+def test_spawn_probe_reports_the_max_rss_of_the_child_alone(capsys):
+    resource = pytest.importorskip("resource")
+    tool = load_tool("spawn_probe")
+    # the probe's own high-water mark rises well above a child's, which Linux
+    # would count in the child's max RSS, were the child spawned by the probe
+    ballast = b"x" * (96 << 20)
+    del ballast
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 > 96
+    assert tool.main(["--workload", "overlay", "--runs", "1"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    for mode in results.values():
+        assert 4 < mode["overlay"]["this"]["max_rss_mb"] < 64

@@ -14,8 +14,10 @@ extruded: ``product`` with a chain of 4 segments, the way a solid is
 swept, ``serialize`` (``serialize_space``) of that product, and
 ``emit`` of it: ``io.write_document`` to a file in a temporary
 directory, or, in a tree that has no ``write_document``, what its
-script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.  The
-grid is loaded as well, in its own row: ``parse_space`` of its JSON
+script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.
+``emit_map`` writes the product's left projection onto the grid the same
+way (``serialize_map`` in the older tree).  The grid is loaded as well,
+in its own row: ``parse_space`` of its JSON
 document, whose text the probe keeps, ``load_space`` of that document
 written to a file in the temporary directory, whose text only the load
 holds, ``parse_map`` of its 2x coarsening onto the grid of half its
@@ -175,9 +177,10 @@ def operations(lib, first, second):
 
 
 def extrusion(lib, first, target: Path):
-    """``product`` of the input with a chain of ``SEGMENTS`` segments, and
-    ``serialize`` and ``emit`` of that product to ``target``, with the
-    functions of ``lib``."""
+    """``product`` of the input with a chain of ``SEGMENTS`` segments,
+    ``serialize`` and ``emit`` of that product to ``target``, and
+    ``emit_map`` of its left projection to ``target``, with the functions
+    of ``lib``."""
     chain = segments(SEGMENTS)
 
     def factors():
@@ -186,16 +189,20 @@ def extrusion(lib, first, target: Path):
     def extruded():
         return (lib.product(*factors())[0],)
 
+    def projection():
+        return (lib.product(*factors())[1],)
+
     io = importlib.import_module(f"{lib.__name__}.io")
 
-    def emit(space):
+    def emit(value):
         if hasattr(io, "write_document"):
-            io.write_document(space, target)
+            io.write_document(value, target)
         else:
-            target.write_text(io.serialize_space(space), encoding="utf-8")
+            serialize = io.serialize_space if isinstance(value, lib.Space) else io.serialize_map
+            target.write_text(serialize(value), encoding="utf-8")
 
     return {"product": (lib.product, factors), "serialize": (io.serialize_space, extruded),
-            "emit": (emit, extruded)}
+            "emit": (emit, extruded), "emit_map": (emit, projection)}
 
 
 def loading(lib, n: int, folder: Path):
