@@ -14,7 +14,6 @@ from .algebra import (
     ThetaRelation,
     fibre_product,
     pair_id,
-    partition_by_attribute,
     paste_union,
     product,
     pullback_intersection,
@@ -29,7 +28,6 @@ from .constraints import (
     StageProfile,
     ValidationReport,
     validate,
-    validate_chain,
 )
 from .errors import (
     CodomainMismatchError,
@@ -122,7 +120,6 @@ __all__ = [
     "oracle_is_continuous",
     "pair_id",
     "parse_script",
-    "partition_by_attribute",
     "paste_union",
     "product",
     "pullback_intersection",
@@ -131,5 +128,4 @@ __all__ = [
     "select_subspace",
     "theta_join",
     "validate",
-    "validate_chain",
 ]

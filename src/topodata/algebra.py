@@ -31,8 +31,8 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import (Pair, Space, _iterate, bitmask, check_element_id, check_pairs, covers,
-                    down_bits, post_order, strongly_connected_components)
+from .space import (Pair, Space, _iterate, _kept_down_sets, bitmask, check_element_id,
+                    check_pairs, covers, down_bits, post_order, strongly_connected_components)
 
 SEPARATOR = "×"  # joins the two ids of a pair element; no input id may contain it
 PRODUCT_WARN_LIMIT = 10 ** 6  # product sizes above this warn
@@ -104,21 +104,6 @@ class ThetaRelation:
         self.left_name = _space_name(left_name, "theta left name")
         self.right_name = _space_name(right_name, "theta right name")
 
-    @classmethod
-    def from_attribute_equality(cls, x: Space, y: Space, key: str) -> "ThetaRelation":
-        """Equi-join convenience: relate elements whose ``key`` attributes match."""
-        right_by_value: dict[str, list[str]] = {}
-        for b in y.elements:
-            value = y.attributes.get(b, {}).get(key)
-            if value is not None:
-                right_by_value.setdefault(value, []).append(b)
-        pairs = []
-        for a in x.elements:
-            value = x.attributes.get(a, {}).get(key)
-            if value is not None:
-                pairs.extend((a, b) for b in right_by_value.get(value, ()))
-        return cls(pairs, left_name=x.name, right_name=y.name)
-
     def __eq__(self, other):
         if not isinstance(other, ThetaRelation):
             return NotImplemented
@@ -154,28 +139,6 @@ def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
     sub = Space._trusted(space.name, kept, covers(order, below), attributes, order)
     return sub, SpaceMap._trusted(sub, space, {e: e for e in kept})
-
-
-def _kept_down_sets(kept: frozenset[str], first: Space,
-                    *others: Space) -> tuple[list[str], dict[int, int]]:
-    """The kept ids in a linear extension of their order in ``first``, and
-    the meet over the given spaces of each kept id's down set among the
-    kept ids, as the bitsets that ``covers`` reads.
-
-    Each space is searched only below the kept ids, so the cost follows
-    the kept ids and their down-closures, not the size of the spaces.
-    """
-    order = post_order(first._succ, kept)
-    numbered = [e for e in order if e in kept]
-    own = {e: (p, 1) for p, e in enumerate(numbered)}
-    down = down_bits(order, first._succ, own)
-    below = {p: down[e][1] for p, e in enumerate(numbered)}  # in first, p tops its own set
-    for space in others:
-        down = down_bits(post_order(space._succ, kept), space._succ, own)
-        for p, e in enumerate(numbered):
-            top, bits = down[e]
-            below[p] &= bits >> (top - p)
-    return numbered, below
 
 
 def quotient(space: Space, partition: Partition,
@@ -441,13 +404,3 @@ def fibre_product(u: SpaceMap, p: SpaceMap) -> tuple[Space, SpaceMap, SpaceMap]:
         ((a, b) for a in u.domain.elements for b in fibres.get(u(a), ())),
         left_name=u.domain.name, right_name=p.domain.name)
     return theta_join(u.domain, p.domain, theta)
-
-
-def partition_by_attribute(space: Space, key: str) -> Partition:
-    """Group elements by the value of one attribute.
-
-    Elements carrying ``key`` are classed by its value; elements without
-    it are left unlisted, so they stay singleton classes.
-    """
-    values = {e: space.attributes.get(e, {}).get(key) for e in space.elements}
-    return Partition({e: v for e, v in values.items() if v is not None}, space.name)

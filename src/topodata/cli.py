@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite topological spaces: query algebra, continuity checks, oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate the constraints of a dataset manifest")
+    p = sub.add_parser("validate",
+                       help="validate the constraints and chains of a dataset manifest")
     p.add_argument("manifest")
     p.set_defaults(func=cmd_validate)
 

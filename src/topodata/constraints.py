@@ -6,6 +6,11 @@ which is the natural consistency rule for level-of-detail references
 (every fine element maps to a coarse counterpart compatibly with the
 incidences).  ``plain`` mode checks referential integrity only, so a
 dataset can stage its migration to checked references.
+
+A chain links the levels of detail of a dataset by continuous maps,
+finest first.  ``validate`` checks every link of every declared chain
+as a continuous constraint, which makes every composite along the chain
+continuous too, and profiles the element dimensions of each stage.
 """
 
 from __future__ import annotations
@@ -30,12 +35,17 @@ class ForeignKeyConstraint(namedtuple("ForeignKeyConstraint", "name map_name mod
 
 
 class Dataset:
-    """Named catalog of spaces, maps, and foreign key constraints."""
+    """Named catalog of spaces, maps, foreign key constraints and chains.
+
+    A chain is a ``(name, map names)`` pair: the maps in order, each
+    one's codomain the next one's domain.
+    """
 
     def __init__(self, spaces=None, maps=None, constraints=None):
         self.spaces: dict[str, Space] = dict(spaces or {})
         self.maps: dict[str, SpaceMap] = dict(maps or {})
         self.constraints: list[ForeignKeyConstraint] = list(constraints or [])
+        self.chains: list[tuple[str, tuple[str, ...]]] = []
 
     def add_space(self, space: Space) -> None:
         existing = self.spaces.get(space.name)
@@ -115,39 +125,27 @@ def _check_constraint(name: str, mode: str, space_map: SpaceMap) -> CheckResult:
 
 
 def validate(dataset: Dataset) -> ValidationReport:
-    """Check every constraint; the report is ordered as declared.
+    """Check every constraint, then every link of every chain; the report
+    is ordered as declared, and lists the stages of each chain, finest first.
 
-    A failing continuous constraint always carries a witness pair (a, b)
+    A failing continuous check always carries a witness pair (a, b)
     whose image pair is outside the codomain preorder, so the violation
-    can be re-checked independently.
+    can be re-checked independently.  A chain whose links do not compose
+    raises ``DomainMismatchError``.
     """
     checks = []
     for constraint in dataset.constraints:
         space_map = dataset.resolve_map(constraint.map_name)
         checks.append(_check_constraint(constraint.name, constraint.mode, space_map))
-    return ValidationReport(tuple(checks))
-
-
-def validate_chain(dataset: Dataset, chain: list[str]) -> ValidationReport:
-    """Check a chain of maps linking successive levels of detail.
-
-    Each link must be continuous, which makes every composite from the
-    finest space onward continuous as well.  The report also profiles the
-    element dimensions of every stage along the chain, finest first.
-    """
-    maps = [dataset.resolve_map(name) for name in chain]
-    for left, right in zip(maps, maps[1:]):
-        if left.codomain != right.domain:
-            raise DomainMismatchError(
-                f"chain breaks between {left.codomain.name!r} and {right.domain.name!r}")
-
     stages = []
-    if maps:
-        spaces = [maps[0].domain] + [m.codomain for m in maps]
-        stages = [StageProfile(s.name, tuple(s.dimension_histogram().items()))
-                  for s in spaces]
-
-    checks = []
-    for i, (name, space_map) in enumerate(zip(chain, maps)):
-        checks.append(_check_constraint(f"link[{i}] {name}", "continuous", space_map))
+    for chain, names in dataset.chains:
+        maps = [dataset.resolve_map(name) for name in names]
+        for left, right in zip(maps, maps[1:]):
+            if left.codomain != right.domain:
+                raise DomainMismatchError(f"chain {chain!r} breaks between "
+                                          f"{left.codomain.name!r} and {right.domain.name!r}")
+        for space in [m.domain for m in maps[:1]] + [m.codomain for m in maps]:
+            stages.append(StageProfile(space.name, tuple(space.dimension_histogram().items())))
+        for i, (name, space_map) in enumerate(zip(names, maps)):
+            checks.append(_check_constraint(f"{chain} link[{i}] {name}", "continuous", space_map))
     return ValidationReport(tuple(checks), tuple(stages))

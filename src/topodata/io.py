@@ -284,12 +284,15 @@ def _partition_blocks(partition: Partition) -> Iterator[str]:
     by_label: dict[str, list[str]] = {}
     for element, label in partition.classes.items():
         by_label.setdefault(label, []).append(element)
-    classes = []
+    return _document([("space", _declared(partition.space_name, "partition")),
+                      ("classes", _classes(by_label))])
+
+
+def _classes(by_label: dict[str, list[str]]) -> Iterator[str]:
+    """Each class rendered as its block takes it, in sorted label order."""
     for label in sorted(by_label):
         listed = _layout([_string(member) for member in sorted(by_label[label])], "      ")
-        classes.append(_object([("label", _string(label)), ("members", listed)], "    "))
-    return _document([("space", _declared(partition.space_name, "partition")),
-                      ("classes", classes)])
+        yield _object([("label", _string(label)), ("members", listed)], "    ")
 
 
 # -- document detection ----------------------------------------------------------
@@ -372,7 +375,7 @@ def load_theta(path) -> ThetaRelation:
 # -- dataset manifests ---------------------------------------------------------------
 
 def load_dataset(manifest_path) -> Dataset:
-    """Load a dataset manifest: space files, map files, constraints.
+    """Load a dataset manifest: space files, map files, constraints, chains.
 
     Paths are resolved relative to the manifest.  Spaces are catalogued
     under their own name field; maps, whose format carries no name, are
@@ -385,7 +388,7 @@ def load_dataset(manifest_path) -> Dataset:
 
     dataset = Dataset()
     spaces = _require(doc, "spaces", list, source)
-    for key in ("maps", "constraints"):
+    for key in ("maps", "constraints", "chains"):
         if not isinstance(doc.get(key, []), list):
             raise ParseError(f"field {key!r} must be list, "
                              f"got {type(doc[key]).__name__}", source=source)
@@ -409,4 +412,11 @@ def load_dataset(manifest_path) -> Dataset:
         except ValueError as err:
             raise ParseError(str(err), source=source) from err
         dataset.constraints.append(constraint)
+    for entry in doc.get("chains", []):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("maps"), list) and entry["maps"]
+                and all(isinstance(name, str) for name in entry["maps"])):
+            raise ParseError(f"chains entries need 'name' and a non-empty list of map "
+                             f"names 'maps', got {entry!r}", source=source)
+        dataset.chains.append((entry["name"], tuple(entry["maps"])))
     return dataset

@@ -242,6 +242,28 @@ def covers(order: list[str], below: Mapping[int, int]) -> dict[str, list[str]]:
     return succ
 
 
+def _kept_down_sets(kept: frozenset[str], first: Space,
+                    *others: Space) -> tuple[list[str], dict[int, int]]:
+    """The kept ids in a linear extension of their order in ``first``, and
+    the meet over the given spaces of each kept id's down set among the
+    kept ids, as the bitsets that ``covers`` reads.
+
+    Each space is searched only below the kept ids, so the cost follows
+    the kept ids and their down-closures, not the size of the spaces.
+    """
+    order = post_order(first._succ, kept)
+    numbered = [e for e in order if e in kept]
+    own = {e: (p, 1) for p, e in enumerate(numbered)}
+    down = down_bits(order, first._succ, own)
+    below = {p: down[e][1] for p, e in enumerate(numbered)}  # in first, p tops its own set
+    for space in others:
+        down = down_bits(post_order(space._succ, kept), space._succ, own)
+        for p, e in enumerate(numbered):
+            top, bits = down[e]
+            below[p] &= bits >> (top - p)
+    return numbered, below
+
+
 class Space:
     """A finite topological space represented by an incidence DAG.
 
@@ -254,10 +276,10 @@ class Space:
     The incidence relation is held as successor tuples: each element
     maps to the tuple of the elements it is bounded by, in the order its
     pairs were given, a pair given more than once held once.  It is not
-    closed or reduced implicitly; ``preorder`` computes the closure on
-    demand and ``transitive_reduce`` returns the canonical minimal
-    relation.  ``incidence``, the relation as a frozenset of pairs, is
-    built on each read and not kept.
+    closed or reduced implicitly; ``in_preorder`` tests the closure and
+    ``transitive_reduce`` returns the canonical minimal relation.
+    ``incidence``, the relation as a frozenset of pairs, is built on each
+    read and not kept.
 
     The reductions (``transitive_reduce``, and the operators that restrict
     a space to some of its elements) number the elements below the ones
@@ -507,14 +529,6 @@ class Space:
             return False
         raise self._not_an_element(b)
 
-    def preorder(self) -> frozenset[Pair]:
-        """The reflexive-transitive closure of the incidence relation.
-
-        Acyclicity makes this a partial order: reflexive, transitive, and
-        antisymmetric.
-        """
-        return frozenset((a, b) for a in self.elements for b in self.down_set(a))
-
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest closed superset: everything reachable from the subset."""
         closed: set[str] = set()
@@ -562,9 +576,8 @@ class Space:
         The reduction keeps exactly the covering pairs of the reachability
         order, so the generated topology is unchanged.
         """
-        order = post_order(self._succ, self.elements)
-        down = down_bits(order, self._succ, {e: (p, 1) for p, e in enumerate(order)})
-        reduced = covers(order, dict(down.values()))  # each element's top is its own position
+        order, below = _kept_down_sets(self.elements, self)
+        reduced = covers(order, below)
         # the covers are pairs of the relation, so equal counts make equal relations
         if sum(map(len, reduced.values())) == sum(map(len, self._succ.values())):
             return self

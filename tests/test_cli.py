@@ -20,6 +20,8 @@ from topodata.io import serialize_map, serialize_space, serialize_theta
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_OVERLAY = ROOT / "demo" / "overlay"
+DEMO_LOD = ROOT / "demo" / "lod"
+CHAIN_ENTRY = "chains entries need 'name' and a non-empty list of map names 'maps', got "
 
 
 @pytest.fixture
@@ -87,18 +89,50 @@ class TestValidate:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("manifest, message", [
-        ({"spaces": [5]}, "spaces entries must be paths, got 5"),
-        ({"spaces": ["seg.json"], "maps": [None]}, "maps entries must be paths, got None"),
+        ({"spaces": [5]}, "<manifest>: spaces entries must be paths, got 5"),
+        ({"spaces": ["seg.json"], "maps": [None]},
+         "<manifest>: maps entries must be paths, got None"),
         ({"spaces": ["seg.json"], "constraints": [{"name": "ref"}]},
-         "constraints entries need 'name' and 'map', got {'name': 'ref'}"),
-    ], ids=["space-entry", "map-entry", "constraint-without-map"])
+         "<manifest>: constraints entries need 'name' and 'map', got {'name': 'ref'}"),
+        ({"spaces": ["seg.json"], "chains": {"name": "c"}},
+         "<manifest>: field 'chains' must be list, got dict"),
+        ({"spaces": ["seg.json"], "chains": ["c"]}, f"<manifest>: {CHAIN_ENTRY}'c'"),
+        ({"spaces": ["seg.json"], "chains": [{"name": 5, "maps": ["m"]}]},
+         f"<manifest>: {CHAIN_ENTRY}{{'name': 5, 'maps': ['m']}}"),
+        ({"spaces": ["seg.json"], "chains": [{"name": "c", "maps": "m"}]},
+         f"<manifest>: {CHAIN_ENTRY}{{'name': 'c', 'maps': 'm'}}"),
+        ({"spaces": ["seg.json"], "chains": [{"name": "c", "maps": []}]},
+         f"<manifest>: {CHAIN_ENTRY}{{'name': 'c', 'maps': []}}"),
+        ({"spaces": ["seg.json"], "chains": [{"name": "c", "maps": ["m", None]}]},
+         f"<manifest>: {CHAIN_ENTRY}{{'name': 'c', 'maps': ['m', None]}}"),
+        ({"spaces": ["seg.json", "pt.json"], "maps": ["part_of.json"],
+          "chains": [{"name": "c", "maps": ["part_of", "nope"]}]},
+         "no map named 'nope' in the dataset"),
+        ({"spaces": ["seg.json", "pt.json"], "maps": ["part_of.json"],
+          "chains": [{"name": "c", "maps": ["part_of", "part_of"]}]},
+         "chain 'c' breaks between 'pt' and 'seg'"),
+    ], ids=["space-entry", "map-entry", "constraint-without-map", "chains-not-a-list",
+            "chain-not-an-object", "chain-name-not-a-string", "chain-maps-not-a-list",
+            "chain-maps-empty", "chain-map-not-a-string", "chain-unknown-map",
+            "chain-links-do-not-compose"])
     def test_malformed_manifest_entry(self, files, capsys, manifest, message):
         path = Path(files["dir"]) / "entry.json"
         path.write_text(json.dumps(manifest))
         assert main(["validate", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {path}: {message}\n"
+        assert err == f"error: {message.replace('<manifest>', str(path))}\n"
+
+    def test_broken_chain_link_names_chain_and_link(self, files, capsys):
+        path = Path(files["dir"]) / "walk.json"
+        path.write_text(json.dumps({
+            "spaces": ["seg.json", "pt.json"], "maps": ["swap.json", "part_of.json"],
+            "chains": [{"name": "walk", "maps": ["swap", "part_of"]}]}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "stage seg: 0:2 1:1\nstage seg: 0:2 1:1\nstage pt: 0:1\n"
+            "FAIL walk link[0] swap (continuous): witness (e,v1) -> (v1,e)\n"
+            "PASS walk link[1] part_of (continuous)\n")
 
     def test_map_stem_bound_to_two_tables(self, files, capsys, segment):
         folder = Path(files["dir"])
@@ -216,6 +250,17 @@ class TestRun:
         for name in committed:
             assert ((work / "out" / name).read_bytes()
                     == (DEMO_OVERLAY / "out" / name).read_bytes())
+
+
+    @pytest.mark.parametrize("manifest, expected", [
+        ("manifest.json", "PASS lod_reference (continuous)\nPASS legacy_reference (plain)\n"),
+        ("chain_manifest.json",
+         "stage fine: 0:3 1:3\nstage mid: 0:1 1:2\nstage coarse: 0:1\n"
+         "PASS lod link[0] to_mid (continuous)\nPASS lod link[1] to_coarse (continuous)\n"),
+    ])
+    def test_demo_lod_output_is_pinned(self, manifest, expected):
+        done = topo_process("validate", str(DEMO_LOD / manifest), cwd=ROOT)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected.encode(), b"")
 
 
 class TestQueries:

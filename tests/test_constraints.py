@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from functools import reduce
+
 import pytest
 
 from topodata import (
@@ -13,10 +16,13 @@ from topodata import (
     Space,
     SpaceMap,
     UnresolvedReferenceError,
+    compose,
+    oracle_is_continuous,
     quotient,
     validate,
-    validate_chain,
 )
+
+from conftest import random_space, random_total_map
 
 
 @pytest.fixture
@@ -93,48 +99,84 @@ class TestValidate:
 
 class TestValidateChain:
     def test_single_link(self, lod_dataset):
-        report = validate_chain(lod_dataset, ["part_of"])
+        lod_dataset.chains.append(("lod", ("part_of",)))
+        report = validate(lod_dataset)
         assert report.ok
         assert [s.space_name for s in report.stages] == ["seg", "pt"]
+        assert report.lines() == ["stage seg: 0:2 1:1", "stage pt: 0:1",
+                                  "PASS lod link[0] part_of (continuous)"]
 
     def test_two_quotient_steps(self, space_y):
         first, proj1 = quotient(space_y, Partition.from_classes({"m": ["c", "x"]}, space_y.name))
         second, proj2 = quotient(first, Partition.from_classes({"k": ["b", "m"]}, first.name))
         dataset = Dataset(spaces={s.name: s for s in (space_y, first, second)},
                           maps={"step1": proj1, "step2": proj2})
-        report = validate_chain(dataset, ["step1", "step2"])
+        dataset.chains.append(("coarsen", ("step1", "step2")))
+        report = validate(dataset)
         assert report.ok
         assert len(report.stages) == 3
         assert report.stages[0].dimensions == ((0, 1), (1, 2), (2, 1))
         assert report.lines() == ["stage Y: 0:1 1:2 2:1", "stage Y/~: 0:1 1:1 2:1",
                                   "stage Y/~/~: 0:1 1:1",
-                                  "PASS link[0] step1 (continuous)",
-                                  "PASS link[1] step2 (continuous)"]
+                                  "PASS coarsen link[0] step1 (continuous)",
+                                  "PASS coarsen link[1] step2 (continuous)"]
 
     def test_broken_link_identified(self, lod_dataset):
-        point = lod_dataset.spaces["pt"]
-        segment = lod_dataset.spaces["seg"]
-        lod_dataset.add_map("up", SpaceMap(point, segment, {"P": "e"}))
-        report = validate_chain(lod_dataset, ["swap", "part_of"])
+        lod_dataset.chains.append(("walk", ("swap", "part_of")))
+        report = validate(lod_dataset)
         assert not report.ok
         failing = [c for c in report.checks if not c.ok]
-        assert failing and failing[0].name.startswith("link[0]")
+        assert [c.name for c in failing] == ["walk link[0] swap"]
+        assert failing[0].line() == "FAIL walk link[0] swap (continuous): witness (e,v1) -> (v1,e)"
+        swap = lod_dataset.maps["swap"]
+        a, b = failing[0].witness
+        assert not swap.codomain.in_preorder(swap(a), swap(b))
 
     def test_composability_required(self, lod_dataset):
-        with pytest.raises(DomainMismatchError):
-            validate_chain(lod_dataset, ["part_of", "part_of"])
+        lod_dataset.chains.append(("twice", ("part_of", "part_of")))
+        with pytest.raises(DomainMismatchError,
+                           match="chain 'twice' breaks between 'pt' and 'seg'"):
+            validate(lod_dataset)
 
     def test_foreign_map_refused_as_validate_refuses_it(self):
         s, t = Space("s", ["a"]), Space("t", ["b"])
-        dataset = Dataset({"s": s}, {"m": SpaceMap(s, t, {"a": "b"})})
-        dataset.constraints.append(ForeignKeyConstraint("c", "m"))
         message = "map 'm' uses space 't' which is not in the dataset"
-        with pytest.raises(UnresolvedReferenceError, match=message):
-            validate(dataset)
-        with pytest.raises(UnresolvedReferenceError, match=message):
-            validate_chain(dataset, ["m"])
+        for declare in (lambda d: d.constraints.append(ForeignKeyConstraint("c", "m")),
+                        lambda d: d.chains.append(("chain", ("m",)))):
+            dataset = Dataset({"s": s}, {"m": SpaceMap(s, t, {"a": "b"})})
+            declare(dataset)
+            with pytest.raises(UnresolvedReferenceError, match=message):
+                validate(dataset)
 
     def test_one_check_per_link(self, lod_dataset):
-        report = validate_chain(lod_dataset, ["swap", "swap"])
+        lod_dataset.constraints.append(ForeignKeyConstraint("ref", "part_of"))
+        lod_dataset.chains.append(("loop", ("swap", "swap")))
+        report = validate(lod_dataset)
         names = [c.name for c in report.checks]
-        assert names == ["link[0] swap", "link[1] swap"]
+        assert names == ["ref", "loop link[0] swap", "loop link[1] swap"]
+
+    def test_random_chains_agree_with_the_oracle(self):
+        rng = random.Random(25)
+        composed = 0
+        for _ in range(300):
+            length = rng.randint(2, 3)
+            spaces = [random_space(rng, max_elements=6, name=f"S{i}", min_elements=1)
+                      for i in range(length + 1)]
+            maps = [random_total_map(rng, x, y) for x, y in zip(spaces, spaces[1:])]
+            dataset = Dataset({s.name: s for s in spaces},
+                              {f"f{i}": f for i, f in enumerate(maps)})
+            dataset.chains.append(("c", tuple(dataset.maps)))
+            report = validate(dataset)
+            assert [stage.space_name for stage in report.stages] == [s.name for s in spaces]
+            for i, (check, f) in enumerate(zip(report.checks, maps, strict=True)):
+                assert check.name == f"c link[{i}] f{i}"
+                assert check.ok == oracle_is_continuous(f)
+                if not check.ok:
+                    a, b = check.witness
+                    assert f.domain.in_preorder(a, b)
+                    assert check.image == (f(a), f(b))
+                    assert not f.codomain.in_preorder(f(a), f(b))
+            if report.ok:
+                composed += 1
+                assert oracle_is_continuous(reduce(lambda g, f: compose(f, g), maps))
+        assert composed >= 50

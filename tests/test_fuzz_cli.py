@@ -25,7 +25,7 @@ FUZZ = settings(max_examples=100, deadline=None, database=None)
 
 FIELDS = ["name", "elements", "incidence", "id", "attrs", "domain", "codomain",
           "pairs", "left", "right", "space", "classes", "label", "members",
-          "spaces", "maps", "constraints", "map", "mode"]
+          "spaces", "maps", "constraints", "map", "mode", "chains"]
 FILES = ["x.json", "y.json", "theta.json", "merge.json", "ident.json", "swap.json",
          "manifest.json", "doc.json", "missing.json", "."]
 IDS = ["B", "C", "a", "b", "c", "e", "x", "zz", "B×b", ""]

@@ -210,22 +210,14 @@ def test_scale_probe_extrudes_the_grid_along_a_segment_chain():
     assert len(extruded) == 49 * 9 and extruded.space_dimension() == 3
 
 
-def test_scale_probe_emits_the_projection_with_or_without_write_document(tmp_path):
+def test_scale_probe_emits_the_projection(tmp_path):
     tool = load_tool("scale_probe")
-    # a tree from before write_document, whose emit wrote the serialized text
-    shutil.copytree(Path(tool.__file__).resolve().parents[1] / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "topodata" / "io.py", "a", encoding="utf-8") as source:
-        source.write("\ndel write_document\n")
-    for lib in (tool.topodata, tool.load_against(tmp_path)):
-        target = tmp_path / f"{lib.__name__}.json"
-        found = tool.extrusion(lib, tool.grid(2), target)
-        run, build = found["emit_map"]
-        projection, = build()
-        assert len(projection.mapping) == 25 * (2 * tool.SEGMENTS + 1)
-        run(projection)
-        assert target.read_text(encoding="utf-8") == lib.io.serialize_map(projection)
-    assert not hasattr(lib.io, "write_document")
+    target = tmp_path / "projection.json"
+    run, build = tool.extrusion(tool.topodata, tool.grid(2), target)["emit_map"]
+    projection, = build()
+    assert len(projection.mapping) == 25 * (2 * tool.SEGMENTS + 1)
+    run(projection)
+    assert target.read_text(encoding="utf-8") == tool.topodata.io.serialize_map(projection)
 
 
 def test_scale_probe_chains_reduce_to_chains():
@@ -248,11 +240,8 @@ def test_scale_probe_star_is_continuous_under_its_identity():
 
 def test_spawn_probe_splits_each_invocation_into_phases(tmp_path, capsys):
     tool = load_tool("spawn_probe")
-    # a tree without the process entry, which the driver ends through sys.exit(main())
     shutil.copytree(tool.ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "topodata" / "cli.py", "a", encoding="utf-8") as cli:
-        cli.write("\ndel entry\n")
     assert tool.main(["--workload", "overlay", "--runs", "1", "--against", str(tmp_path)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert list(results) == ["uncached", "cached"]

@@ -13,10 +13,8 @@ cost should follow the three ids, not the input.  The grid is also
 extruded: ``product`` with a chain of 4 segments, the way a solid is
 swept, ``serialize`` (``serialize_space``) of that product, and
 ``emit`` of it: ``io.write_document`` to a file in a temporary
-directory, or, in a tree that has no ``write_document``, what its
-script's ``emit`` did, ``Path.write_text`` of ``serialize_space``.
-``emit_map`` writes the product's left projection onto the grid the same
-way (``serialize_map`` in the older tree).  The grid is loaded as well,
+directory.  ``emit_map`` writes the product's left projection onto the
+grid the same way.  The grid is loaded as well,
 in its own row: ``parse_space`` of its JSON
 document, whose text the probe keeps, ``load_space`` of that document
 written to a file in the temporary directory, whose text only the load
@@ -195,11 +193,7 @@ def extrusion(lib, first, target: Path):
     io = importlib.import_module(f"{lib.__name__}.io")
 
     def emit(value):
-        if hasattr(io, "write_document"):
-            io.write_document(value, target)
-        else:
-            serialize = io.serialize_space if isinstance(value, lib.Space) else io.serialize_map
-            target.write_text(serialize(value), encoding="utf-8")
+        io.write_document(value, target)
 
     return {"product": (lib.product, factors), "serialize": (io.serialize_space, extruded),
             "emit": (emit, extruded), "emit_map": (emit, projection)}

@@ -16,9 +16,8 @@ probe grows while it generates the cases, while the helper stays at the
 size of a bare interpreter, below any child's own peak.  The child is
 not ``python -m topodata.cli`` but a ``-c`` program that imports
 ``topodata.cli``, wraps its ``main`` to stamp ``time.monotonic()`` when
-the command returns, and then ends as ``python -m topodata.cli`` does:
-through ``cli.entry``, or, in a tree that has none, through
-``sys.exit(main())``.  With the helper's monotonic times at spawn and
+the command returns, and then ends as ``python -m topodata.cli`` does,
+through ``cli.entry``.  With the helper's monotonic times at spawn and
 at reap, each invocation splits into three phases:
 
 - ``start_import_s``: spawn to the end of ``import topodata.cli``, the
@@ -88,10 +87,7 @@ def main(argv=None):
             f.write(f"{imported!r} {done!r}")
 
 cli.main = main
-if hasattr(cli, "entry"):
-    cli.entry()
-else:  # a tree from before the entry ends as its __main__ block did
-    sys.exit(main())
+cli.entry()
 """
 
 
