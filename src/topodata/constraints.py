@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvalidOptionError, UnresolvedReferenceError
 from .maps import SpaceMap, is_continuous
-from .space import Pair, Space
+from .space import Pair, Space, check_name
 
 MODES = ("continuous", "plain")
 
@@ -29,6 +29,7 @@ class ForeignKeyConstraint(namedtuple("ForeignKeyConstraint", "name map_name mod
     __slots__ = ()
 
     def __new__(cls, name: str, map_name: str, mode: str = "continuous"):
+        check_name(name, "constraint name")
         if mode not in MODES:
             raise InvalidOptionError(f"constraint mode must be one of {MODES}, got {mode!r}")
         return super().__new__(cls, name, map_name, mode)

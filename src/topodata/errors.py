@@ -78,14 +78,16 @@ class UnresolvedReferenceError(TopologyError):
 
 
 class ParseError(TopologyError):
-    """A document could not be parsed; carries source and line when known."""
+    """A document could not be parsed; carries source and line when known,
+    the source shown by its ``repr`` if it holds a line break."""
 
     def __init__(self, message, source=None, line=None):
         self.source = source
         self.line = line
         prefix = ""
         if source is not None:
-            prefix = f"{source}: " if line is None else f"{source}:{line}: "
+            shown = source if "".join(source.splitlines()) == source else repr(source)
+            prefix = f"{shown}: " if line is None else f"{shown}:{line}: "
         super().__init__(prefix + message if prefix else message)
 
 

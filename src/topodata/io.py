@@ -40,10 +40,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .algebra import Partition, ThetaRelation
 from .constraints import Dataset, ForeignKeyConstraint
-from .errors import (InvalidAttributeError, InvalidElementIdError, ParseError,
-                     UnresolvedReferenceError)
+from .errors import (InvalidAttributeError, InvalidElementIdError, InvalidOptionError,
+                     ParseError, UnresolvedReferenceError)
 from .maps import SpaceMap
-from .space import Space
+from .space import Space, check_name
 
 
 def _load_json(text: str, source: str):
@@ -123,10 +123,12 @@ def _declared(name: str | None, what: str) -> str:
 
 
 def _build(source, constructor, *args, **kwargs):
-    """Call a constructor; a malformed id or attribute is a ParseError of the file."""
+    """Call a constructor; a malformed id, attribute, name or option is a
+    ParseError of the file."""
     try:
         return constructor(*args, **kwargs)
-    except (InvalidElementIdError, InvalidAttributeError) as err:
+    except (InvalidElementIdError, InvalidAttributeError, InvalidOptionError,
+            UnresolvedReferenceError) as err:
         raise ParseError(str(err), source=source) from err
 
 
@@ -400,23 +402,21 @@ def load_dataset(manifest_path) -> Dataset:
         if not isinstance(rel, str):
             raise ParseError(f"maps entries must be paths, got {rel!r}", source=source)
         map_path = base / rel
-        dataset.add_map(map_path.stem, load_map(map_path, dataset.spaces))
+        name = _build(source, check_name, map_path.stem, "map name")
+        dataset.add_map(name, load_map(map_path, dataset.spaces))
     for entry in doc.get("constraints", []):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("map"), str)):
             raise ParseError(f"constraints entries need 'name' and 'map', "
                              f"got {entry!r}", source=source)
-        mode = entry.get("mode", "continuous")
-        try:
-            constraint = ForeignKeyConstraint(entry["name"], entry["map"], mode)
-        except ValueError as err:
-            raise ParseError(str(err), source=source) from err
-        dataset.constraints.append(constraint)
+        dataset.constraints.append(_build(source, ForeignKeyConstraint, entry["name"],
+                                          entry["map"], entry.get("mode", "continuous")))
     for entry in doc.get("chains", []):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("maps"), list) and entry["maps"]
                 and all(isinstance(name, str) for name in entry["maps"])):
             raise ParseError(f"chains entries need 'name' and a non-empty list of map "
                              f"names 'maps', got {entry!r}", source=source)
-        dataset.chains.append((entry["name"], tuple(entry["maps"])))
+        dataset.chains.append((_build(source, check_name, entry["name"], "chain name"),
+                               tuple(entry["maps"])))
     return dataset

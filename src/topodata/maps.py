@@ -5,8 +5,9 @@ continuous exactly when the image of every incidence pair of its domain
 lands in the preorder of its codomain.  ``is_continuous`` therefore needs
 only the stored relation plus reachability in the codomain, no open-set
 enumeration; it accepts a pair whose images are equal or directly
-incident before it tests reachability.  The brute-force open-preimage
-check lives in ``oracle`` and is used by the tests to confirm agreement.
+incident, and tests the rest on bitset down sets of their images.  The
+brute-force open-preimage check lives in ``oracle`` and is used by the
+tests to confirm agreement.
 
 Map pairs are read by C loops of the interpreter over the ids the
 spaces hold (``_held_table``); only pairs they refuse are walked entry
@@ -27,7 +28,7 @@ from .errors import (
     MapTotalityError,
     UnknownElementError,
 )
-from .space import Pair, Space, _iterate, check_pairs, check_size
+from .space import Pair, Space, _iterate, _kept_down_sets, check_pairs, check_size
 
 
 class ContinuityResult(NamedTuple):
@@ -202,13 +203,15 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
     same map report the same pair.  A loaded map's ids are the objects
     its spaces hold, so the lookups here match by identity first.  The
     direct test reads a set of the successors of each distinct image,
-    made once in the call, so it costs the same for any out-degree.
+    made once in the call, so it costs the same for any out-degree.  The
+    images of the other pairs are numbered once, each with its down set
+    among them as an int (``_kept_down_sets``): fb is below fa when its
+    position is not higher and its bit is set in fa's down set.
     """
     image = f.mapping
     succ = f.codomain._succ
-    in_preorder = f.codomain.in_preorder
     direct: dict[str, frozenset[str]] = {}
-    bad = []
+    far = []
     for a, below in f.domain._succ.items():
         if not below:
             continue
@@ -218,7 +221,16 @@ def is_continuous(f: SpaceMap) -> ContinuityResult:
             near = direct[fa] = frozenset(succ[fa])
         for b in below:
             fb = image[b]
-            if fb != fa and fb not in near and not in_preorder(fa, fb):
+            if fb != fa and fb not in near:
+                far.append((a, b))
+    bad = []
+    if far:
+        order, down = _kept_down_sets(frozenset(image[e] for pair in far for e in pair),
+                                      f.codomain)
+        position = {e: p for p, e in enumerate(order)}
+        for a, b in far:
+            p, q = position[image[a]], position[image[b]]
+            if q > p or not down[p] >> (p - q) & 1:
                 bad.append((a, b))
     if not bad:
         return ContinuityResult(True)

@@ -15,7 +15,7 @@ specialisation preorder), which is what most queries here work on.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -44,6 +44,15 @@ def check_element_id(token: object) -> str:
     if _WHITESPACE_OR_COMMA.search(token):
         raise InvalidElementIdError(f"element id contains whitespace or a comma: {token!r}")
     return token
+
+
+def check_name(name: object, what: str) -> str:
+    """Validate a name that a report prints: a string of one line."""
+    if not isinstance(name, str):
+        raise UnresolvedReferenceError(f"{what} must be a string, got {name!r}")
+    if "".join(name.splitlines()) != name:
+        raise UnresolvedReferenceError(f"{what} must be one line, got {name!r}")
+    return name
 
 
 def _iterate(collection: object, what: str):
@@ -270,8 +279,8 @@ class Space:
     Spaces are immutable value objects: equality covers the name, the
     element set, the incidence relation, and the attributes; hashing
     covers the name and the element set only, which equal spaces share.
-    All derived data (reachability, dimensions) is memoised internally,
-    never exposed, and safe to share across concurrent readers.
+    Two derived tables are memoised, never exposed, and safe to share
+    across concurrent readers: the dimensions and the table of held ids.
 
     The incidence relation is held as successor tuples: each element
     maps to the tuple of the elements it is bounded by, in the order its
@@ -281,21 +290,20 @@ class Space:
     ``incidence``, the relation as a frozenset of pairs, is built on each
     read and not kept.
 
-    The reductions (``transitive_reduce``, and the operators that restrict
-    a space to some of its elements) number the elements below the ones
-    they keep in a ``post_order`` and read every down set as an int
-    (``down_bits``), built for the call and not kept.  A down set costs
-    its span in bits, from the highest position in it to the lowest: at
-    most n/8 bytes for n numbered elements, so n^2/8 bytes at worst
-    (1.1 MB for 3,000 elements), and a few words for a cell of a grid,
-    whose faces get near positions.  The queries (``down_set``,
-    ``up_set``, ``in_preorder``) do not read these and return frozensets.
+    The reductions (``transitive_reduce``, the operators that restrict a
+    space to some of its elements) and ``maps.is_continuous`` number the
+    elements below the ones they keep in a ``post_order`` and read every
+    down set as an int (``down_bits``), built for the call and not kept.
+    A down set costs its span in bits, from the highest position in it to
+    the lowest: at most n/8 bytes for n numbered elements, so n^2/8 bytes
+    at worst (1.1 MB for 3,000 elements), and a few words for a cell of a
+    grid, whose faces get near positions.  The queries keep nothing either:
+    ``closure`` and ``down_set`` are one ``post_order`` search from all
+    their starts, and ``star`` and ``up_set`` one pass of the Kahn order.
     """
 
     def __init__(self, name, elements, incidence=(), attributes=None):
-        if not isinstance(name, str):
-            raise UnresolvedReferenceError(f"space name must be a string, got {name!r}")
-
+        check_name(name, "space name")
         ids = [check_element_id(e) for e in _iterate(elements, f"elements of {name!r}")]
         held = {e: e for e in ids}
         if len(held) < len(ids):
@@ -395,9 +403,6 @@ class Space:
 
         # lazily filled caches; recomputation under a race is benign
         self._held: dict[str, str] | None = held
-        self._pred: dict[str, list[str]] | None = None
-        self._down: dict[str, frozenset[str]] = {}
-        self._up: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
 
     def _held_ids(self) -> dict[str, str]:
@@ -469,23 +474,6 @@ class Space:
         inside = self._subset(subset)
         return all(a in inside or inside.isdisjoint(below) for a, below in self._succ.items())
 
-    @staticmethod
-    def _reach(adjacency, cache, start):
-        got = cache.get(start)
-        if got is not None:
-            return got
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            current = queue.popleft()
-            for nxt in adjacency[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        got = frozenset(seen)
-        cache[start] = got
-        return got
-
     def _not_an_element(self, element) -> TopologyError:
         """The error for a query id that fails ``isinstance(element, str)
         and element in self.elements``; the type is tested first because
@@ -494,6 +482,16 @@ class Space:
             return UnknownElementError(f"{element!r} is not an element of {self.name!r}")
         return InvalidElementIdError(f"element ids are strings, got {element!r}")
 
+    def _above(self, starts: Iterable[str]) -> frozenset[str]:
+        """Everything that reaches the starts, themselves included: the order lists
+        each element after its whole boundary, so each successor is settled first."""
+        succ = self._succ
+        above = set(starts)
+        for a in self._order:
+            if not above.isdisjoint(succ[a]):
+                above.add(a)
+        return frozenset(above)
+
     def down_set(self, element: str) -> frozenset[str]:
         """All elements reachable from ``element``, itself included.
 
@@ -501,7 +499,7 @@ class Space:
         """
         if not (isinstance(element, str) and element in self.elements):
             raise self._not_an_element(element)
-        return self._reach(self._succ, self._down, element)
+        return frozenset(post_order(self._succ, (element,)))
 
     def up_set(self, element: str) -> frozenset[str]:
         """All elements that reach ``element``, itself included.
@@ -510,13 +508,7 @@ class Space:
         """
         if not (isinstance(element, str) and element in self.elements):
             raise self._not_an_element(element)
-        if self._pred is None:
-            pred: dict[str, list[str]] = {e: [] for e in self.elements}
-            for a, below in self._succ.items():
-                for b in below:
-                    pred[b].append(a)
-            self._pred = pred
-        return self._reach(self._pred, self._up, element)
+        return self._above((element,))
 
     def in_preorder(self, a: str, b: str) -> bool:
         """True iff (a, b) lies in the reflexive-transitive closure of incidence."""
@@ -531,17 +523,11 @@ class Space:
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest closed superset: everything reachable from the subset."""
-        closed: set[str] = set()
-        for element in self._subset(subset):
-            closed |= self.down_set(element)
-        return frozenset(closed)
+        return frozenset(post_order(self._succ, self._subset(subset)))
 
     def star(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest open superset: everything that reaches the subset."""
-        opened: set[str] = set()
-        for element in self._subset(subset):
-            opened |= self.up_set(element)
-        return frozenset(opened)
+        return self._above(self._subset(subset))
 
     def _depths(self) -> dict[str, int]:
         if not self._depth:

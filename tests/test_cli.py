@@ -46,6 +46,8 @@ def files(tmp_path, space_x, space_y, theta, segment):
         SpaceMap(segment, point, {e: "P" for e in segment.elements})))
     put("swap.json", serialize_map(
         SpaceMap(segment, segment, {"e": "v1", "v1": "e", "v2": "v2"})))
+    put("forged.json", json.dumps({"name": "seg\nPASS forged (continuous)",
+                                   "elements": [{"id": "e"}], "incidence": []}))
     put("good_manifest.json", json.dumps({
         "spaces": ["seg.json", "pt.json"],
         "maps": ["part_of.json"],
@@ -111,17 +113,28 @@ class TestValidate:
         ({"spaces": ["seg.json", "pt.json"], "maps": ["part_of.json"],
           "chains": [{"name": "c", "maps": ["part_of", "part_of"]}]},
          "chain 'c' breaks between 'pt' and 'seg'"),
+        ({"spaces": ["forged.json"]},
+         "<dir>/forged.json: space name must be one line, "
+         "got 'seg\\nPASS forged (continuous)'"),
+        ({"spaces": ["seg.json"], "constraints": [{"name": "ref\rPASS", "map": "m"}]},
+         "<manifest>: constraint name must be one line, got 'ref\\rPASS'"),
+        ({"spaces": ["seg.json"], "chains": [{"name": "c\u2028PASS", "maps": ["m"]}]},
+         "<manifest>: chain name must be one line, got 'c\\u2028PASS'"),
+        ({"spaces": ["seg.json", "pt.json"], "maps": ["part\x85PASS.json"]},
+         "<manifest>: map name must be one line, got 'part\\x85PASS'"),
     ], ids=["space-entry", "map-entry", "constraint-without-map", "chains-not-a-list",
             "chain-not-an-object", "chain-name-not-a-string", "chain-maps-not-a-list",
             "chain-maps-empty", "chain-map-not-a-string", "chain-unknown-map",
-            "chain-links-do-not-compose"])
+            "chain-links-do-not-compose", "space-name-line-break",
+            "constraint-name-line-break", "chain-name-line-break", "map-stem-line-break"])
     def test_malformed_manifest_entry(self, files, capsys, manifest, message):
         path = Path(files["dir"]) / "entry.json"
         path.write_text(json.dumps(manifest))
         assert main(["validate", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {message.replace('<manifest>', str(path))}\n"
+        message = message.replace("<manifest>", str(path)).replace("<dir>", files["dir"])
+        assert err == f"error: {message}\n"
 
     def test_broken_chain_link_names_chain_and_link(self, files, capsys):
         path = Path(files["dir"]) / "walk.json"

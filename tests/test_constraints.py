@@ -96,6 +96,13 @@ class TestValidate:
         with pytest.raises(InvalidOptionError, match="sometimes"):
             ForeignKeyConstraint("c", "m", "sometimes")
 
+    @pytest.mark.parametrize("name, message", [
+        (5, "constraint name must be a string, got 5"),
+        ("c\nPASS", "constraint name must be one line, got 'c\\\\nPASS'")])
+    def test_name_is_one_line_of_text(self, name, message):
+        with pytest.raises(UnresolvedReferenceError, match=message):
+            ForeignKeyConstraint(name, "m")
+
 
 class TestValidateChain:
     def test_single_link(self, lod_dataset):

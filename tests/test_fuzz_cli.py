@@ -1,7 +1,9 @@
 """Fuzzing of the command line: every input file or script ends in exit 0, 1 or 2.
 
 Exit 0 and 1 are check verdicts and 2 is malformed input; anything else,
-an uncaught exception included, is a defect.  Documents are arbitrary
+an uncaught exception included, is a defect.  A validation report is one
+line per stage and per check, and an error one line, whatever the names
+in the files hold.  Documents are arbitrary
 bytes or JSON built from the format's own field names; scripts are lines
 built from the grammar's keywords, the operators, a few names and the
 fixture files.  Emitted files go to relative paths under ``out/`` only.
@@ -9,7 +11,9 @@ fixture files.  Emitted files go to relative paths under ``out/`` only.
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, seed, settings
@@ -121,3 +125,41 @@ def test_scripts_end_in_an_exit_code(fixture_dir, script):
     path = fixture_dir / "fuzz.topo"
     path.write_text(script, encoding="utf-8")
     assert main(["run", str(path)]) in (0, 1, 2)
+
+
+# the characters str.splitlines() ends a line at, between text that looks like a report line
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+report_names = st.lists(st.sampled_from(["a", " ", ":", "PASS x (continuous)", "stage y: 0:1"]
+                                        + LINE_BREAKS), min_size=1, max_size=4).map("".join)
+
+
+@seed(20131008)
+@FUZZ
+@given(space=report_names, constraint=report_names, chain=report_names, stem=report_names,
+       swap=st.booleans())
+def test_names_cannot_add_lines_to_a_report(fixture_dir, space, constraint, chain, stem, swap):
+    folder = fixture_dir / "names"
+    folder.mkdir(exist_ok=True)
+    (folder / "s.json").write_text(json.dumps(
+        {"name": space, "elements": [{"id": "e"}, {"id": "v"}], "incidence": [["e", "v"]]}))
+    (folder / f"{stem}.json").write_text(json.dumps(
+        {"domain": space, "codomain": space, "pairs": [["e", "v"], ["v", "e"]] if swap
+         else [["e", "e"], ["v", "v"]]}))
+    manifest = folder / "manifest.json"
+    manifest.write_text(json.dumps({
+        "spaces": ["s.json"], "maps": [f"{stem}.json"],
+        "constraints": [{"name": constraint, "map": stem}],
+        "chains": [{"name": chain, "maps": [stem]}]}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(manifest)])
+    out, err = out.getvalue(), err.getvalue()
+    one_line = all("".join(name.splitlines()) == name
+                   for name in (space, constraint, chain, stem))
+    assert code == ((1 if swap else 0) if one_line else 2)
+    if code == 2:
+        assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1
+    else:
+        # two stages, the domain and codomain of the link, then the constraint and the link
+        assert err == "" and out.count("\n") == len(out.splitlines()) == 4

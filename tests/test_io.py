@@ -147,6 +147,7 @@ class TestPartitionFiles:
 ALPHABET = ['"', "\\", "/", "\x00", "\x07", "\b", "\t", "\n", "\x1f", "\x7f", " ", ",",
             "a", "Z", "0", "é", "×", "∩", "\u2028", "\u3000", "😀", "\ud800", "\udfff"]
 ID_ALPHABET = [ch for ch in ALPHABET if ch != "," and not ch.isspace()]
+NAME_ALPHABET = [ch for ch in ALPHABET if ch.splitlines() == [ch]]  # a space name is one line
 
 
 def text(rng, alphabet=ALPHABET, min_size=0):
@@ -187,7 +188,7 @@ def random_documents(rng):
              if rng.random() < 0.3]
     attributes = {e: {text(rng): text(rng) for _ in range(rng.randint(1, 3))}
                   for e in ids if rng.random() < 0.4}
-    space = Space(text(rng), ids, pairs, attributes)
+    space = Space(text(rng, NAME_ALPHABET), ids, pairs, attributes)
     space_map = SpaceMap(space, space, {e: rng.choice(ids) for e in ids})
     theta = ThetaRelation([(text(rng), text(rng)) for _ in range(rng.randint(0, 8))],
                           left_name=text(rng), right_name=text(rng))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from topodata import (
     oracle_is_continuous,
     select_subspace,
 )
+from topodata import maps
 
 from conftest import random_space, random_total_map
 from naive import naive_preorder
@@ -151,14 +153,16 @@ class TestIsContinuous:
 
     def test_each_accept_route_agrees_with_naive_preorder(self, monkeypatch):
         # A pair whose images are equal or directly incident is accepted
-        # without a reachability test; only the other pairs are tested.
+        # without a reachability test; only the images of the other pairs
+        # are numbered, in one call, and there is no call when there are none.
         # Reduced codomains and maps that mostly keep the index order (the
         # pairs of random_space go from lower to higher index) make
         # reachable but not incident images common.
-        tested = []
-        in_preorder = Space.in_preorder
-        monkeypatch.setattr(Space, "in_preorder",
-                            lambda space, a, b: tested.append((a, b)) or in_preorder(space, a, b))
+        numbered = []
+        kept_down_sets = maps._kept_down_sets
+        monkeypatch.setattr(maps, "_kept_down_sets",
+                            lambda kept, *spaces: numbered.append(kept)
+                            or kept_down_sets(kept, *spaces))
         rng = random.Random(34)
         routes = Counter()
         verdicts = Counter()
@@ -168,7 +172,7 @@ class TestIsContinuous:
             f = SpaceMap(x, y, {f"X{i}": f"Y{i * len(y) // len(x)}" if rng.random() < 0.7
                                 else rng.choice(sorted(y.elements)) for i in range(len(x))})
             preorder = naive_preorder(y)
-            needs_test = 0
+            needs_test = set()
             for a, b in x.incidence:
                 image = (f(a), f(b))
                 if image[0] == image[1]:
@@ -177,17 +181,63 @@ class TestIsContinuous:
                     routes["direct"] += 1
                 else:
                     routes["reachable" if image in preorder else "violation"] += 1
-                    needs_test += 1
+                    needs_test.update(image)
             witness = next(((a, b) for a, b in sorted(x.incidence)
                             if (f(a), f(b)) not in preorder), None)
-            tested.clear()
+            numbered.clear()
             verdict = is_continuous(f)
             assert verdict.ok == (witness is None)
             assert verdict.witness == witness
-            assert len(tested) == needs_test
+            if witness is not None:
+                assert verdict.image == (f(witness[0]), f(witness[1]))
+            assert numbered == ([needs_test] if needs_test else [])
             verdicts[verdict.ok] += 1
         assert min(routes["equal"], routes["direct"], routes["reachable"]) >= 50, routes
         assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    def test_agrees_with_naive_preorder_on_deep_chains(self):
+        # Maps into chains with skip pairs, up to 300 deep: most image pairs
+        # are reachable without being incident, and the positions and shifts
+        # of the bitset test span many words.
+        rng = random.Random(38)
+        verdicts = Counter()
+        for _ in range(40):
+            y = deep_chain(rng, rng.randint(2, 300), "Y")
+            x = deep_chain(rng, rng.randint(1, 40), "X")
+            names = sorted(y.elements, key=lambda e: int(e[1:]))
+            start = rng.randrange(len(names))
+            back = rng.choice([0, -1])  # a step back up breaks continuity
+            table = {}
+            for i in range(len(x)):
+                start = max(0, min(len(names) - 1, start + rng.randint(back, 12)))
+                table[f"X{i}"] = names[start]
+            f = SpaceMap(x, y, table)
+            preorder = naive_preorder(y)
+            violations = [(a, b) for a, b in x.incidence if (f(a), f(b)) not in preorder]
+            verdict = is_continuous(f)
+            assert verdict.ok == (not violations)
+            assert verdict.witness == min(violations, default=None)
+            if violations:
+                assert verdict.image == (f(verdict.witness[0]), f(verdict.witness[1]))
+            verdicts[verdict.ok] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+    def test_a_chain_map_is_checked_in_little_memory(self):
+        # x_i -> y_2i sends every pair to a reachable pair that is not
+        # incident; a set kept per image would hold about n^2 ids
+        n = 1000
+        x = Space("X", [f"x{i}" for i in range(n)], [(f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+        y = Space("Y", [f"y{i}" for i in range(2 * n)],
+                  [(f"y{i}", f"y{i + 1}") for i in range(2 * n - 1)])
+        f = SpaceMap(x, y, {f"x{i}": f"y{2 * i}" for i in range(n)})
+        tracemalloc.start()
+        try:
+            verdict = is_continuous(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict
+        assert peak < 5 * 2 ** 20
 
     def test_images_equal_to_ids_but_other_objects(self):
         # A table given as a mapping keeps its value objects, and compose
@@ -259,6 +309,16 @@ class TestIsContinuous:
         lifted = SpaceMap(hub, hub, dict(identity_map(hub).mapping, h="l7"))
         verdict = is_continuous(lifted)
         assert verdict.witness == ("h", "l0") and verdict.image == ("l7", "l0")
+
+
+def deep_chain(rng: random.Random, n: int, name: str) -> Space:
+    """A chain of n elements, each bounded by the next, with a skip pair
+    of length 2-16 from some of them."""
+    ids = [f"{name}{i}" for i in range(n)]
+    pairs = list(zip(ids, ids[1:]))
+    pairs += [(ids[i], ids[i + d]) for i in range(n) if rng.random() < 0.5
+              for d in [rng.randint(2, 16)] if i + d < n]
+    return Space(name, ids, pairs)
 
 
 def star(rng: random.Random, max_elements: int, name: str, min_elements: int) -> Space:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from topodata import (
@@ -29,6 +29,14 @@ from topodata.space import check_element_id
 
 from conftest import random_space
 from naive import brute_closure, brute_dimension, brute_star, naive_preorder
+
+
+# A chain of 12 elements, the most enumerate_topology takes, with skip
+# pairs, and three ids of it: one more input of the closure and star tests.
+CHAIN_IDS = [f"k{i}" for i in range(12)]
+DEEP_CHAIN = Space("K", CHAIN_IDS, list(zip(CHAIN_IDS, CHAIN_IDS[1:]))
+                   + [("k0", "k3"), ("k2", "k9"), ("k4", "k6"), ("k7", "k11")])
+CHAIN_SUBSET = frozenset({"k3", "k5", "k10"})
 
 
 @st.composite
@@ -174,6 +182,12 @@ class TestConstruction:
         with pytest.raises(UnresolvedReferenceError, match="space name must be a string, got "):
             Space(name, ["a"])
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "\x1c", "a\x85", "\u2028b"])
+    def test_name_of_more_than_one_line(self, name):
+        # a report prints the name on a line of its own
+        with pytest.raises(UnresolvedReferenceError, match="space name must be one line, got "):
+            Space(name, ["a"])
+
     @pytest.mark.parametrize("build", [
         lambda: SpaceMap(Space("s", ["a", "b", "c"]), Space("s", ["a", "b", "c"]),
                          [("a", "a"), ("b", "b"), ("c", "c"), ("a", "c")])], ids=["map-pairs"])
@@ -290,6 +304,7 @@ class TestClosure:
         assert space.closure(a | b) == closed_a | space.closure(b)
 
     @given(space_and_subsets())
+    @example((DEEP_CHAIN, CHAIN_SUBSET))
     def test_matches_brute_force(self, drawn):
         space, subset = drawn
         assert space.closure(subset) == brute_closure(space, subset)
@@ -307,6 +322,7 @@ class TestStar:
         assert space_y.star({"b"}) == brute_star(space_y, {"b"})
 
     @given(space_and_subsets())
+    @example((DEEP_CHAIN, CHAIN_SUBSET))
     def test_star_is_minimal_open_superset(self, drawn):
         space, subset = drawn
         star = space.star(subset)

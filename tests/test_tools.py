@@ -132,7 +132,9 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     tool = load_tool("scale_probe")
     assert tool.main(["--chains", "20,40", "--grid", "3", "--star", "5", "--repeat", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5"]
+    assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5",
+                             "continuity_chain_20", "continuity_chain_40",
+                             "closure_chain_20", "closure_chain_40"]
     assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
     assert results["continuity_star_5"]["elements"] == 6
     assert results["continuity_star_5"]["pairs"] == 5
@@ -141,7 +143,8 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
                     else ())
         names = (("parse_space", "load_space", "parse_map", "is_continuous")
                  if label.startswith("load") else
-                 ("is_continuous",) if label.startswith("continuity_star") else
+                 ("is_continuous",) if label.startswith("continuity") else
+                 ("closure",) if label.startswith("closure") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
         assert set(row) == {"elements", "pairs", *names}
@@ -152,6 +155,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     tool.main(["--chains", "20,40", "--grid", "2", "--star", "0", "--repeat", "1", "--limit", "0"])
     results = json.loads(capsys.readouterr().out)["results"]
     assert "skipped" in results["chain_40"]["transitive_reduce"]
+    assert "skipped" in results["closure_chain_40"]["closure"]
     assert "cpu_s" in results["grid_2x2"]["transitive_reduce"]
 
 
@@ -234,6 +238,20 @@ def test_scale_probe_star_is_continuous_under_its_identity():
     identity, = build()
     assert identity.domain == Space("S", ids, pairs) and len(identity.domain) == 7
     assert identity.domain.dimension("h") == 1 and run(identity)
+
+
+def test_scale_probe_chain_rows_at_a_tiny_size():
+    tool = load_tool("scale_probe")
+    x, y = tool.plain_chain(5, "x"), tool.plain_chain(10, "y")
+    run, build = tool.chain_map(tool.topodata, x, y)["is_continuous"]
+    doubling, = build()
+    assert doubling.mapping == {f"x{i}": f"y{2 * i}" for i in range(5)}
+    images = {(doubling(a), doubling(b)) for a, b in doubling.domain.incidence}
+    assert images and not images & doubling.codomain.incidence  # none is a direct pair
+    assert run(doubling)
+    ids, pairs = tool.deep_chain(9, "C")
+    run, build = tool.chain_closure(tool.topodata, (ids, pairs))["closure"]
+    assert run(*build()) == set(ids)  # k0 is in the subset and above every id
 
 
 # -- tools/spawn_probe.py: a tiny run ------------------------------------------------

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time reductions, product, emit, loading and continuity in process on chains, a grid and a star.
+"""Time reductions, product, emit, loading, continuity and closure in process
+on chains, a grid and a star.
 
     python3 tools/scale_probe.py > probe.json
     python3 tools/scale_probe.py --chains 320,1500,3000 --grid 60 --star 20000
@@ -22,9 +23,13 @@ holds, ``parse_map`` of its 2x coarsening onto the grid of half its
 side, and ``is_continuous`` of that map.  A star, one hub bounded by
 each of n leaves, is checked in a row of its own: ``is_continuous`` of
 its identity map, whose every pair is a pair of the codomain, so the
-cost of the direct test shows at a high out-degree.  It prints one JSON
-document with each operation's least and median process CPU time and
-its tracemalloc peak.
+cost of the direct test shows at a high out-degree.  Two more rows per
+chain length n test reachability on deep inputs: ``continuity_chain``
+is ``is_continuous`` of the map x_i -> y_2i from a chain of n elements
+into one of 2n, whose every pair is sent to a reachable pair that is not
+a pair of the codomain, and ``closure_chain`` is the ``closure`` of
+every other id of the deep chain.  It prints one JSON document with each
+operation's least and median process CPU time and its tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
   skip pair of length 2-16 from each element, so its reduction, the
@@ -38,8 +43,9 @@ and the median process CPU time (``time.process_time``) over
 ``--repeat`` runs; a run that takes more than a second is not repeated.
 The peak is taken in one further run, with ``tracemalloc`` started
 after the inputs were built, so it counts what the operation allocates.
-When one run of an operation takes more than ``--limit`` seconds, the
-larger chains are skipped for that operation, and the result says so.
+When one run of an operation takes more than ``--limit`` seconds, in
+either tree, the larger chains are skipped for that operation in rows of
+that kind, and the result says so.
 
 With ``--against``, the ``topodata`` package of another checkout (say
 a ``git archive`` of an earlier commit) is imported too, under another
@@ -99,6 +105,12 @@ def segments(n: int) -> tuple[list[str], list[tuple[str, str]]]:
     """The ids and pairs of a chain of n segments, each bounded by its two ends."""
     ids = [f"s{c}" for c in range(2 * n + 1)]
     return ids, [(ids[c], ids[c + d]) for c in range(1, 2 * n, 2) for d in (-1, 1)]
+
+
+def plain_chain(n: int, name: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ids and pairs of a chain of n elements, each bounded by the next."""
+    ids = [f"{name}{i}" for i in range(n)]
+    return ids, list(zip(ids, ids[1:]))
 
 
 def star(n: int) -> tuple[list[str], list[tuple[str, str]]]:
@@ -232,6 +244,28 @@ def continuity(lib, first):
     return {"is_continuous": (lib.is_continuous, identity)}
 
 
+def chain_map(lib, x, y):
+    """``is_continuous`` of the map x_i -> y_2i from the chain on ``x`` into
+    the chain on ``y``, twice as long, with the functions of ``lib``."""
+    table = {f"x{i}": f"y{2 * i}" for i in range(len(x[0]))}
+
+    def doubling():
+        return (lib.SpaceMap(lib.Space("X", *x), lib.Space("Y", *y), table),)
+
+    return {"is_continuous": (lib.is_continuous, doubling)}
+
+
+def chain_closure(lib, first):
+    """``closure`` of every other id of the space on ``first``, with the
+    ``Space`` of ``lib``."""
+    ids, pairs = first
+
+    def one():
+        return (lib.Space("X", ids, pairs),)
+
+    return {"closure": (lambda x: x.closure(ids[::2]), one)}
+
+
 def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
@@ -268,35 +302,44 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
           folder: Path, against=None) -> dict:
     """The rows of every input; ``emit`` and the load write their files to ``folder``."""
     results = {}
-    too_slow: dict[str, str] = {}
-    inputs = [(f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D")) for n in sorted(chains)]
+    too_slow: dict[tuple[str, str], str] = {}  # (row kind, operation) -> why
+    inputs = [("chain", f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D"))
+              for n in sorted(chains)]
     if grid_n:
-        inputs.append((f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
-        inputs.append((f"load_{grid_n}x{grid_n}", grid(grid_n), None))
+        inputs.append(("grid", f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
+        inputs.append(("load", f"load_{grid_n}x{grid_n}", grid(grid_n), None))
     if star_n:
-        inputs.append((f"continuity_star_{star_n}", star(star_n), None))
-    for label, first, second in inputs:
+        inputs.append(("continuity_star", f"continuity_star_{star_n}", star(star_n), None))
+    inputs += [("continuity_chain", f"continuity_chain_{n}", plain_chain(n, "x"),
+                plain_chain(2 * n, "y")) for n in sorted(chains)]
+    inputs += [("closure_chain", f"closure_chain_{n}", deep_chain(n, "C"), None)
+               for n in sorted(chains)]
+    for kind, label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
 
         def timed(lib):
-            if label.startswith("load"):
+            if kind == "load":
                 return loading(lib, grid_n, folder)
-            if label.startswith("continuity_star"):
+            if kind == "continuity_star":
                 return continuity(lib, first)
+            if kind == "continuity_chain":
+                return chain_map(lib, first, second)
+            if kind == "closure_chain":
+                return chain_closure(lib, first)
             found = operations(lib, first, second)
-            if label.startswith("grid"):
+            if kind == "grid":
                 found.update(extrusion(lib, first, folder / "emitted.json"))
             return found
 
         theirs = timed(against) if against else {}
         for name, (run, build) in timed(topodata).items():
-            if label.startswith("chain") and name in too_slow:
-                row[name] = {"skipped": too_slow[name]}
+            if (kind, name) in too_slow:
+                row[name] = {"skipped": too_slow[kind, name]}
                 continue
             row[name] = measure(run, build, repeat, theirs.get(name))
-            if row[name]["cpu_s"] > limit:
-                too_slow[name] = (f"{label} took {row[name]['cpu_s']:.1f} s, "
-                                  f"over the {limit:g} s limit")
+            slowest = max(row[name]["cpu_s"], row[name].get("against", {}).get("cpu_s", 0))
+            if slowest > limit:
+                too_slow[kind, name] = f"{label} took {slowest:.1f} s, over the {limit:g} s limit"
         results[label] = row
     return results
 
