@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def shown_source(source: str) -> str:
+    """A source as a one-line message names it: its ``repr`` if it holds a line break."""
+    return source if "".join(source.splitlines()) == source else repr(source)
+
+
 class TopologyError(Exception):
     """Base class for every error raised by this package."""
 
@@ -86,7 +91,7 @@ class ParseError(TopologyError):
         self.line = line
         prefix = ""
         if source is not None:
-            shown = source if "".join(source.splitlines()) == source else repr(source)
+            shown = shown_source(source)
             prefix = f"{shown}: " if line is None else f"{shown}:{line}: "
         super().__init__(prefix + message if prefix else message)
 

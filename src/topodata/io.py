@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 from .algebra import Partition, ThetaRelation
 from .constraints import Dataset, ForeignKeyConstraint
 from .errors import (InvalidAttributeError, InvalidElementIdError, InvalidOptionError,
-                     ParseError, UnresolvedReferenceError)
+                     ParseError, UnresolvedReferenceError, shown_source)
 from .maps import SpaceMap
 from .space import Space, check_name
 
@@ -215,7 +215,7 @@ def _map_of(doc, spaces: Mapping[str, Space], source: str) -> SpaceMap:
     codomain_name = _require(doc, "codomain", str, source)
     for name in (domain_name, codomain_name):
         if name not in spaces:
-            raise UnresolvedReferenceError(f"{source}: unknown space {name!r}")
+            raise UnresolvedReferenceError(f"{shown_source(source)}: unknown space {name!r}")
     domain, codomain = spaces[domain_name], spaces[codomain_name]
     entries = _require(doc, "pairs", list, source)
     return _build(source, SpaceMap, domain, codomain, entries)

@@ -89,52 +89,31 @@ def check_size(max_elements: int, *spaces: "Space") -> None:
 def strongly_connected_components(succ: Mapping[str, Sequence[str]]) -> list[list[str]]:
     """The strongly connected components of a directed graph, as node lists.
 
-    The graph is given by the successors of every node.  Tarjan's
-    algorithm, iterative; roots are visited in sorted order.
+    The graph is given by the successors of every node.  Kosaraju's
+    algorithm (Sharir 1981): the last node of a depth-first finishing
+    order lies in a component that no other component reaches, and the
+    nodes that reach it, searched over the predecessors, are that
+    component.  Taking the nodes in the reverse of the order, each node
+    not yet placed starts the next component.  This holds for the
+    finishing order of any depth-first forest, whatever its roots, so
+    the first pass is a ``post_order`` from every node.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    order = post_order(succ, sorted(succ))
+    pred: dict[str, list[str]] = {node: [] for node in order}
+    for a in order:
+        for b in succ[a]:
+            pred[b].append(a)
     components: list[list[str]] = []
-    counter = [0]
-
-    for root in sorted(succ):
-        if root in index:
+    for node in reversed(order):
+        if node not in pred:  # placed: its predecessors were taken out
             continue
-        work = [(root, 0)]
-        while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = succ[node]
-            for i in range(child_i, len(children)):
-                child = children[i]
-                if child not in index:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    recurse = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+        component, reached = [node], [pred.pop(node)]
+        for below in reached:  # grows while it is read
+            for a in below:
+                if a in pred:
+                    component.append(a)
+                    reached.append(pred.pop(a))
+        components.append(component)
     return components
 
 
@@ -157,6 +136,9 @@ def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str]) -> lis
     it numbered, breadth first, before the next root: cells that share a
     face then get near positions, and their down sets make short bitsets.
     Only the roots' down-closure and their own successor lists are read.
+    On a graph with cycles no order puts every element after its
+    successors; this one is then the finishing order of a depth-first
+    forest.
     """
     above: dict[str, list[str]] = {}  # the roots that bound each element
     for root in roots:

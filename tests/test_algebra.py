@@ -612,3 +612,114 @@ class TestEmittedMapsAreContinuous:
             emitted += [tl, tr]
             for space_map in emitted:
                 assert is_continuous(space_map)
+
+
+def subsets(points) -> list[frozenset]:
+    """Every subset of the points."""
+    points = sorted(points)
+    return [frozenset(p for i, p in enumerate(points) if (mask >> i) & 1)
+            for mask in range(1 << len(points))]
+
+
+def generated_topology(points, family) -> set[frozenset]:
+    """The open sets of the topology on the points that the family generates.
+
+    On a finite set the least open set holding a point p is the meet of
+    the members that hold p, so a set is open exactly when it holds that
+    meet for each of its points.
+    """
+    points = frozenset(points)
+    least = {p: points.intersection(*(s for s in family if p in s)) for p in points}
+    return {w for w in subsets(points) if all(least[p] <= w for p in w)}
+
+
+def pair_topology(result, left, right) -> set[frozenset]:
+    """The open sets of a result whose elements are pairs, each open set as the
+    pairs its elements project to; every element must be a different pair."""
+    pair = {e: (left(e), right(e)) for e in result.elements}
+    assert len(set(pair.values())) == len(pair)
+    return {frozenset(map(pair.get, w)) for w in enumerate_topology(result)}
+
+
+def product_topology(x: Space, y: Space) -> set[frozenset]:
+    """The open sets of x × y, generated by the sets U × V of open U and V."""
+    points = {(a, b) for a in x.elements for b in y.elements}
+    return generated_topology(points, [frozenset((a, b) for a in u for b in v)
+                                       for u in enumerate_topology(x)
+                                       for v in enumerate_topology(y)])
+
+
+def factors(rng):
+    """Two random spaces of at most 7 elements whose product has at most 12."""
+    x = random_space(rng, max_elements=7, name="X", min_elements=1)
+    y = random_space(rng, max_elements=min(7, 12 // len(x)), name="Y", min_elements=1)
+    return x, y
+
+
+def sharing(rng, name):
+    """A random space of at most 7 elements on ids drawn from nine shared ones."""
+    ids = rng.sample([f"s{i}" for i in range(9)], rng.randint(1, 7))
+    p = rng.uniform(0.1, 0.5)
+    return Space(name, ids, [(ids[i], ids[j]) for i in range(len(ids))
+                             for j in range(i + 1, len(ids)) if rng.random() < p])
+
+
+class TestTopologyByDefinition:
+    """Each operator's result carries the topology that defines the operator,
+    built only from the open sets of the inputs."""
+
+    def test_pullback_intersection(self):
+        rng = random.Random(51)
+        for _ in range(150):
+            x, y = sharing(rng, "X"), sharing(rng, "Y")
+            shared = x.elements & y.elements
+            expected = generated_topology(
+                shared, [u & shared for u in enumerate_topology(x)]
+                + [v & shared for v in enumerate_topology(y)])
+            result, _, _ = pullback_intersection(x, y)
+            assert result.elements == shared
+            assert set(enumerate_topology(result)) == expected
+
+    def test_paste_union(self):
+        rng = random.Random(52)
+        checked = 0
+        for _ in range(150):
+            x, y = sharing(rng, "X"), sharing(rng, "Y")
+            try:
+                result, _, _ = paste_union(x, y)
+            except CyclicIncidenceError:
+                continue
+            checked += 1
+            open_x, open_y = set(enumerate_topology(x)), set(enumerate_topology(y))
+            expected = {w for w in subsets(x.elements | y.elements)
+                        if w & x.elements in open_x and w & y.elements in open_y}
+            assert set(enumerate_topology(result)) == expected
+        assert checked > 100
+
+    def test_product(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            x, y = factors(rng)
+            assert pair_topology(*product(x, y)) == product_topology(x, y)
+
+    def test_theta_join(self):
+        rng = random.Random(54)
+        for _ in range(60):
+            x, y = factors(rng)
+            density = rng.uniform(0.2, 1.0)
+            kept = frozenset((a, b) for a in sorted(x.elements) for b in sorted(y.elements)
+                             if rng.random() < density)
+            expected = {w & kept for w in product_topology(x, y)}
+            assert pair_topology(*theta_join(x, y, ThetaRelation(kept))) == expected
+
+    def test_fibre_product(self):
+        rng = random.Random(55)
+        for trial in range(60):
+            x, y = factors(rng)
+            points = [f"i{k}" for k in range(rng.randint(1, 3))]
+            index = Space("I", points, list(zip(points[1:], points)) if trial % 2 else [])
+            u = random_continuous_map(rng, x, index)
+            p = random_continuous_map(rng, y, index)
+            kept = frozenset((a, b) for a in x.elements for b in y.elements if u(a) == p(b))
+            expected = {w & kept for w in product_topology(x, y)}
+            assert pair_topology(*fibre_product(u, p)) == expected

@@ -160,6 +160,20 @@ class TestValidate:
         assert out == ""
         assert err == "error: map name 'm' already bound to a different map\n"
 
+    def test_map_path_with_a_line_break(self, files, capsys):
+        # the path of a map naming an unknown space is shown by its repr
+        folder = Path(files["dir"]) / "a\nerror: forged"
+        folder.mkdir()
+        (folder / "m.json").write_text(json.dumps(
+            {"domain": "seg", "codomain": "nope", "pairs": []}))
+        manifest = Path(files["dir"]) / "broken.json"
+        manifest.write_text(json.dumps(
+            {"spaces": ["seg.json"], "maps": ["a\nerror: forged/m.json"]}))
+        assert main(["validate", str(manifest)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {str(folder / 'm.json')!r}: unknown space 'nope'\n"
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_paused_for_the_command_and_handed_back(
             self, files, tmp_path, monkeypatch, capsys, enabled):
@@ -244,6 +258,18 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: " + message.format(dir=folder) + "\n"
+
+    def test_loaded_map_path_with_a_line_break(self, files, capsys):
+        folder = Path(files["dir"]) / "a\nerror: forged"
+        folder.mkdir()
+        (folder / "m.json").write_text(json.dumps(
+            {"domain": "seg", "codomain": "nope", "pairs": []}))
+        shutil.copy(files["seg.json"], folder)
+        (folder / "load.topo").write_text('load S "seg.json"\nload M "m.json"\n')
+        assert main(["run", str(folder / "load.topo")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 2: {str(folder / 'm.json')!r}: unknown space 'nope'\n"
 
     @pytest.mark.parametrize("target", ["o\x00.json", "x.json/sub.json"])
     def test_unwritable_emit_is_input_error(self, files, capsys, target):

@@ -12,19 +12,24 @@ naive operator's pairs.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from topodata import (CyclicIncidenceError, Partition, Space, SpaceMap, ThetaRelation, compose,
                       identity_map, paste_union, product, pullback_intersection, quotient,
                       select_subspace, theta_join)
-from topodata.space import covers, down_bits, post_order
+from topodata.space import covers, down_bits, post_order, strongly_connected_components
 
 from naive import (brute_covers, brute_dimension, naive_intersect, naive_product, naive_quotient,
                    naive_reduce, naive_select, naive_theta_join, naive_union, strict_below)
 
 TRIALS = 300
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_dag(rng: random.Random, name: str = "D") -> Space:
@@ -213,6 +218,96 @@ def test_cycle_message_names_a_closed_walk_of_input_pairs():
             Space("G", reversed(ids), pairs)
         assert str(again.value) == message
     assert cyclic > TRIALS // 4
+
+
+def random_digraph(rng: random.Random) -> dict[str, list[str]]:
+    """The successor lists of a random digraph on up to 12 nodes: a few
+    rings through random nodes, and random chords."""
+    n = rng.randint(1, 12)
+    ids = rng.sample([f"v{i}" for i in range(12)], n)
+    pairs = set()
+    for _ in range(rng.randint(0, 3)):
+        ring = rng.sample(ids, rng.randint(1, n))
+        pairs.update(zip(ring, ring[1:] + ring[:1]))
+    p = rng.uniform(0, 0.3)
+    pairs.update((a, b) for a in ids for b in ids if rng.random() < p)
+    succ: dict[str, list[str]] = {a: [] for a in ids}
+    for a, b in sorted(pairs):
+        if a != b:
+            succ[a].append(b)
+    for below in succ.values():
+        rng.shuffle(below)
+    return succ
+
+
+def assert_components(succ, expected: set[frozenset[str]]) -> None:
+    """Every node lies in exactly one component, and the components are the expected ones."""
+    found = strongly_connected_components(succ)
+    assert sorted(node for component in found for node in component) == sorted(succ)
+    assert {frozenset(component) for component in found} == expected
+
+
+def test_components_are_the_classes_of_mutual_reachability():
+    rng = random.Random(2030)
+    sizes = set()
+    for _ in range(TRIALS):
+        succ = random_digraph(rng)
+        below = strict_below(succ, pairs_of(succ))
+        expected = {frozenset(b for b in succ if b == a or (b in below[a] and a in below[b]))
+                    for a in succ}
+        sizes.update(map(len, expected))
+        assert_components(succ, expected)
+    assert max(sizes) >= 10 and 1 in sizes
+
+
+def test_components_of_a_long_ring_with_chords_and_a_tail():
+    # deeper than the recursion limit: the searches keep their own stacks
+    n = 2000
+    ring = [f"r{i}" for i in range(n)]
+    tail = [f"t{i}" for i in range(n)]
+    succ = {a: [b] for a, b in zip(ring, ring[1:] + ring[:1])}
+    for i in range(0, n, 7):
+        succ[ring[i]].append(ring[(i + 31) % n])
+    succ.update((a, [b]) for a, b in zip(tail, tail[1:]))
+    succ[tail[-1]] = []
+    succ[ring[n // 2]].append(tail[0])
+    assert_components(succ, {frozenset(ring)} | {frozenset([t]) for t in tail})
+
+
+COLLAPSE_CASES = """
+import random
+from topodata import Partition, Space, TopologyError, quotient
+rng = random.Random(2031)
+for _ in range(200):
+    n = rng.randint(2, 10)
+    ids = rng.sample([f"e{i}" for i in range(10)], n)
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    rng.shuffle(pairs)
+    names = ["a", "b", "c", "d", "scc:a", "scc:b", "scc:c"]
+    labels = {e: rng.choice(names) for e in ids if rng.random() < 0.8}
+    try:
+        space = Space("S", ids, pairs)
+        result, projection = quotient(space, Partition(labels), on_cycle="collapse")
+        print(sorted(result.elements), sorted(result.incidence),
+              sorted(projection.mapping.items()))
+    except TopologyError as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_collapse_is_independent_of_the_hash_seed():
+    runs = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", COLLAPSE_CASES], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        runs.add(done.stdout)
+    out, = runs
+    lines = out.splitlines()
+    assert len(lines) == 200
+    assert any("would name the merged class" in line for line in lines)
+    assert any("'scc:" in line and not line.startswith("QuotientCycleError") for line in lines)
 
 
 def with_attributes(rng: random.Random, space: Space) -> Space:

@@ -134,8 +134,11 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5",
                              "continuity_chain_20", "continuity_chain_40",
-                             "closure_chain_20", "closure_chain_40"]
+                             "closure_chain_20", "closure_chain_40", "cycle_grid_3x3",
+                             "collapse_chain_20", "collapse_chain_40"]
     assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
+    assert results["cycle_grid_3x3"]["elements"] == 49
+    assert results["cycle_grid_3x3"]["pairs"] == results["grid_3x3"]["pairs"] + 1
     assert results["continuity_star_5"]["elements"] == 6
     assert results["continuity_star_5"]["pairs"] == 5
     for label, row in results.items():
@@ -145,6 +148,8 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
                  if label.startswith("load") else
                  ("is_continuous",) if label.startswith("continuity") else
                  ("closure",) if label.startswith("closure") else
+                 ("Space",) if label.startswith("cycle") else
+                 ("quotient",) if label.startswith("collapse") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
         assert set(row) == {"elements", "pairs", *names}
@@ -187,6 +192,18 @@ def test_scale_probe_loads_another_tree_twice():
     assert first is not second
     assert second.io.parse_space is not first.io.parse_space
     assert second.io.Space is second.Space is not first.Space
+
+
+def test_scale_probe_cycle_rows_reach_the_cycle_paths():
+    tool = load_tool("scale_probe")
+    ids, pairs = tool.grid(2)
+    run, build = tool.cyclic_space(tool.topodata, (ids, pairs + [("g0_0", "g1_1")]))["Space"]
+    run(*build())  # refused with CyclicIncidenceError
+    with pytest.raises(AssertionError):
+        tool.cyclic_space(tool.topodata, (ids, pairs))["Space"][0](ids, pairs)
+    run, build = tool.chain_collapse(tool.topodata, tool.deep_chain(20, "C"))["quotient"]
+    result, projection = run(*build())
+    assert result.elements == {"scc:ends"} and len(projection.mapping) == 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -28,7 +28,13 @@ chain length n test reachability on deep inputs: ``continuity_chain``
 is ``is_continuous`` of the map x_i -> y_2i from a chain of n elements
 into one of 2n, whose every pair is sent to a reachable pair that is not
 a pair of the codomain, and ``closure_chain`` is the ``closure`` of
-every other id of the deep chain.  It prints one JSON document with each
+every other id of the deep chain.  Two rows size the cycle paths:
+``cycle_grid`` is ``Space(...)`` of the grid plus one pair that closes a
+cycle, timed up to its ``CyclicIncidenceError``, whose message names a
+closed walk found in the strongly connected components, and
+``collapse_chain`` is the ``quotient`` of the deep chain with its first
+and last ids in one class, under ``on_cycle="collapse"``, which folds
+the chain into one cycle.  It prints one JSON document with each
 operation's least and median process CPU time and its tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
@@ -266,6 +272,31 @@ def chain_closure(lib, first):
     return {"closure": (lambda x: x.closure(ids[::2]), one)}
 
 
+def cyclic_space(lib, first):
+    """``Space`` of the ids and pairs of ``first``, which hold a cycle, up to
+    its ``CyclicIncidenceError``, with the ``Space`` of ``lib``."""
+    def refused(ids, pairs):
+        try:
+            lib.Space("G", ids, pairs)
+        except lib.CyclicIncidenceError:
+            return
+        raise AssertionError("the pairs hold no cycle")
+
+    return {"Space": (refused, lambda: first)}
+
+
+def chain_collapse(lib, first):
+    """``quotient`` of the space on ``first`` with its first and last ids in
+    one class, under ``on_cycle="collapse"``, with the functions of ``lib``."""
+    ids, pairs = first
+    ends = lib.Partition({ids[0]: "ends", ids[-1]: "ends"})
+
+    def one():
+        return (lib.Space("X", ids, pairs),)
+
+    return {"quotient": (lambda x: lib.quotient(x, ends, on_cycle="collapse"), one)}
+
+
 def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
@@ -314,6 +345,12 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
                 plain_chain(2 * n, "y")) for n in sorted(chains)]
     inputs += [("closure_chain", f"closure_chain_{n}", deep_chain(n, "C"), None)
                for n in sorted(chains)]
+    if grid_n:  # a vertex bounded by a square that it bounds
+        ids, pairs = grid(grid_n)
+        inputs.append(("cycle_grid", f"cycle_grid_{grid_n}x{grid_n}",
+                       (ids, pairs + [("g0_0", "g1_1")]), None))
+    inputs += [("collapse_chain", f"collapse_chain_{n}", deep_chain(n, "C"), None)
+               for n in sorted(chains)]
     for kind, label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
 
@@ -326,6 +363,10 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
                 return chain_map(lib, first, second)
             if kind == "closure_chain":
                 return chain_closure(lib, first)
+            if kind == "cycle_grid":
+                return cyclic_space(lib, first)
+            if kind == "collapse_chain":
+                return chain_collapse(lib, first)
             found = operations(lib, first, second)
             if kind == "grid":
                 found.update(extrusion(lib, first, folder / "emitted.json"))
