@@ -31,8 +31,8 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .maps import SpaceMap, is_continuous
-from .space import (Pair, Space, _iterate, _kept_down_sets, bitmask, check_element_id,
-                    check_pairs, covers, down_bits, post_order, strongly_connected_components)
+from .space import (Pair, Space, _iterate, _kept_down_sets, check_element_id, check_pairs,
+                    covers, down_bits, post_order, strongly_connected_components)
 
 SEPARATOR = "×"  # joins the two ids of a pair element; no input id may contain it
 PRODUCT_WARN_LIMIT = 10 ** 6  # product sizes above this warn
@@ -180,7 +180,7 @@ def quotient(space: Space, partition: Partition,
 
     name = f"{space.name}/~"
     classes, succ = induced(label)
-    for c in sorted(classes):  # labels become ids; collapsing renames them to valid ids
+    for c in sorted(classes - space.elements):  # an id of the space is a valid id
         check_element_id(c)
     try:
         result = Space._trusted(name, classes, succ, {})
@@ -191,7 +191,7 @@ def quotient(space: Space, partition: Partition,
                 f"({err})") from err
         merged: dict[str, str] = {}
         named: set[str] = set()
-        for component in strongly_connected_components(succ):
+        for component in sorted(strongly_connected_components(succ), key=min):
             target = min(component)
             if len(component) > 1:
                 target = "scc:" + target
@@ -372,9 +372,13 @@ def theta_join(x: Space, y: Space, theta: ThetaRelation) -> tuple[Space, SpaceMa
 
 
 def _bitset(numbers: list[int]) -> tuple[int, int]:
-    """Increasing numbers as a ``(top, bits)`` bitset of ``down_bits``."""
-    top = numbers[-1]
-    return top, bitmask(top - n for n in numbers)
+    """Increasing numbers as a ``(top, bits)`` bitset of ``down_bits``: number
+    n is bit ``top - n``, the binary digit ``n - low`` counted from the first."""
+    low, top = numbers[0], numbers[-1]
+    digits = bytearray(b"0") * (top - low + 1)
+    for n in numbers:
+        digits[n - low] = 49  # ord("1")
+    return top, int(digits, 2)
 
 
 def fibre_product(u: SpaceMap, p: SpaceMap) -> tuple[Space, SpaceMap, SpaceMap]:

@@ -47,10 +47,6 @@ def cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
-def _split_ids(raw: str) -> list[str]:
-    return [part for part in raw.split(",") if part]
-
-
 def cmd_dim(args) -> int:
     space = io.load_space(args.space)
     if args.element is None:
@@ -63,7 +59,7 @@ def cmd_dim(args) -> int:
 def cmd_closure_star(args) -> int:
     space = io.load_space(args.space)
     query = space.closure if args.command == "closure" else space.star
-    print(",".join(sorted(query(_split_ids(args.ids)))))
+    print(",".join(sorted(query([part for part in args.ids.split(",") if part]))))
     return 0
 
 

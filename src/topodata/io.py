@@ -68,9 +68,7 @@ def _require(doc, key, kind, source):
 
 
 def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered items as one JSON array (or object) starting on a line at ``indent``."""
-    if not items:
-        return brackets
+    """Rendered items, one or more, as a JSON array (or object) starting at ``indent``."""
     inner = f"\n{indent}  "
     return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{indent}{brackets[1]}"
 

@@ -26,7 +26,6 @@ from .errors import (
     InvalidElementIdError,
     SelfLoopError,
     SizeBoundError,
-    TopologyError,
     UnknownElementError,
     UnresolvedReferenceError,
 )
@@ -115,17 +114,6 @@ def strongly_connected_components(succ: Mapping[str, Sequence[str]]) -> list[lis
                     reached.append(pred.pop(a))
         components.append(component)
     return components
-
-
-def bitmask(positions: Iterable[int]) -> int:
-    """The int whose set bits are the given positions."""
-    positions = list(positions)
-    if not positions:
-        return 0
-    digits = bytearray(b"0") * (max(positions) + 1)
-    for p in positions:
-        digits[-1 - p] = 49  # ord("1"); the last binary digit is bit 0
-    return int(digits, 2)
 
 
 def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str]) -> list[str]:
@@ -456,13 +444,14 @@ class Space:
         inside = self._subset(subset)
         return all(a in inside or inside.isdisjoint(below) for a, below in self._succ.items())
 
-    def _not_an_element(self, element) -> TopologyError:
-        """The error for a query id that fails ``isinstance(element, str)
-        and element in self.elements``; the type is tested first because
+    def _element(self, element) -> str:
+        """A query id that is an element; the type is tested first because
         an unhashable id cannot be looked up."""
-        if isinstance(element, str):
-            return UnknownElementError(f"{element!r} is not an element of {self.name!r}")
-        return InvalidElementIdError(f"element ids are strings, got {element!r}")
+        if not isinstance(element, str):
+            raise InvalidElementIdError(f"element ids are strings, got {element!r}")
+        if element not in self.elements:
+            raise UnknownElementError(f"{element!r} is not an element of {self.name!r}")
+        return element
 
     def _above(self, starts: Iterable[str]) -> frozenset[str]:
         """Everything that reaches the starts, themselves included: the order lists
@@ -479,29 +468,19 @@ class Space:
 
         This is the closure of the singleton {element}.
         """
-        if not (isinstance(element, str) and element in self.elements):
-            raise self._not_an_element(element)
-        return frozenset(post_order(self._succ, (element,)))
+        return frozenset(post_order(self._succ, (self._element(element),)))
 
     def up_set(self, element: str) -> frozenset[str]:
         """All elements that reach ``element``, itself included.
 
         This is the star (minimal open superset) of the singleton {element}.
         """
-        if not (isinstance(element, str) and element in self.elements):
-            raise self._not_an_element(element)
-        return self._above((element,))
+        return self._above((self._element(element),))
 
     def in_preorder(self, a: str, b: str) -> bool:
         """True iff (a, b) lies in the reflexive-transitive closure of incidence."""
-        try:
-            if b in self.down_set(a):
-                return True
-        except TypeError:  # an unhashable b
-            pass
-        if isinstance(b, str) and b in self.elements:
-            return False
-        raise self._not_an_element(b)
+        below = self.down_set(a)
+        return self._element(b) in below
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest closed superset: everything reachable from the subset."""
@@ -526,9 +505,7 @@ class Space:
         Sinks (elements with empty boundary) have dimension 0; an edge with
         vertices has dimension 1, and so on.
         """
-        if not (isinstance(element, str) and element in self.elements):
-            raise self._not_an_element(element)
-        return self._depths()[element]
+        return self._depths()[self._element(element)]
 
     def space_dimension(self) -> int:
         """Maximal element dimension; -1 for the empty space."""

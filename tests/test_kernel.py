@@ -20,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from topodata import (CyclicIncidenceError, Partition, Space, SpaceMap, ThetaRelation, compose,
-                      identity_map, paste_union, product, pullback_intersection, quotient,
-                      select_subspace, theta_join)
+from topodata import (CyclicIncidenceError, Partition, QuotientCycleError, Space, SpaceMap,
+                      ThetaRelation, compose, identity_map, paste_union, product,
+                      pullback_intersection, quotient, select_subspace, theta_join)
 from topodata.space import covers, down_bits, post_order, strongly_connected_components
 
 from naive import (brute_covers, brute_dimension, naive_intersect, naive_product, naive_quotient,
@@ -308,6 +308,57 @@ def test_collapse_is_independent_of_the_hash_seed():
     assert len(lines) == 200
     assert any("would name the merged class" in line for line in lines)
     assert any("'scc:" in line and not line.startswith("QuotientCycleError") for line in lines)
+
+
+COLLIDING = dict(zip([f"e{i}" for i in range(10)],
+                     ["a", "a", "b", "b", "c", "c", "d", "d", "scc:a", "scc:c"]))
+
+
+def colliding_pairs(rng: random.Random) -> list[tuple[str, str]]:
+    """Pairs on the ids of ``COLLIDING`` whose image folds a and b, and c and d,
+    into cycles, plus random chords, all forward in a random order of the ids."""
+    while True:
+        order = rng.sample(sorted(COLLIDING), len(COLLIDING))
+        pairs = []
+        for group in ("ab", "cd"):
+            ends = [e for e in order if COLLIDING[e] in group]
+            for first, middle, last in (ends[:3], ends[1:]):  # one class, the other, the first
+                if COLLIDING[first] == COLLIDING[last] != COLLIDING[middle]:
+                    pairs += [(first, middle), (middle, last)]
+                    break
+        if len(pairs) == 4:
+            chords = [(order[i], order[j]) for i in range(10) for j in range(i + 1, 10)
+                      if rng.random() < 0.15]
+            return list(dict.fromkeys(pairs + chords))
+
+
+def test_collapse_collision_names_the_least_clash_for_every_pair_order():
+    rng = random.Random(2028)
+    clashes = 0
+    for _ in range(TRIALS):
+        pairs = colliding_pairs(rng)
+        image = {(COLLIDING[a], COLLIDING[b]) for a, b in pairs if COLLIDING[a] != COLLIDING[b]}
+        classes = set(COLLIDING.values())
+        below = strict_below(classes, image)
+        groups = {frozenset({c} | {d for d in below[c] if c in below[d]}) for c in classes}
+        merged = {"scc:" + min(g) for g in groups if len(g) > 1}
+        clash = sorted(merged & {c for g in groups if len(g) == 1 for c in g})
+        outcomes = set()
+        for _ in range(12):
+            ids = rng.sample(sorted(COLLIDING), len(COLLIDING))
+            space = Space("S", ids, rng.sample(pairs, len(pairs)))
+            try:
+                result, _ = quotient(space, Partition(COLLIDING), on_cycle="collapse")
+                outcomes.add(tuple(sorted(result.incidence)))
+            except QuotientCycleError as err:
+                outcomes.add(str(err))
+        outcome, = outcomes
+        if clash:
+            clashes += 1
+            assert f"the merged class {clash[0]!r}," in outcome
+        else:
+            assert isinstance(outcome, tuple)
+    assert clashes > TRIALS // 10
 
 
 def with_attributes(rng: random.Random, space: Space) -> Space:

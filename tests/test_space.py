@@ -217,17 +217,24 @@ class TestConstruction:
             run(ids)
 
     @pytest.mark.parametrize("query", ["down_set", "up_set", "dimension", "in_preorder",
-                                       "in_preorder_second"])
-    @pytest.mark.parametrize("element", [["e"], {"e"}, {"e": "v1"}],
-                             ids=["list", "set", "dict"])
+                                       "in_preorder_second", "in_preorder_both"])
+    @pytest.mark.parametrize("element", [["e"], {"e"}, {"e": "v1"}, "zz", 5, None, b"e"],
+                             ids=["list", "set", "dict", "unknown", "int", "none", "bytes"])
     def test_unhashable_id(self, segment, query, element):
-        with pytest.raises(InvalidElementIdError):
+        if isinstance(element, str):
+            error, message = UnknownElementError, f"{element!r} is not an element of 'seg'"
+        else:
+            error, message = InvalidElementIdError, f"element ids are strings, got {element!r}"
+        with pytest.raises(error) as raised:
             if query == "in_preorder":
                 segment.in_preorder(element, "e")
             elif query == "in_preorder_second":
                 segment.in_preorder("e", element)
+            elif query == "in_preorder_both":  # the first bad id is reported
+                segment.in_preorder(element, "yy")
             else:
                 getattr(segment, query)(element)
+        assert str(raised.value) == message
 
 
 class TestIsOpen:

@@ -135,12 +135,14 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5",
                              "continuity_chain_20", "continuity_chain_40",
                              "closure_chain_20", "closure_chain_40", "cycle_grid_3x3",
-                             "collapse_chain_20", "collapse_chain_40"]
+                             "collapse_chain_20", "collapse_chain_40", "theta_grid_3x3",
+                             "quotient_grid_3x3"]
     assert results["grid_3x3"]["elements"] == results["load_3x3"]["elements"] == 49
     assert results["cycle_grid_3x3"]["elements"] == 49
     assert results["cycle_grid_3x3"]["pairs"] == results["grid_3x3"]["pairs"] + 1
     assert results["continuity_star_5"]["elements"] == 6
     assert results["continuity_star_5"]["pairs"] == 5
+    assert results["theta_grid_3x3"]["elements"] == results["quotient_grid_3x3"]["elements"] == 49
     for label, row in results.items():
         extruded = (("product", "serialize", "emit", "emit_map") if label.startswith("grid")
                     else ())
@@ -149,7 +151,8 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
                  ("is_continuous",) if label.startswith("continuity") else
                  ("closure",) if label.startswith("closure") else
                  ("Space",) if label.startswith("cycle") else
-                 ("quotient",) if label.startswith("collapse") else
+                 ("quotient",) if label.startswith(("collapse", "quotient")) else
+                 ("theta_join",) if label.startswith("theta") else
                  ("transitive_reduce", "select_subspace", "pullback_intersection",
                   "select_three", "intersect_three") + extruded)
         assert set(row) == {"elements", "pairs", *names}

@@ -34,8 +34,14 @@ cycle, timed up to its ``CyclicIncidenceError``, whose message names a
 closed walk found in the strongly connected components, and
 ``collapse_chain`` is the ``quotient`` of the deep chain with its first
 and last ids in one class, under ``on_cycle="collapse"``, which folds
-the chain into one cycle.  It prints one JSON document with each
-operation's least and median process CPU time and its tracemalloc peak.
+the chain into one cycle.  Two rows size the grid's joins and
+quotients: ``theta_grid`` is the ``theta_join`` of the grid with a copy
+of itself shifted by half a cell, one doubled unit, along both axes, on
+every pair of cells whose closures meet (the shape of the bench's
+``overlay``, at the probe's size), and ``quotient_grid`` is the
+``quotient`` of the grid by the classes of its 2x ``coarsening``, which
+folds into no cycle.  It prints one JSON document with each operation's
+least and median process CPU time and its tracemalloc peak.
 
 - A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
   skip pair of length 2-16 from each element, so its reduction, the
@@ -145,6 +151,15 @@ def coarsening(n: int) -> list[list[str]]:
 
     return [[f"g{cx}_{cy}", f"g{down(cx)}_{down(cy)}"]
             for cx in range(2 * n + 1) for cy in range(2 * n + 1)]
+
+
+def overlap(n: int) -> list[tuple[str, str]]:
+    """The pairs of cells of the n x n grid and of a copy shifted by one doubled
+    unit along both axes whose closures meet, left id first.  Along an axis
+    the closure of the cell of centre c spans c - c % 2 to c + c % 2."""
+    cells = range(2 * n + 1)
+    axis = [(c, d) for c in cells for d in cells if abs(c - (d + 1)) <= c % 2 + d % 2]
+    return [(f"g{cx}_{cy}", f"g{dx}_{dy}") for cx, dx in axis for cy, dy in axis]
 
 
 AGAINST = "topodata_against"
@@ -297,6 +312,28 @@ def chain_collapse(lib, first):
     return {"quotient": (lambda x: lib.quotient(x, ends, on_cycle="collapse"), one)}
 
 
+def grid_theta(lib, first, n: int):
+    """``theta_join`` of the grid on ``first`` with a copy of itself on their
+    ``overlap``, with the functions of ``lib``."""
+    pairs = overlap(n)
+
+    def inputs():
+        return lib.Space("X", *first), lib.Space("Y", *first), lib.ThetaRelation(pairs)
+
+    return {"theta_join": (lib.theta_join, inputs)}
+
+
+def grid_quotient(lib, first, n: int):
+    """``quotient`` of the grid on ``first`` by the classes of its ``coarsening``,
+    with the functions of ``lib``."""
+    classes = dict(coarsening(n))
+
+    def inputs():
+        return lib.Space("G", *first), lib.Partition(classes)
+
+    return {"quotient": (lib.quotient, inputs)}
+
+
 def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
@@ -351,6 +388,9 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
                        (ids, pairs + [("g0_0", "g1_1")]), None))
     inputs += [("collapse_chain", f"collapse_chain_{n}", deep_chain(n, "C"), None)
                for n in sorted(chains)]
+    if grid_n:
+        inputs.append(("theta_grid", f"theta_grid_{grid_n}x{grid_n}", grid(grid_n), None))
+        inputs.append(("quotient_grid", f"quotient_grid_{grid_n}x{grid_n}", grid(grid_n), None))
     for kind, label, first, second in inputs:
         row = {"elements": len(first[0]), "pairs": len(first[1])}
 
@@ -367,6 +407,10 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
                 return cyclic_space(lib, first)
             if kind == "collapse_chain":
                 return chain_collapse(lib, first)
+            if kind == "theta_grid":
+                return grid_theta(lib, first, grid_n)
+            if kind == "quotient_grid":
+                return grid_quotient(lib, first, grid_n)
             found = operations(lib, first, second)
             if kind == "grid":
                 found.update(extrusion(lib, first, folder / "emitted.json"))
