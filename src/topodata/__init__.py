@@ -67,7 +67,7 @@ from .oracle import (
     oracle_find_homeomorphism,
     oracle_is_continuous,
 )
-from .script import QueryScript, ScriptResult, parse_script, run_script
+from .script import ScriptResult, parse_script, run_script
 from .space import Pair, Space
 
 __version__ = "0.1.0"
@@ -91,7 +91,6 @@ __all__ = [
     "Pair",
     "ParseError",
     "Partition",
-    "QueryScript",
     "QuotientCycleError",
     "ScriptError",
     "ScriptNameError",

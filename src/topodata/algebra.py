@@ -125,16 +125,12 @@ def pair_id(left: str, right: str) -> str:
 def select_subspace(space: Space, keep) -> tuple[Space, SpaceMap]:
     """Subspace on a subset of elements, with its inclusion map.
 
-    ``keep`` is either an iterable of element ids or a predicate over an
-    element's attribute dict.  The result relation is the transitive
-    reduction of the preorder restricted to the kept elements, not the
-    raw relation restricted: two kept elements related only through
-    dropped ones stay related.
+    ``keep`` is a collection of element ids.  The result relation is the
+    transitive reduction of the preorder restricted to the kept elements,
+    not the raw relation restricted: two kept elements related only
+    through dropped ones stay related.
     """
-    if callable(keep):
-        kept = frozenset(e for e in space.elements if keep(space.attributes.get(e, {})))
-    else:
-        kept = space._subset(keep)
+    kept = space._subset(keep)
     order, below = _kept_down_sets(kept, space)
     attributes = {e: dict(space.attributes[e]) for e in kept if e in space.attributes}
     sub = Space._trusted(space.name, kept, covers(order, below), attributes, order)

@@ -59,7 +59,7 @@ def cmd_dim(args) -> int:
 def cmd_closure_star(args) -> int:
     space = io.load_space(args.space)
     query = space.closure if args.command == "closure" else space.star
-    print(",".join(sorted(query([part for part in args.ids.split(",") if part]))))
+    print(",".join(sorted(query(args.ids.split(",")))))
     return 0
 
 

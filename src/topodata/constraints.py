@@ -38,14 +38,15 @@ class ForeignKeyConstraint(namedtuple("ForeignKeyConstraint", "name map_name mod
 class Dataset:
     """Named catalog of spaces, maps, foreign key constraints and chains.
 
-    A chain is a ``(name, map names)`` pair: the maps in order, each
-    one's codomain the next one's domain.
+    A dataset starts empty; ``add_space`` and ``add_map`` fill it.  A
+    chain is a ``(name, map names)`` pair: the maps in order, each one's
+    codomain the next one's domain.
     """
 
-    def __init__(self, spaces=None, maps=None, constraints=None):
-        self.spaces: dict[str, Space] = dict(spaces or {})
-        self.maps: dict[str, SpaceMap] = dict(maps or {})
-        self.constraints: list[ForeignKeyConstraint] = list(constraints or [])
+    def __init__(self):
+        self.spaces: dict[str, Space] = {}
+        self.maps: dict[str, SpaceMap] = {}
+        self.constraints: list[ForeignKeyConstraint] = []
         self.chains: list[tuple[str, tuple[str, ...]]] = []
 
     def add_space(self, space: Space) -> None:

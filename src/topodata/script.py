@@ -54,7 +54,6 @@ CheckHomeoStmt = namedtuple("CheckHomeoStmt", "line left right")
 DimStmt = namedtuple("DimStmt", "line space element")
 ClosureStmt = namedtuple("ClosureStmt", "line space ids")
 EmitStmt = namedtuple("EmitStmt", "line name path")
-QueryScript = namedtuple("QueryScript", "statements")
 
 
 # One row per operator: the name of its function in ``algebra``, looked up at
@@ -88,7 +87,7 @@ _GRAMMAR = [(cls, re.compile(pattern)) for cls, pattern in (
 _CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to its first # outside double quotes
 
 
-def parse_script(text: str, source: str = "<script>") -> QueryScript:
+def parse_script(text: str, source: str = "<script>") -> tuple:
     statements = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _CODE.match(raw)[0].strip()
@@ -108,7 +107,7 @@ def parse_script(text: str, source: str = "<script>") -> QueryScript:
         elif cls is ClosureStmt:
             fields["ids"] = tuple(fields["ids"].split(","))
         statements.append(cls(line_no, **fields))
-    return QueryScript(tuple(statements))
+    return tuple(statements)
 
 
 class ScriptResult(NamedTuple):
@@ -129,19 +128,17 @@ class _Runner:
         self.failures: list[str] = []
         self.output: list[str] = []
 
-    def bind(self, line: int, name: str, value) -> None:
+    def bind(self, name: str, value) -> None:
         if name in self.env:
-            raise ScriptNameError(f"line {line}: name {name!r} is already bound")
+            raise ScriptNameError(f"name {name!r} is already bound")
         self.env[name] = value
 
-    def lookup(self, line: int, name: str, kind=None):
+    def lookup(self, name: str, kind=None):
         if name not in self.env:
-            raise ScriptNameError(f"line {line}: name {name!r} is not bound")
+            raise ScriptNameError(f"name {name!r} is not bound")
         value = self.env[name]
         if kind is not None and not isinstance(value, kind):
-            raise ScriptError(
-                f"line {line}: {name!r} is {type(value).__name__}, "
-                f"expected {kind.__name__}")
+            raise ScriptError(f"{name!r} is {type(value).__name__}, expected {kind.__name__}")
         return value
 
     # -- statement execution ------------------------------------------------
@@ -157,16 +154,15 @@ class _Runner:
         try:
             text = io.read_text(path)
         except OSError as err:
-            raise ScriptError(f"line {stmt.line}: cannot read {stmt.path!r}: {err}") from err
+            raise ScriptError(f"cannot read {stmt.path!r}: {err}") from err
         value = io.parse_document(text, self.registry, source=source)
         if isinstance(value, Space):
             known = self.registry.get(value.name)
             if known is not None and known != value:
                 raise ScriptNameError(
-                    f"line {stmt.line}: space name {value.name!r} already loaded "
-                    "with different content")
+                    f"space name {value.name!r} already loaded with different content")
             self.registry[value.name] = value
-        self.bind(stmt.line, stmt.name, value)
+        self.bind(stmt.name, value)
 
     @execute.register
     def run_let(self, stmt: LetStmt) -> None:
@@ -175,10 +171,8 @@ class _Runner:
         if not low <= len(stmt.args) <= high:
             wanted = (low if high == low else f"at least {low}" if high == inf
                       else f"{low}..{high}")
-            raise ScriptError(f"line {stmt.line}: {stmt.op} takes {wanted} arguments, "
-                              f"got {len(stmt.args)}")
-        args = [self.lookup(stmt.line, name, kind)
-                for name, kind in zip(stmt.args, op.kinds)]
+            raise ScriptError(f"{stmt.op} takes {wanted} arguments, got {len(stmt.args)}")
+        args = [self.lookup(name, kind) for name, kind in zip(stmt.args, op.kinds)]
         literals = stmt.args[low:]
         # select takes its ids as one collection, quotient its policy as is
         args += [literals] if op.literals == inf else literals
@@ -186,9 +180,9 @@ class _Runner:
             result, maps = args[0].transitive_reduce(), ()
         else:
             result, *maps = getattr(algebra, op.function)(*args)
-        self.bind(stmt.line, stmt.name, result)
+        self.bind(stmt.name, result)
         for suffix, value in zip(op.maps, maps):
-            self.bind(stmt.line, f"{stmt.name}.{suffix}", value)
+            self.bind(f"{stmt.name}.{suffix}", value)
 
     def report(self, message: str, passed: bool) -> None:
         self.output.append(message)
@@ -197,21 +191,21 @@ class _Runner:
 
     @execute.register
     def run_check_continuous(self, stmt: CheckContinuousStmt) -> None:
-        verdict = is_continuous(self.lookup(stmt.line, stmt.map_name, SpaceMap))
+        verdict = is_continuous(self.lookup(stmt.map_name, SpaceMap))
         outcome = "PASS" if verdict else f"FAIL {verdict.describe()}"
         self.report(f"check continuous {stmt.map_name}: {outcome}", bool(verdict))
 
     @execute.register
     def run_check_homeo(self, stmt: CheckHomeoStmt) -> None:
-        x = self.lookup(stmt.line, stmt.left, Space)
-        y = self.lookup(stmt.line, stmt.right, Space)
+        x = self.lookup(stmt.left, Space)
+        y = self.lookup(stmt.right, Space)
         found = find_homeomorphism(x, y) is not None
         self.report(f"check homeomorphic {stmt.left} {stmt.right}: "
                     f"{'PASS' if found else 'FAIL'}", found)
 
     @execute.register
     def run_dim(self, stmt: DimStmt) -> None:
-        space = self.lookup(stmt.line, stmt.space, Space)
+        space = self.lookup(stmt.space, Space)
         if stmt.element is None:
             self.output.append(f"dim {stmt.space} = {space.space_dimension()}")
         else:
@@ -220,35 +214,35 @@ class _Runner:
 
     @execute.register
     def run_closure(self, stmt: ClosureStmt) -> None:
-        space = self.lookup(stmt.line, stmt.space, Space)
+        space = self.lookup(stmt.space, Space)
         closed = space.closure(stmt.ids)
         self.output.append(f"closure {stmt.space} {','.join(stmt.ids)} = "
                            f"{','.join(sorted(closed))}")
 
     @execute.register
     def run_emit(self, stmt: EmitStmt) -> None:
-        value = self.lookup(stmt.line, stmt.name)
+        value = self.lookup(stmt.name)
         try:
             io.write_document(value, self.base_dir / stmt.path)
         except (OSError, ValueError) as err:  # ValueError: a NUL in the path, a lone surrogate
-            raise ScriptError(f"line {stmt.line}: cannot write {stmt.path!r}: {err}") from err
+            raise ScriptError(f"cannot write {stmt.path!r}: {err}") from err
         self.output.append(f"emit {stmt.name} -> {stmt.path}")
 
-    def run(self, script: QueryScript) -> ScriptResult:
-        for stmt in script.statements:
+    def run(self, statements) -> ScriptResult:
+        for stmt in statements:
             try:
                 self.execute(stmt)
-            except (ScriptError, ScriptNameError):
-                raise
+            except ScriptNameError as err:
+                raise ScriptNameError(f"line {stmt.line}: {err}") from err
             except TopologyError as err:
                 raise ScriptError(f"line {stmt.line}: {err}") from err
         return ScriptResult(self.env, self.failures, self.output)
 
 
-def run_script(script: QueryScript, base_dir=".") -> ScriptResult:
-    """Execute a parsed script; relative paths resolve against ``base_dir``.
+def run_script(statements, base_dir=".") -> ScriptResult:
+    """Execute parsed statements; relative paths resolve against ``base_dir``.
 
     Execution is deterministic: the same inputs produce the same bindings,
     the same output lines, and byte-identical emitted files.
     """
-    return _Runner(base_dir).run(script)
+    return _Runner(base_dir).run(statements)

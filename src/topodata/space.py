@@ -249,8 +249,8 @@ class Space:
     Spaces are immutable value objects: equality covers the name, the
     element set, the incidence relation, and the attributes; hashing
     covers the name and the element set only, which equal spaces share.
-    Two derived tables are memoised, never exposed, and safe to share
-    across concurrent readers: the dimensions and the table of held ids.
+    One derived table is memoised, never exposed, and safe to share
+    across concurrent readers: the table of held ids.
 
     The incidence relation is held as successor tuples: each element
     maps to the tuple of the elements it is bounded by, in the order its
@@ -371,9 +371,8 @@ class Space:
             order.reverse()
         self._order = order
 
-        # lazily filled caches; recomputation under a race is benign
+        # lazily filled cache; recomputation under a race is benign
         self._held: dict[str, str] | None = held
-        self._depth: dict[str, int] = {}
 
     def _held_ids(self) -> dict[str, str]:
         if self._held is None:  # each id keyed by itself: a lookup gives the held object
@@ -491,13 +490,11 @@ class Space:
         return self._above(self._subset(subset))
 
     def _depths(self) -> dict[str, int]:
-        if not self._depth:
-            depth: dict[str, int] = {}
-            for e in self._order:
-                succ = self._succ[e]
-                depth[e] = 1 + max(map(depth.__getitem__, succ)) if succ else 0
-            self._depth = depth
-        return self._depth
+        depth: dict[str, int] = {}
+        for e in self._order:
+            succ = self._succ[e]
+            depth[e] = 1 + max(map(depth.__getitem__, succ)) if succ else 0
+        return depth
 
     def dimension(self, element: str) -> int:
         """Length of the longest strictly descending chain starting at ``element``.

@@ -69,7 +69,8 @@ class TestSelectSubspace:
         space = Space("walls", ["w1", "w2", "d"], [],
                       {"w1": {"kind": "wall"}, "w2": {"kind": "wall"},
                        "d": {"kind": "door"}})
-        sub, _ = select_subspace(space, lambda attrs: attrs.get("kind") == "wall")
+        sub, _ = select_subspace(
+            space, [e for e, kv in space.attributes.items() if kv.get("kind") == "wall"])
         assert sub.elements == {"w1", "w2"}
 
     def test_initial_topology(self):

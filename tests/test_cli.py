@@ -322,6 +322,15 @@ class TestQueries:
         assert main(["star", files["y.json"], "x"]) == 0
         assert capsys.readouterr().out.strip() == "C,b,c,x"
 
+    @pytest.mark.parametrize("command, ids", [
+        ("closure", "B,,a"), ("closure", "B,"), ("star", ""), ("star", ",a")])
+    def test_empty_id_is_refused(self, files, capsys, command, ids):
+        # as a script's closure refuses it: an empty part names no element
+        assert main([command, files["x.json"], ids]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not elements of 'X': ['']\n"
+
 
 class TestHomeo:
     def test_found(self, files, capsys):

@@ -116,8 +116,11 @@ class TestValidateChain:
     def test_two_quotient_steps(self, space_y):
         first, proj1 = quotient(space_y, Partition.from_classes({"m": ["c", "x"]}, space_y.name))
         second, proj2 = quotient(first, Partition.from_classes({"k": ["b", "m"]}, first.name))
-        dataset = Dataset(spaces={s.name: s for s in (space_y, first, second)},
-                          maps={"step1": proj1, "step2": proj2})
+        dataset = Dataset()
+        for s in (space_y, first, second):
+            dataset.add_space(s)
+        dataset.add_map("step1", proj1)
+        dataset.add_map("step2", proj2)
         dataset.chains.append(("coarsen", ("step1", "step2")))
         report = validate(dataset)
         assert report.ok
@@ -150,7 +153,9 @@ class TestValidateChain:
         message = "map 'm' uses space 't' which is not in the dataset"
         for declare in (lambda d: d.constraints.append(ForeignKeyConstraint("c", "m")),
                         lambda d: d.chains.append(("chain", ("m",)))):
-            dataset = Dataset({"s": s}, {"m": SpaceMap(s, t, {"a": "b"})})
+            dataset = Dataset()
+            dataset.add_space(s)
+            dataset.add_map("m", SpaceMap(s, t, {"a": "b"}))
             declare(dataset)
             with pytest.raises(UnresolvedReferenceError, match=message):
                 validate(dataset)
@@ -170,8 +175,11 @@ class TestValidateChain:
             spaces = [random_space(rng, max_elements=6, name=f"S{i}", min_elements=1)
                       for i in range(length + 1)]
             maps = [random_total_map(rng, x, y) for x, y in zip(spaces, spaces[1:])]
-            dataset = Dataset({s.name: s for s in spaces},
-                              {f"f{i}": f for i, f in enumerate(maps)})
+            dataset = Dataset()
+            for s in spaces:
+                dataset.add_space(s)
+            for i, f in enumerate(maps):
+                dataset.add_map(f"f{i}", f)
             dataset.chains.append(("c", tuple(dataset.maps)))
             report = validate(dataset)
             assert [stage.space_name for stage in report.stages] == [s.name for s in spaces]

@@ -29,7 +29,9 @@ FUZZ = settings(max_examples=100, deadline=None, database=None)
 SEGMENT = Space("seg", ["e", "v1", "v2"], [("e", "v1"), ("e", "v2")])
 IDS = ["e", "v1", "v2", "zz", "", "a b", "a,b", "e×v1", "seg"]
 IDENTITY = identity_map(SEGMENT)
-DATASET = Dataset({"seg": SEGMENT}, {"seg": IDENTITY})
+DATASET = Dataset()
+DATASET.add_space(SEGMENT)
+DATASET.add_map("seg", IDENTITY)
 
 hashables = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
                       st.sampled_from(IDS), st.text(max_size=4), st.binary(max_size=3))

@@ -373,7 +373,7 @@ def trusted_results(rng: random.Random, x: Space, y: Space):
     yield (x.transitive_reduce(),)
     sub, inclusion = select_subspace(x, rng.sample(sorted(x.elements), rng.randint(0, len(x))))
     yield sub, inclusion
-    yield select_subspace(x, lambda attrs: attrs.get("k") == "1")
+    yield select_subspace(x, [e for e, kv in x.attributes.items() if kv.get("k") == "1"])
     yield pullback_intersection(x, y)
     yield product(x, y)
     theta = ThetaRelation((a, b) for a in sorted(x.elements) for b in sorted(y.elements)

@@ -45,8 +45,10 @@ def test_equality_with_another_type_defers_to_it(record):
 
 
 def test_reprs():
-    dataset = Dataset({"seg": SEGMENT}, {"id": RECORDS["map"]},
-                      [ForeignKeyConstraint("c", "id", "continuous")])
+    dataset = Dataset()
+    dataset.add_space(SEGMENT)
+    dataset.add_map("id", RECORDS["map"])
+    dataset.constraints.append(ForeignKeyConstraint("c", "id", "continuous"))
     assert [repr(r) for r in (*RECORDS.values(), dataset)] == [
         "Space('seg', 3 elements, 2 pairs)",
         "SpaceMap('seg' -> 'seg', 3 entries)",

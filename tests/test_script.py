@@ -9,7 +9,9 @@ from topodata import (
     Partition,
     ScriptError,
     ScriptNameError,
+    Space,
     SpaceMap,
+    TopologyError,
     parse_script,
     run_script,
 )
@@ -50,11 +52,11 @@ class TestParse:
             "dim J B\n"
             "closure J a,b\n"
             'emit J "out.json"\n')
-        kinds = [type(s) for s in script.statements]
+        kinds = [type(s) for s in script]
         assert kinds == [LoadStmt, LetStmt, CheckContinuousStmt,
-                         type(script.statements[3]), DimStmt, DimStmt,
+                         type(script[3]), DimStmt, DimStmt,
                          ClosureStmt, EmitStmt]
-        assert script.statements[1].args == ("X", "Y", "T")
+        assert script[1].args == ("X", "Y", "T")
 
     def test_unknown_operation(self):
         with pytest.raises(ParseError) as err:
@@ -67,7 +69,7 @@ class TestParse:
 
     def test_select_with_ids(self):
         script = parse_script("let S = select(X, a, b)\n")
-        assert script.statements[0].args == ("X", "a", "b")
+        assert script[0].args == ("X", "a", "b")
 
 
 class TestRun:
@@ -182,6 +184,38 @@ class TestRun:
         with pytest.raises(ScriptError, match="line 4: theta left side is declared for 'X'"):
             run_script(script, base_dir=overlay_dir)
 
+    # one row per site that raises a script error: the script, the error type
+    # and its whole message, "{dir}" standing for the script's directory; a
+    # message ending in "..." is checked up to there, its tail being the OS's
+    @pytest.mark.parametrize("text, error, message", [
+        pytest.param('load X "x.json"\nload X "y.json"\n', ScriptNameError,
+                     "line 2: name 'X' is already bound", id="bound-twice"),
+        pytest.param("dim X\n", ScriptNameError, "line 1: name 'X' is not bound", id="unbound"),
+        pytest.param('load X "x.json"\ncheck continuous X\n', ScriptError,
+                     "line 2: 'X' is Space, expected SpaceMap", id="wrong-kind"),
+        pytest.param('load X "x.json"\nload Z "missing.json"\n', ScriptError,
+                     "line 2: cannot read 'missing.json': ...", id="unreadable-load"),
+        pytest.param('load X "x.json"\nload Z "other_x.json"\n', ScriptNameError,
+                     "line 2: space name 'X' already loaded with different content",
+                     id="space-reloaded"),
+        pytest.param('load X "x.json"\nlet U = union(X)\n', ScriptError,
+                     "line 2: union takes 2 arguments, got 1", id="arity"),
+        pytest.param('load X "x.json"\nemit X "x.json/o.json"\n', ScriptError,
+                     "line 2: cannot write 'x.json/o.json': [Errno 17] File exists: "
+                     "'{dir}/x.json'", id="unwritable-emit"),
+        pytest.param('load X "x.json"\nlet S = select(X, zz)\n', ScriptError,
+                     "line 2: not elements of 'X': ['zz']", id="library-error"),
+    ])
+    def test_every_error_site_message(self, overlay_dir, text, error, message):
+        (overlay_dir / "other_x.json").write_text(serialize_space(Space("X", ["a"])))
+        with pytest.raises(TopologyError) as err:
+            run_script(parse_script(text), base_dir=overlay_dir)
+        assert type(err.value) is error
+        if message.endswith("..."):
+            assert str(err.value).startswith(message[:-3])
+        else:
+            assert str(err.value) == message.format(dir=overlay_dir)
+
     def test_deterministic_emission(self, overlay_dir):
         text = ('load X "x.json"\nload Y "y.json"\nload T "theta.json"\n'
                 'let J = theta_join(X, Y, T)\nemit J "out/a.json"\n')
@@ -215,7 +249,7 @@ class TestRun:
         (overlay_dir / "a#b.json").write_text((overlay_dir / "x.json").read_text())
         script = parse_script('load X "a#b.json"  # the # in quotes is part of the path\n'
                               'emit X "out/c#d.json"# and so is this one\n')
-        assert [s.path for s in script.statements] == ["a#b.json", "out/c#d.json"]
+        assert [s.path for s in script] == ["a#b.json", "out/c#d.json"]
         result = run_script(script, base_dir=overlay_dir)
         assert result.output == ["emit X -> out/c#d.json"]
         assert ((overlay_dir / "out" / "c#d.json").read_bytes()

@@ -164,9 +164,11 @@ class TestConstruction:
         (lambda: Space("s", "ab"), "must be a collection"),
         (lambda: SpaceMap(Space("s", ["a"]), Space("s", ["a"]), 5), "must be a collection"),
         # the one collection Partition takes is a mapping
-        (lambda: Partition(5), "partition classes must be a mapping, got 5")],
+        (lambda: Partition(5), "partition classes must be a mapping, got 5"),
+        (lambda: select_subspace(Space("s", ["a"]), lambda attrs: True),
+         "not a collection of element ids of 's'")],
         ids=["elements-None", "elements-5", "incidence-5", "incidence-None",
-             "elements-string", "map-table-5", "partition-classes-5"])
+             "elements-string", "map-table-5", "partition-classes-5", "select-callable"])
     def test_arguments_that_are_not_collections(self, build, message):
         with pytest.raises(InvalidElementIdError, match=message):
             build()

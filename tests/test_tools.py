@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,23 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
             assert row[name]["against"]["peak_mb"] > 0
             assert 0 <= row[name]["faster_runs"] <= 3
     assert tool.load_against(root).Space is not tool.topodata.Space
+
+
+def test_scale_probe_peaks_do_not_depend_on_which_tree_goes_first():
+    # an operation that allocates 2 MB the first time it runs traced, as a
+    # cache filled once per process would; it must be charged to neither tree
+    tool = load_tool("scale_probe")
+    traced_runs = []
+
+    def run():
+        if tracemalloc.is_tracing():
+            traced_runs.append(None)
+            if len(traced_runs) == 1:
+                bytearray(2 * 2 ** 20)
+
+    result = tool.measure(run, tuple, 2, (run, tuple))
+    assert abs(result["peak_mb"] - result["against"]["peak_mb"]) < 0.01
+    assert len(traced_runs) == 4  # each tree's peak taken going first and going second
 
 
 def test_scale_probe_loads_another_tree_twice():

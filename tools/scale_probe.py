@@ -55,6 +55,10 @@ and the median process CPU time (``time.process_time``) over
 ``--repeat`` runs; a run that takes more than a second is not repeated.
 The peak is taken in one further run, with ``tracemalloc`` started
 after the inputs were built, so it counts what the operation allocates.
+With ``--against`` it is taken in two further runs per tree, once with
+this tree going first and once with the other going first, and the
+lower counts, so that a cost paid by whichever tree runs first (a
+cache the process fills once) is charged to neither.
 When one run of an operation takes more than ``--limit`` seconds, in
 either tree, the larger chains are skipped for that operation in rows of
 that kind, and the result says so.
@@ -338,7 +342,8 @@ def measure(run, build, repeat: int, against=None) -> dict:
     """The least and the median process CPU time over the runs, and the
     tracemalloc peak of one more run.  ``against`` is the same operation
     of another tree as a ``(run, build)`` pair; the two then take turns,
-    each going first in every other round."""
+    each going first in every other round, and each side's peak is the
+    lower of two runs, one going first and one going second."""
     sides = [(run, build)] + ([against] if against else [])
     times: list[list[float]] = [[] for _ in sides]
     while len(times[0]) < repeat and all(not t or t[-1] <= 1.0 for t in times):
@@ -350,15 +355,18 @@ def measure(run, build, repeat: int, against=None) -> dict:
             start = time.process_time()
             run_i(*inputs)
             times[i].append(time.process_time() - start)
-    figures = []
-    for (run_i, build_i), seconds in zip(sides, times):
-        inputs = build_i()
-        tracemalloc.start()
-        run_i(*inputs)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        figures.append({"cpu_s": min(seconds), "median_s": statistics.median(seconds),
-                        "runs": len(seconds), "peak_mb": peak / 2 ** 20})
+    peaks: list[list[int]] = [[] for _ in sides]
+    order = list(range(len(sides)))
+    for turn in [order, order[::-1]] if against else [order]:
+        for i in turn:
+            inputs = sides[i][1]()
+            tracemalloc.start()
+            sides[i][0](*inputs)
+            peaks[i].append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    figures = [{"cpu_s": min(seconds), "median_s": statistics.median(seconds),
+                "runs": len(seconds), "peak_mb": min(peak) / 2 ** 20}
+               for seconds, peak in zip(times, peaks)]
     result = figures[0]
     if against:
         result["against"] = figures[1]
