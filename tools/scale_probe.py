@@ -359,9 +359,10 @@ def measure(run, build, repeat: int, against=None) -> dict:
     order = list(range(len(sides)))
     for turn in [order, order[::-1]] if against else [order]:
         for i in turn:
-            inputs = sides[i][1]()
+            run_i, build_i = sides[i]
+            inputs = build_i()
             tracemalloc.start()
-            sides[i][0](*inputs)
+            run_i(*inputs)
             peaks[i].append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
     figures = [{"cpu_s": min(seconds), "median_s": statistics.median(seconds),
