@@ -9,12 +9,15 @@ The writers produce that layout directly, with the C string escaper
 of the ``json`` module; the bytes are those of
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``, which for an
 indented document runs the pure-Python encoder instead.  They produce
-text blocks: the header, then the items of each top-level list
-``_BLOCK`` at a time.  ``serialize_*`` joins them, and
-``write_document`` (a script's ``emit``) streams them to the file.  A
-space is written from its sorted ids, each with its successors sorted,
-and a map from its sorted sources; an id is escaped where it is
-written, so an emit holds the sorted ids and one block, no id table.
+text blocks: the header, then the items of each top-level list, about
+``_BLOCK`` pairs or elements to a block.  ``serialize_*`` joins them,
+and ``write_document`` (a script's ``emit``) streams them to the file.
+A space is written from its sorted ids, each with its successors
+sorted, and a map from its sorted sources; an id is escaped where it
+is written, so an emit holds the sorted ids and one block, no id table.
+Each source's pairs are rendered by one join, as is each run of
+elements without attributes, so the space writer does no Python work
+per pair or per plain element.
 
 ``parse_document`` reads a document of any kind from one JSON parse,
 choosing the kind by its fields as ``detect_kind`` does.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import json
 from functools import singledispatch
-from itertools import islice
+from itertools import groupby, islice
 from json.encoder import encode_basestring as _string  # the escaper of ensure_ascii=False
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -77,12 +80,13 @@ def _object(fields: list[tuple[str, str]], indent: str) -> str:
     return _layout([f"{_string(key)}: {value}" for key, value in fields], indent, "{}")
 
 
-_BLOCK = 512  # top-level list items per block; one write per item was slower
+_BLOCK = 512  # pairs, elements or other list items per block; one write per item was slower
+_ITEM_SEP = ",\n    "  # between two items of a top-level list
 
 
 def _document(fields: list[tuple[str, str | Iterable[str]]]) -> Iterator[str]:
     """The blocks of a top-level object.  A field's value is its rendered
-    text, or the rendered items of a list, which go out ``_BLOCK`` at a time."""
+    text, or the blocks of a list: rendered items joined by ``_ITEM_SEP``."""
     text, separator = "{", "\n  "
     for key, value in fields:
         text += f"{separator}{_string(key)}: "
@@ -90,27 +94,33 @@ def _document(fields: list[tuple[str, str | Iterable[str]]]) -> Iterator[str]:
         if isinstance(value, str):
             text += value
             continue
-        items = iter(value)
-        block = list(islice(items, _BLOCK))
-        if not block:
-            text += "[]"
-            continue
-        yield f"{text}[\n    " + ",\n    ".join(block)
-        while block := list(islice(items, _BLOCK)):
-            yield ",\n    " + ",\n    ".join(block)
-        text = "\n  ]"
+        lead = f"{text}[\n    "  # what goes before the next block
+        for block in value:
+            yield lead
+            yield block  # as it is, not copied behind its lead
+            lead = _ITEM_SEP
+        text = "\n  ]" if lead == _ITEM_SEP else text + "[]"
     yield text + "\n}\n"
 
 
+def _joined(items: Iterable[str]) -> Iterator[str]:
+    """Rendered items, ``_BLOCK`` to a block."""
+    items = iter(items)
+    while block := _ITEM_SEP.join(islice(items, _BLOCK)):
+        yield block
+
+
 # the two repeated shapes, as line templates: an element entry without
-# attributes, and an id pair, each an item of a top-level field's list
+# attributes, and an id pair, each an item of a top-level field's list;
+# joining ids with a separator renders a run of them in one call
 _ELEMENT = '{\n      "id": %s\n    }'
+_ELEMENT_SEP = '\n    }' + _ITEM_SEP + '{\n      "id": '
 _PAIR_HEAD, _PAIR_TAIL = '[\n      %s,\n      ', '\n    ]'
 _PAIR = _PAIR_HEAD + '%s' + _PAIR_TAIL
 
 
 def _pairs(pairs) -> Iterator[str]:
-    return (_PAIR % (_string(a), _string(b)) for a, b in pairs)
+    return _joined(_PAIR % (_string(a), _string(b)) for a, b in pairs)
 
 
 def _declared(name: str | None, what: str) -> str:
@@ -180,24 +190,45 @@ def _space_blocks(space: Space) -> Iterator[str]:
 
 
 def _elements(space: Space, ids: list[str]) -> Iterator[str]:
-    for element in ids:
-        attrs = space.attributes.get(element)
-        if attrs:
-            values = [(key, _string(value)) for key, value in sorted(attrs.items())]
-            yield _object([("id", _string(element)), ("attrs", _object(values, "      "))], "    ")
-        else:
-            yield _ELEMENT % _string(element)
+    """The element entries, ``_BLOCK`` to a block; each run of elements
+    without attributes is rendered by one join."""
+    for start in range(0, len(ids), _BLOCK):
+        items = []
+        for attrs, run in groupby(ids[start:start + _BLOCK], space.attributes.get):
+            if attrs:
+                values = [(key, _string(value)) for key, value in sorted(attrs.items())]
+                items += [_object([("id", _string(element)), ("attrs", _object(values, "      "))],
+                                  "    ") for element in run]
+            else:
+                items.append(_ELEMENT % _ELEMENT_SEP.join(map(_string, run)))
+        yield _ITEM_SEP.join(items)
 
 
 def _incidence(space: Space, ids: list[str]) -> Iterator[str]:
     """The pairs in sorted order: each id of ``ids`` with its successors sorted.
-    Ids are distinct and each pair is held once, so no pair is sorted as a pair."""
+    Ids are distinct and each pair is held once, so no pair is sorted as a pair.
+    A source's pairs, up to ``_BLOCK`` of them, are one join; a block ends
+    once it holds ``_BLOCK`` pairs, so it holds fewer than twice that."""
     succ = space._succ
+    items, size = [], 0
     for a in ids:
         below = succ[a]
         if below:
             head = _PAIR_HEAD % _string(a)
-            yield from [head + _string(b) + _PAIR_TAIL for b in sorted(below)]
+            joiner = _PAIR_TAIL + _ITEM_SEP + head
+            below = sorted(below)
+            while len(below) > _BLOCK:  # a hub: its first _BLOCK pairs end a block
+                items.append(head + joiner.join(map(_string, below[:_BLOCK])) + _PAIR_TAIL)
+                yield _ITEM_SEP.join(items)
+                items, size = [], 0
+                del below[:_BLOCK]  # in place: no second copy of a hub's successors
+            items.append(head + joiner.join(map(_string, below)) + _PAIR_TAIL)
+            size += len(below)
+            if size >= _BLOCK:
+                yield _ITEM_SEP.join(items)
+                items, size = [], 0
+    if items:
+        yield _ITEM_SEP.join(items)
 
 
 # -- maps --------------------------------------------------------------------
@@ -285,7 +316,7 @@ def _partition_blocks(partition: Partition) -> Iterator[str]:
     for element, label in partition.classes.items():
         by_label.setdefault(label, []).append(element)
     return _document([("space", _declared(partition.space_name, "partition")),
-                      ("classes", _classes(by_label))])
+                      ("classes", _joined(_classes(by_label)))])
 
 
 def _classes(by_label: dict[str, list[str]]) -> Iterator[str]:

@@ -491,9 +491,10 @@ class Space:
 
     def _depths(self) -> dict[str, int]:
         depth: dict[str, int] = {}
+        of = depth.__getitem__
         for e in self._order:
             succ = self._succ[e]
-            depth[e] = 1 + max(map(depth.__getitem__, succ)) if succ else 0
+            depth[e] = 1 + max(map(of, succ)) if succ else 0
         return depth
 
     def dimension(self, element: str) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -255,14 +256,21 @@ BLOCK = topodata.io._BLOCK
 def sized_documents(n: int, attributes: bool):
     """Records whose every top-level list has n items: the elements of one space,
     the pairs of another, and a map's pairs, a theta relation's pairs and a
-    partition's classes; with attributes on every other element, if asked."""
+    partition's classes; with attributes on every other element, if asked.
+    Two more spaces put the block edges elsewhere: one whose three sources
+    have n - 1, n and n + 1 successors, and one of n elements of which only
+    the middle one has attributes, which breaks their run."""
     ids = [f"e{i}" for i in range(n)]
     attrs = {e: {"k": e, "w": "2"} for e in ids[::2]} if attributes else {}
     isolated = Space("I", ids, [], attrs)
     star = Space("S", ["hub", *ids], [("hub", e) for e in ids], attrs)
+    leaves = [*ids, "f"]
+    fans = Space("F", ["a", "b", "c", *leaves],
+                 [(hub, e) for hub, k in zip("abc", (n - 1, n, n + 1)) for e in leaves[:k]], attrs)
+    broken = Space("B", ids, [], {e: {"k": e} for e in ids[n // 2:][:1]})
     return (isolated, star, SpaceMap(isolated, isolated, {e: e for e in ids}),
             ThetaRelation([(e, f"r{e}") for e in ids], "I", "R"),
-            Partition.from_classes({f"c{e}": [e] for e in ids}, "I"))
+            Partition.from_classes({f"c{e}": [e] for e in ids}, "I"), fans, broken)
 
 
 class TestBlocks:
@@ -273,6 +281,16 @@ class TestBlocks:
     def test_every_list_size_around_a_block(self, n, attributes):
         for value in sized_documents(n, attributes):
             assert SERIALIZERS[type(value)](value) == canonical(value), type(value)
+
+    @pytest.mark.parametrize("attributes", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_every_block_holds_fewer_than_two_blocks_of_items(self, n, attributes):
+        """A block ends once it holds BLOCK pairs or elements, and a source with
+        more than BLOCK successors is split, so no block reaches twice that.
+        A top-level list item is a line that opens at an indent of four."""
+        for value in sized_documents(n, attributes):
+            for block in topodata.io._blocks(value):
+                assert len(re.findall(r"^    [\[{]", block, re.M)) < 2 * BLOCK, type(value)
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK, 2 * BLOCK + 1])
     def test_written_bytes_are_the_serialized_text(self, tmp_path, n):

@@ -134,7 +134,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert tool.main(["--chains", "20,40", "--grid", "3", "--star", "5", "--repeat", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert list(results) == ["chain_20", "chain_40", "grid_3x3", "load_3x3", "continuity_star_5",
-                             "continuity_chain_20", "continuity_chain_40",
+                             "emit_star_5", "continuity_chain_20", "continuity_chain_40",
                              "closure_chain_20", "closure_chain_40", "cycle_grid_3x3",
                              "collapse_chain_20", "collapse_chain_40", "theta_grid_3x3",
                              "quotient_grid_3x3"]
@@ -142,7 +142,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
     assert results["cycle_grid_3x3"]["elements"] == 49
     assert results["cycle_grid_3x3"]["pairs"] == results["grid_3x3"]["pairs"] + 1
     assert results["continuity_star_5"]["elements"] == 6
-    assert results["continuity_star_5"]["pairs"] == 5
+    assert results["continuity_star_5"]["pairs"] == results["emit_star_5"]["pairs"] == 5
     assert results["theta_grid_3x3"]["elements"] == results["quotient_grid_3x3"]["elements"] == 49
     for label, row in results.items():
         extruded = (("product", "serialize", "emit", "emit_map") if label.startswith("grid")
@@ -150,6 +150,7 @@ def test_scale_probe_runs_at_tiny_sizes(capsys):
         names = (("parse_space", "load_space", "parse_map", "is_continuous")
                  if label.startswith("load") else
                  ("is_continuous",) if label.startswith("continuity") else
+                 ("emit",) if label.startswith("emit") else
                  ("closure",) if label.startswith("closure") else
                  ("Space",) if label.startswith("cycle") else
                  ("quotient",) if label.startswith(("collapse", "quotient")) else
@@ -179,7 +180,8 @@ def test_scale_probe_times_two_trees_in_alternation(capsys):
                          ("grid_2x2", ("product", "serialize", "emit", "emit_map")),
                          ("load_2x2", ("parse_space", "load_space", "parse_map",
                                        "is_continuous")),
-                         ("continuity_star_4", ("is_continuous",))):
+                         ("continuity_star_4", ("is_continuous",)),
+                         ("emit_star_4", ("emit",))):
         row = results[label]
         for name in names:
             assert row[name]["runs"] == row[name]["against"]["runs"] == 3

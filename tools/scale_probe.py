@@ -23,7 +23,9 @@ holds, ``parse_map`` of its 2x coarsening onto the grid of half its
 side, and ``is_continuous`` of that map.  A star, one hub bounded by
 each of n leaves, is checked in a row of its own: ``is_continuous`` of
 its identity map, whose every pair is a pair of the codomain, so the
-cost of the direct test shows at a high out-degree.  Two more rows per
+cost of the direct test shows at a high out-degree, and in another:
+``emit_star`` writes the star with ``io.write_document``, so the memory
+of a source whose pairs span more than one block shows.  Two more rows per
 chain length n test reachability on deep inputs: ``continuity_chain``
 is ``is_continuous`` of the map x_i -> y_2i from a chain of n elements
 into one of 2n, whose every pair is sent to a reachable pair that is not
@@ -269,6 +271,13 @@ def continuity(lib, first):
     return {"is_continuous": (lib.is_continuous, identity)}
 
 
+def star_emit(lib, first, target: Path):
+    """``emit`` of the space on ``first`` to ``target``, with the functions of ``lib``."""
+    io = importlib.import_module(f"{lib.__name__}.io")
+    return {"emit": (lambda space: io.write_document(space, target),
+                     lambda: (lib.Space("S", *first),))}
+
+
 def chain_map(lib, x, y):
     """``is_continuous`` of the map x_i -> y_2i from the chain on ``x`` into
     the chain on ``y``, twice as long, with the functions of ``lib``."""
@@ -387,6 +396,7 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
         inputs.append(("load", f"load_{grid_n}x{grid_n}", grid(grid_n), None))
     if star_n:
         inputs.append(("continuity_star", f"continuity_star_{star_n}", star(star_n), None))
+        inputs.append(("emit_star", f"emit_star_{star_n}", star(star_n), None))
     inputs += [("continuity_chain", f"continuity_chain_{n}", plain_chain(n, "x"),
                 plain_chain(2 * n, "y")) for n in sorted(chains)]
     inputs += [("closure_chain", f"closure_chain_{n}", deep_chain(n, "C"), None)
@@ -408,6 +418,8 @@ def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float
                 return loading(lib, grid_n, folder)
             if kind == "continuity_star":
                 return continuity(lib, first)
+            if kind == "emit_star":
+                return star_emit(lib, first, folder / "emitted.json")
             if kind == "continuity_chain":
                 return chain_map(lib, first, second)
             if kind == "closure_chain":
@@ -444,7 +456,8 @@ def main(argv=None) -> int:
                         help="comma-separated chain lengths")
     parser.add_argument("--grid", type=int, default=60, help="grid side; 0 for no grid")
     parser.add_argument("--star", type=int, default=20000,
-                        help="leaves of the star whose identity map is checked; 0 for no star")
+                        help="leaves of the star whose identity map is checked and which "
+                             "is written; 0 for no star")
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per operation")
     parser.add_argument("--limit", type=float, default=60.0,
                         help="seconds after which larger chains are skipped")
