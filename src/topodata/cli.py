@@ -17,22 +17,14 @@ import gc
 import sys
 from pathlib import Path
 
-from . import io
-from .constraints import validate
+from . import constraints, io, maps, oracle, script
 from .errors import TopologyError
-from .maps import find_homeomorphism
-from .oracle import (
-    ENUMERATION_LIMIT,
-    enumerate_topology,
-    oracle_axiom_check,
-    oracle_is_continuous,
-)
-from .script import parse_script, run_script
+from .space import ENUMERATION_LIMIT
 
 
 def cmd_validate(args) -> int:
     dataset = io.load_dataset(args.manifest)
-    report = validate(dataset)
+    report = constraints.validate(dataset)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -40,8 +32,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.script)
-    script = parse_script(io.read_text(path), source=str(path))
-    result = run_script(script, base_dir=path.parent)
+    parsed = script.parse_script(io.read_text(path), source=str(path))
+    result = script.run_script(parsed, base_dir=path.parent)
     for line in result.output:
         print(line)
     return 0 if result.ok else 1
@@ -66,7 +58,7 @@ def cmd_closure_star(args) -> int:
 def cmd_homeo(args) -> int:
     x = io.load_space(args.left)
     y = io.load_space(args.right)
-    found = find_homeomorphism(x, y, max_elements=args.max_elements)
+    found = maps.find_homeomorphism(x, y, max_elements=args.max_elements)
     if found is None:
         print("no homeomorphism")
         return 1
@@ -77,7 +69,7 @@ def cmd_homeo(args) -> int:
 
 def cmd_oracle_topology(args) -> int:
     space = io.load_space(args.space)
-    family = enumerate_topology(space, args.max_elements)
+    family = oracle.enumerate_topology(space, args.max_elements)
     for open_set in family:
         print("{" + ",".join(sorted(open_set)) + "}")
     return 0
@@ -85,7 +77,7 @@ def cmd_oracle_topology(args) -> int:
 
 def cmd_oracle_axioms(args) -> int:
     space = io.load_space(args.space)
-    report = oracle_axiom_check(space, args.max_elements)
+    report = oracle.oracle_axiom_check(space, args.max_elements)
     print(f"{space.name}: {report.open_set_count} open sets")
     for violation in report.violations:
         print(f"violation: {violation}")
@@ -97,7 +89,7 @@ def cmd_oracle_continuous(args) -> int:
     codomain = io.load_space(args.codomain)
     spaces = {domain.name: domain, codomain.name: codomain}
     space_map = io.load_map(args.map, spaces)
-    ok = oracle_is_continuous(space_map, args.max_elements)
+    ok = oracle.oracle_is_continuous(space_map, args.max_elements)
     print("continuous" if ok else "not continuous")
     return 0 if ok else 1
 
@@ -138,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-elements", type=int, default=10)
     p.set_defaults(func=cmd_homeo)
 
-    oracle = sub.add_parser("oracle", help="brute-force reference computations")
-    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
+    oracle_parser = sub.add_parser("oracle", help="brute-force reference computations")
+    oracle_sub = oracle_parser.add_subparsers(dest="oracle_command", required=True)
 
     p = oracle_sub.add_parser("topology", help="enumerate all open sets")
     p.add_argument("space")

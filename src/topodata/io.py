@@ -41,11 +41,10 @@ from json.encoder import encode_basestring as _string  # the escaper of ensure_a
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import Partition, ThetaRelation
 from .constraints import Dataset, ForeignKeyConstraint
 from .errors import (InvalidAttributeError, InvalidElementIdError, InvalidOptionError,
                      ParseError, UnresolvedReferenceError, shown_source)
-from .maps import SpaceMap
+from .maps import Partition, SpaceMap, ThetaRelation
 from .space import Space, check_name
 
 

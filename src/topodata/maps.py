@@ -12,23 +12,31 @@ tests to confirm agreement.
 Map pairs are read by C loops of the interpreter over the ids the
 spaces hold (``_held_table``); only pairs they refuse are walked entry
 by entry, to name their fault.
+
+The two other tables of ids that documents hold live here too: a
+``Partition``, which ``algebra.quotient`` applies, and a
+``ThetaRelation``, which ``algebra.theta_join`` reads.  So ``io`` reads
+and writes every kind of document without loading the operators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
     DomainMismatchError,
+    DuplicateElementError,
     InvalidElementIdError,
     MapTotalityError,
     UnknownElementError,
+    UnresolvedReferenceError,
 )
-from .space import Pair, Space, _iterate, _kept_down_sets, check_pairs, check_size
+from .space import (Pair, Space, _iterate, _kept_down_sets, check_element_id, check_pairs,
+                    check_size)
 
 
 class ContinuityResult(NamedTuple):
@@ -178,6 +186,85 @@ def _check_table(domain: Space, codomain: Space, table: dict) -> None:
     if bad:
         raise UnknownElementError(
             f"{what} has values outside the codomain: {sorted(bad, key=str)}")
+
+
+def _space_name(name, what: str) -> str | None:
+    """A declared space name: a string, or None when unknown."""
+    if name is not None and not isinstance(name, str):
+        raise UnresolvedReferenceError(f"{what} must be a space name or None, got {name!r}")
+    return name
+
+
+class Partition:
+    """Labelling of element ids by class label; ``quotient`` applies it.
+
+    Elements the partition does not list are singleton classes labelled
+    by their own id, so an entry ``e -> e`` is dropped as implied.
+    ``space_name`` records which space the partition classifies when
+    known; equal partitions have equal tables and names.
+    """
+
+    def __init__(self, classes: Mapping[str, str], space_name: str | None = None):
+        if not isinstance(classes, Mapping):
+            raise InvalidElementIdError(f"partition classes must be a mapping, got {classes!r}")
+        for element in classes:
+            check_element_id(element)
+        bad = sorted(e for e, label in classes.items() if not isinstance(label, str) or not label)
+        if bad:
+            raise InvalidElementIdError(f"empty or non-string class labels for {bad}")
+        self.classes = {e: label for e, label in classes.items() if e != label}
+        self.space_name = _space_name(space_name, "partition space name")
+
+    @classmethod
+    def from_classes(cls, labelled: Mapping[str, Iterable[str]],
+                     space_name: str | None = None) -> "Partition":
+        """Build a partition from a mapping of class labels to members."""
+        if not isinstance(labelled, Mapping):
+            raise InvalidElementIdError(f"partition classes must be a mapping, got {labelled!r}")
+        table: dict[str, str] = {}
+        for label, members in labelled.items():
+            for member in _iterate(members, f"members of class {label!r}"):
+                if check_element_id(member) in table:
+                    raise DuplicateElementError(
+                        f"{member!r} assigned to classes {table[member]!r} and {label!r}")
+                table[member] = label
+        return cls(table, space_name)
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.classes, self.space_name) == (other.classes, other.space_name)
+
+    def __repr__(self):
+        return f"Partition({len(self.classes)} elements, {len(set(self.classes.values()))} classes)"
+
+
+class ThetaRelation:
+    """Explicit set of cross-space element pairs declared as intersecting.
+
+    The geometric predicate that would decide intersection is outside
+    this library; its result is stored as data.  ``left_name`` and
+    ``right_name`` record which spaces the sides refer to when known;
+    equal relations have equal pairs and names.
+    """
+
+    def __init__(self, pairs: Iterable[Pair], left_name: str | None = None,
+                 right_name: str | None = None):
+        self.pairs = frozenset(check_pairs(pairs, "theta relation"))
+        self.left_name = _space_name(left_name, "theta left name")
+        self.right_name = _space_name(right_name, "theta right name")
+
+    def __eq__(self, other):
+        if not isinstance(other, ThetaRelation):
+            return NotImplemented
+        return ((self.pairs, self.left_name, self.right_name)
+                == (other.pairs, other.left_name, other.right_name))
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __repr__(self):
+        return f"ThetaRelation({len(self.pairs)} pairs)"
 
 
 def identity_map(space: Space) -> SpaceMap:

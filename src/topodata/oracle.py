@@ -13,9 +13,8 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .maps import SpaceMap
-from .space import Space, check_size
+from .space import ENUMERATION_LIMIT, Space, check_size
 
-ENUMERATION_LIMIT = 12
 SEARCH_LIMIT = 8
 
 

@@ -36,14 +36,13 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import algebra, io
-from .algebra import Partition, ThetaRelation
 from .errors import (
     ParseError,
     ScriptError,
     ScriptNameError,
     TopologyError,
 )
-from .maps import SpaceMap, find_homeomorphism, is_continuous
+from .maps import Partition, SpaceMap, ThetaRelation, find_homeomorphism, is_continuous
 from .space import Space
 
 

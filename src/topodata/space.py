@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 
 from .errors import (
     CyclicIncidenceError,
@@ -77,6 +78,30 @@ def check_pairs(entries: Iterable, what: str) -> Iterator[Pair]:
         yield entry[0], entry[1]
 
 
+def _walk_checked(name: str, held: Mapping[str, str], succ: dict[str, list[str]],
+                  pairs: Iterator[Pair]) -> None:
+    """Put each pair of ``check_pairs`` in its source's list, as the held ids.
+
+    A malformed entry raises at once, the first self or dangling pair
+    after the rest is checked: a malformed entry later on is reported first.
+    """
+    get = held.get
+    for a, b in pairs:
+        ha, hb = get(a), get(b)
+        if ha is hb or ha is None or hb is None:
+            for _ in pairs:
+                pass
+            if a == b:
+                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+            raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} "
+                                         f"references unknown element "
+                                         f"{a if a not in held else b!r}")
+        succ[ha].append(hb)
+
+
+ENUMERATION_LIMIT = 12  # default bound of the exhaustive oracles
+
+
 def check_size(max_elements: int, *spaces: "Space") -> None:
     """Refuse an exhaustive run over any space with more than ``max_elements`` elements."""
     for s in spaces:
@@ -95,13 +120,15 @@ def strongly_connected_components(succ: Mapping[str, Sequence[str]]) -> list[lis
     component.  Taking the nodes in the reverse of the order, each node
     not yet placed starts the next component.  This holds for the
     finishing order of any depth-first forest, whatever its roots, so
-    the first pass is a ``post_order`` from every node.
+    the first pass is a ``post_order`` from every node, which reads the
+    same predecessor table.
     """
-    order = post_order(succ, sorted(succ))
-    pred: dict[str, list[str]] = {node: [] for node in order}
-    for a in order:
+    nodes = sorted(succ)
+    pred: dict[str, list[str]] = {node: [] for node in nodes}
+    for a in nodes:
         for b in succ[a]:
             pred[b].append(a)
+    order = post_order(succ, nodes, pred)
     components: list[list[str]] = []
     for node in reversed(order):
         if node not in pred:  # placed: its predecessors were taken out
@@ -116,7 +143,8 @@ def strongly_connected_components(succ: Mapping[str, Sequence[str]]) -> list[lis
     return components
 
 
-def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str]) -> list[str]:
+def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str],
+               above: Mapping[str, list[str]] | None = None) -> list[str]:
     """Every element below the roots, each after all of its successors.
 
     A depth-first post-order, searched from each root in turn.  Each
@@ -126,15 +154,17 @@ def post_order(succ: Mapping[str, Sequence[str]], roots: Collection[str]) -> lis
     Only the roots' down-closure and their own successor lists are read.
     On a graph with cycles no order puts every element after its
     successors; this one is then the finishing order of a depth-first
-    forest.
+    forest.  ``above`` maps elements to the roots that bound them, in
+    the order of the roots; it is built here when not given.
     """
-    above: dict[str, list[str]] = {}  # the roots that bound each element
-    for root in roots:
-        for child in succ[root]:
-            if child in above:
-                above[child].append(root)
-            else:
-                above[child] = [root]
+    if above is None:
+        above = {}
+        for root in roots:
+            for child in succ[root]:
+                if child in above:
+                    above[child].append(root)
+                else:
+                    above[child] = [root]
     order: list[str] = []
     seen: set[str] = set()
     for source in roots:
@@ -281,22 +311,23 @@ class Space:
             raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
         elements = frozenset(held)
 
-        # one walk that puts each pair in its source's list; a malformed
-        # entry raises at once, the first self or dangling pair after it
+        # one walk that puts each pair in its source's list: a list or tuple
+        # of two str ids, both held and not equal, passes the test here; at
+        # the first entry that does not, the checked walk takes over
         succ: dict[str, list[str]] = {e: [] for e in held}
         get = held.get
-        walk = check_pairs(incidence, f"incidence of {name!r}")
-        for a, b in walk:
-            ha, hb = get(a), get(b)
-            if ha is hb or ha is None or hb is None:
-                for _ in walk:  # a malformed entry later on is reported first
-                    pass
-                if a == b:
-                    raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
-                raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} "
-                                             f"references unknown element "
-                                             f"{a if a not in held else b!r}")
-            succ[ha].append(hb)
+        what = f"incidence of {name!r}"
+        entries = _iterate(incidence, what)
+        for entry in entries:
+            if (type(entry) is list or type(entry) is tuple) and len(entry) == 2:
+                a, b = entry
+                if type(a) is str and type(b) is str:
+                    ha, hb = get(a), get(b)
+                    if ha is not hb and ha is not None and hb is not None:
+                        succ[ha].append(hb)
+                        continue
+            _walk_checked(name, held, succ, check_pairs(chain((entry,), entries), what))
+            break
 
         if attributes is not None and not isinstance(attributes, Mapping):
             raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")
@@ -316,9 +347,7 @@ class Space:
                 cleaned[el] = dict(kv)
 
         # a pair given more than once is held once, at its first place
-        for a, below in succ.items():
-            if len(below) > 1:
-                succ[a] = tuple(dict.fromkeys(below))
+        succ.update(zip(succ, map(tuple, map(dict.fromkeys, succ.values()))))
         self._build(name, elements, succ, cleaned, held)
 
     @classmethod
@@ -351,15 +380,13 @@ class Space:
         succ.update(zip(succ, map(tuple, succ.values())))
         self._succ: dict[str, tuple[str, ...]] = succ
         if order is None:
-            # the number of pairs ending at each element
-            pending = dict.fromkeys(elements, 0)
-            for below in succ.values():
-                for b in below:
-                    pending[b] += 1
+            # the number of pairs ending at each element that has one, as a
+            # plain dict: a Counter's subscripts are slower
+            pending = dict(Counter(chain.from_iterable(succ.values())))
             # Kahn's sort from the sources down: an element is placed once
             # everything bounded by it is placed.  Reversed, the order lists
             # every element after its whole boundary.
-            order = [e for e, n in pending.items() if not n]
+            order = [e for e in elements if e not in pending]
             for a in order:
                 for b in succ[a]:
                     pending[b] -= 1

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from topodata import Space, SpaceMap, cli
+from topodata import Space, SpaceMap, cli, constraints
 from topodata.cli import main
 from topodata.io import serialize_map, serialize_space, serialize_theta
 
@@ -180,13 +180,13 @@ class TestValidate:
         malformed = tmp_path / "nope.json"
         malformed.write_text("{")
         during = []
-        validate = cli.validate
+        validate = constraints.validate
 
         def recording(dataset):
             during.append(gc.isenabled())
             return validate(dataset)
 
-        monkeypatch.setattr(cli, "validate", recording)
+        monkeypatch.setattr(constraints, "validate", recording)  # cli reads it at each call
         try:
             if not enabled:
                 gc.disable()
@@ -447,12 +447,16 @@ class TestMalformedFiles:
 
 
 def test_startup_does_not_import_dataclasses():
-    # every topo invocation pays for what importing the CLI pulls in, and
-    # dataclasses brings inspect, ast and code generation with it
+    # every topo invocation pays for what the modules it runs pull in, and
+    # dataclasses brings inspect, ast and code generation with it; each
+    # submodule runs when first used, so the child runs them all
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import topodata.cli, sys; assert 'dataclasses' not in sys.modules"],
+         "import topodata.cli, sys\n"
+         "for name in [n for n in sys.modules if n.startswith('topodata.')]:\n"
+         "    vars(sys.modules[name])\n"
+         "assert 'topodata.script' in sys.modules and 'dataclasses' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 

@@ -323,6 +323,12 @@ class TestBlocks:
             write_document(value, folder / "doc.json")
         assert not folder.exists()
 
+    def test_a_value_of_no_document_kind_writes_nothing(self, tmp_path):
+        folder = tmp_path / "new"
+        with pytest.raises(TypeError, match="^cannot write dict$"):
+            write_document({"name": "X", "elements": [], "incidence": []}, folder / "doc.json")
+        assert not folder.exists()
+
     def test_emit_memory_follows_the_block(self, tmp_path):
         """Writing the extruded 14x14 grid peaks at under a tenth of what
         serializing it and encoding the text does, and writing its map onto

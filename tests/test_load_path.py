@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,7 @@ from topodata import io
 from topodata.cli import main
 from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
                          serialize_partition, serialize_space)
+from topodata.space import _walk_checked, check_pairs
 
 from naive import naive_product, naive_quotient, naive_select
 
@@ -482,6 +484,45 @@ def test_space_matches_reference_in_every_form(data):
     if got[0] == "ok":
         assert (got[1].elements, got[1].incidence) == expected[1]
         assert_shared_space(got[1])
+
+
+# ``Space(...)`` tests each entry inline, and hands the first entry that test
+# refuses, with the rest, to the checked walk (``check_pairs`` and
+# ``_walk_checked``).  Both must give what the checked walk gives over every
+# entry from the first.  The refused entries include 2-strings, dicts and
+# sets of two held ids, which unpack into a pair of ids.
+WALK_IDS = ["a", "b", "c", "d", "e"]
+WALK_FAULTS = [("a", "zz"), ["zz", "b"], ("zz", "zz"), ("b", "b"), ["c", "c"],
+               "ab", "ba", {"a": 1, "b": 2}, frozenset({"c", "d"}), ("a",), ("a", "b", "c"),
+               None, 5, ["b", 5], (5, "a"), [["a"], "b"], ("a", Lookalike("b")),
+               (Name("a"), "b"), Couple(("a", "c")), Row(["b", "d"])]
+
+
+def checked_walk(entries) -> dict[str, tuple[str, ...]]:
+    """The successors of the ids of ``WALK_IDS`` from the checked walk over
+    ``entries`` from the first, each pair held once."""
+    held = {e: e for e in WALK_IDS}
+    succ = {e: [] for e in WALK_IDS}
+    _walk_checked("s", held, succ, check_pairs(entries, "incidence of 's'"))
+    return {a: tuple(dict.fromkeys(below)) for a, below in succ.items()}
+
+
+def test_inline_walk_matches_the_checked_walk():
+    rng = random.Random(20131010)
+    forward = [(x, y) for i, x in enumerate(WALK_IDS) for y in WALK_IDS[i + 1:]]
+    outcomes = Counter()
+    for trial in range(3000):
+        entries = [rng.choice([tuple, list])(rng.choice(forward))
+                   for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            entries.insert(rng.randint(0, len(entries)), rng.choice(WALK_FAULTS))
+        given_pairs = rng.choice([list, tuple, iter])(entries)
+        expected = outcome(lambda: checked_walk(entries))
+        got = outcome(lambda: Space("s", WALK_IDS, given_pairs)._succ)
+        assert got == expected, (trial, entries)
+        outcomes[expected[0]] += 1
+    assert {"ok", "InvalidElementIdError", "SelfLoopError",
+            "DanglingIncidenceError"} <= outcomes.keys()
 
 
 @seed(20131009)

@@ -143,6 +143,10 @@ class TestRun:
         assert result.ok
         assert "dim P = 3" in result.output
 
+    def test_a_value_that_is_no_statement_is_refused(self, overlay_dir):
+        with pytest.raises(TypeError, match="^not a statement: 'load X \"x.json\"'$"):
+            run_script(['load X "x.json"'], base_dir=overlay_dir)
+
     def test_rebinding_is_an_error(self, overlay_dir):
         script = parse_script('load X "x.json"\nload X "y.json"\n')
         with pytest.raises(ScriptNameError):

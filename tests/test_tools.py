@@ -86,6 +86,20 @@ def test_bench_pairs_ties_and_higher_is_better():
     assert lost["lod_validate.wall_rel"]["change_better_pairs"] == 0
 
 
+def test_bench_pairs_summarizes_traced_rounds_by_layer():
+    # the traced rounds are judged per layer, and a layer may read 0 on both sides
+    tool = load_tool("bench_pairs")
+    benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rounds = fabricated_pairs([0.0] * 5, [0.0] * 5, key="lod_validate.io.serialize_s")
+    summary = tool.summarize(rounds, tool.directions(benchmark, "per_layer"))
+    assert sorted(summary) == ["lod_validate.cli.import_s", "lod_validate.io.serialize_s"]
+    entry = summary["lod_validate.io.serialize_s"]
+    assert entry["median_change_rel"] is None and entry["change_better_pairs"] == 0
+    assert summary["lod_validate.cli.import_s"]["median_change_rel"] == 0
+    assert [tool.alternate(i) for i in range(3)] == [
+        ["parent", "change"], ["change", "parent"], ["parent", "change"]]
+
+
 def test_bench_pairs_seed_range():
     tool = load_tool("bench_pairs")
     assert tool.seed_range("51-60") == list(range(51, 61))

@@ -10,9 +10,13 @@ Each side runs from its own clean tree, exported with ``git archive``
 into ``--workdir`` (a new temporary directory by default).  Pair i runs
 ``python3 bench/run.py --workload all --seed S`` once on each side with
 the i-th seed; the parent goes first in even pairs and the change in odd
-ones, at the run length ``bench/run.py`` sets.  One traced run per side
-follows the pairs.  To measure uncommitted work, stage it and pass the
-commit that ``git stash create`` prints as ``--change``.
+ones, at the run length ``bench/run.py`` sets.  Traced rounds follow the
+pairs: round i runs ``--trace 1`` once on each side with the i-th seed,
+alternating which side goes first in the same way.  One traced run can
+swing a layer by 2x, so there are ``TRACE_ROUNDS`` of them, and the file
+holds each per-layer metric's median and quartiles per side and the
+rounds the change was better in.  To measure uncommitted work, stage it
+and pass the commit that ``git stash create`` prints as ``--change``.
 
 The result is written to ``BENCH_<slug>.json`` at the repository root
 after every pair, so an interrupted session keeps what it measured.  It
@@ -42,16 +46,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACE_SECONDS = 8  # one traced run per side after the pairs, for the per-layer metrics
+TRACE_ROUNDS = 5  # traced runs per side after the pairs, for the per-layer metrics
+TRACE_SECONDS = 8
 RULE = ("no regression while each end-to-end median of the change is worse than the "
         "parent's by at most the metric's bound, relative to the parent's median; a gain "
         "counts when the change is better in at least 9 of 10 pairs and the medians differ "
         "by more than the parent's interquartile range")
 
 
-def directions(benchmark: dict) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", for the end-to-end metrics."""
-    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+def directions(benchmark: dict, kind: str = "end_to_end") -> dict[str, str]:
+    """Metric name -> "lower" or "higher", for the end-to-end or the per-layer metrics."""
+    return {m["name"]: m["better"] for m in benchmark[kind]}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -76,7 +81,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "unit": first["unit"], "better": direction, "parent": p, "change": c,
             "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
             "pairs": len(pairs),
-            "median_change_rel": (c["median"] - p["median"]) / p["median"],
+            "median_change_rel": ((c["median"] - p["median"]) / p["median"]
+                                  if p["median"] else None),  # a layer may read 0
             "parent_iqr": p["q3"] - p["q1"],
         }
     return summary
@@ -136,6 +142,11 @@ def bench(tree: Path, *args: str) -> dict:
     return json.loads(lines[-1])
 
 
+def alternate(i: int) -> list[str]:
+    """The sides in the order they run in pair or traced round ``i``."""
+    return ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
         "pairs": [],
     }
     for i, s in enumerate(args.seeds):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        order = alternate(i)
         pair = {"seed": s, "order": order}
         for side in order:
             pair[side] = bench(trees[side], "--seed", str(s))
@@ -195,14 +206,26 @@ def main(argv=None) -> int:
                                  "change_better_pairs": claimed["change_better_pairs"],
                                  "gain_counts": verdict(claimed)}
         out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    trace = {"command": f"python3 bench/run.py --workload all --trace 1 "
-                        f"--seconds {TRACE_SECONDS} --seed 1, parent first"}
-    for side in ("parent", "change"):
-        trace[side] = bench(trees[side], "--trace", "1", "--seconds", str(TRACE_SECONDS),
-                            "--seed", "1")
-    result["trace"] = trace
-    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    trace_seeds = [args.seeds[i % len(args.seeds)] for i in range(TRACE_ROUNDS)]
+    result["trace"] = trace = {
+        "command": f"python3 bench/run.py --workload all --trace 1 --seconds {TRACE_SECONDS} "
+                   f"--seed S, S = {', '.join(map(str, trace_seeds))}, one round per seed; "
+                   "the parent goes first in even rounds (0-based)",
+        "rounds": []}
+    layer_better = directions(benchmark, "per_layer")
+    for i, s in enumerate(trace_seeds):
+        order = alternate(i)
+        traced = {"seed": s, "order": order}
+        for side in order:
+            traced[side] = bench(trees[side], "--trace", "1", "--seconds", str(TRACE_SECONDS),
+                                 "--seed", str(s))
+        print(f"traced round {i + 1} of {TRACE_ROUNDS} done", flush=True)
+        trace["rounds"].append(traced)
+        trace["summary"] = summarize(trace["rounds"], layer_better)
+        trace["failures"] = {side: failures(trace["rounds"], side) for side in trees}
+        out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({"src_lines": result["src_lines"], "failures": result["failures"],
+                      "traced_failures": trace["failures"],
                       "regressed": sorted(k for k, v in result["no_regression"].items()
                                           if not v["holds"]),
                       "verdict": result.get("verdict")}))

@@ -175,7 +175,10 @@ def load_against(root: Path):
     """The ``topodata`` package of the checkout at ``root``, under another name.
 
     The modules of an earlier call are dropped first, so that every call
-    executes the package at its root anew, submodules included."""
+    executes the package at its root anew, submodules included.  A package
+    that registers its submodules to run when first used has each run
+    before the return: one that had not run could not load once a later
+    call replaced its ``sys.modules`` entry."""
     for name in [name for name in sys.modules if name.partition(".")[0] == AGAINST]:
         del sys.modules[name]
     package = root / "src" / "topodata"
@@ -184,6 +187,8 @@ def load_against(root: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
+    for name in [name for name in sys.modules if name.partition(".")[0] == AGAINST]:
+        vars(sys.modules[name])  # reading an attribute runs a lazily registered module
     return module
 
 
