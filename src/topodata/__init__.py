@@ -28,8 +28,7 @@ _PUBLIC = {
                "TopologyError", "UnknownElementError", "UnresolvedReferenceError"),
     "maps": ("ContinuityResult", "Partition", "SpaceMap", "ThetaRelation", "compose",
              "find_homeomorphism", "identity_map", "is_continuous", "is_homeomorphism"),
-    "oracle": ("AxiomReport", "enumerate_topology", "oracle_axiom_check",
-               "oracle_find_homeomorphism", "oracle_is_continuous"),
+    "oracle": ("enumerate_topology", "oracle_find_homeomorphism", "oracle_is_continuous"),
     "script": ("ScriptResult", "parse_script", "run_script"),
     "space": ("Pair", "Space"),
 }

@@ -75,15 +75,6 @@ def cmd_oracle_topology(args) -> int:
     return 0
 
 
-def cmd_oracle_axioms(args) -> int:
-    space = io.load_space(args.space)
-    report = oracle.oracle_axiom_check(space, args.max_elements)
-    print(f"{space.name}: {report.open_set_count} open sets")
-    for violation in report.violations:
-        print(f"violation: {violation}")
-    return 0 if report.ok else 1
-
-
 def cmd_oracle_continuous(args) -> int:
     domain = io.load_space(args.domain)
     codomain = io.load_space(args.codomain)
@@ -137,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
     p.set_defaults(func=cmd_oracle_topology)
-
-    p = oracle_sub.add_parser("axioms", help="check the topology axioms exhaustively")
-    p.add_argument("space")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
-    p.set_defaults(func=cmd_oracle_axioms)
 
     p = oracle_sub.add_parser("continuous", help="open-preimage continuity check")
     p.add_argument("map")

@@ -10,7 +10,6 @@ beats speed; an element bound, ``max_elements``, keeps the cost explicit.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import NamedTuple
 
 from .maps import SpaceMap
 from .space import ENUMERATION_LIMIT, Space, check_size
@@ -48,51 +47,6 @@ def oracle_is_continuous(f: SpaceMap, max_elements: int = ENUMERATION_LIMIT) -> 
         if not f.domain.is_open(preimage):
             return False
     return True
-
-
-class AxiomReport(NamedTuple):
-    """Result of checking the topology axioms on an enumerated family."""
-
-    space_name: str
-    open_set_count: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def oracle_axiom_check(space: Space, max_elements: int = ENUMERATION_LIMIT) -> AxiomReport:
-    """Verify the topology axioms on the enumerated open-set family.
-
-    Checks membership of the empty set and the full set, and closure
-    under union and intersection of every pair.  For a finite family,
-    pairwise closure plus the two identity members already certifies
-    closure under arbitrary unions and intersections, by induction on the
-    size of a sub-family.
-    """
-    family = enumerate_topology(space, max_elements)
-    order = sorted(space.elements)
-    index = {e: i for i, e in enumerate(order)}
-    masks = [sum(1 << index[e] for e in open_set) for open_set in family]
-    mask_set = set(masks)
-    full = (1 << len(order)) - 1
-
-    def show(mask: int) -> str:
-        return "{" + ",".join(e for e in order if (mask >> index[e]) & 1) + "}"
-
-    violations = []
-    if 0 not in mask_set:
-        violations.append("empty set is not open")
-    if full not in mask_set:
-        violations.append("full element set is not open")
-    for i, m in enumerate(masks):
-        for n in masks[i + 1:]:
-            if (m | n) not in mask_set:
-                violations.append(f"union {show(m)} | {show(n)} not open")
-            if (m & n) not in mask_set:
-                violations.append(f"intersection {show(m)} & {show(n)} not open")
-    return AxiomReport(space.name, len(family), tuple(violations))
 
 
 def oracle_find_homeomorphism(x: Space, y: Space,

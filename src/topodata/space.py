@@ -346,7 +346,8 @@ class Space:
             if kv:
                 cleaned[el] = dict(kv)
 
-        # a pair given more than once is held once, at its first place
+        # a pair given more than once is held once, at its first place, and
+        # each list is replaced by the tuple the space keeps
         succ.update(zip(succ, map(tuple, map(dict.fromkeys, succ.values()))))
         self._build(name, elements, succ, cleaned, held)
 
@@ -360,13 +361,16 @@ class Space:
         ``succ`` must map every element to the elements it is bounded by,
         each listed once and none the element itself, and every attribute
         dict must be a non-empty str-to-str dict of an element.  The parts
-        are kept, not copied: ``succ``'s values are frozen to tuples in
-        place.  ``order``, when the operator holds one, is a
-        linear extension of the result: every element once, each after
+        are kept, not copied: ``succ``'s values, which may be any iterables,
+        are frozen to tuples in place here, as ``Space(...)``'s dedupe
+        already does for its own.  ``order``, when the operator holds one,
+        is a linear extension of the result: every element once, each after
         everything it is bounded by.  It is kept as given, unchecked.
         Without it the Kahn order is built, which checks acyclicity: an
         operator whose result can fold into a cycle passes none.
         """
+        # the successor lists frozen in place, each freed as its tuple replaces it
+        succ.update(zip(succ, map(tuple, succ.values())))
         space = cls.__new__(cls)
         space._build(name, elements, succ, attributes, order=order)
         return space
@@ -375,9 +379,6 @@ class Space:
         self.name = name
         self.elements = elements
         self.attributes = attributes
-
-        # the successor lists frozen in place, each freed as its tuple replaces it
-        succ.update(zip(succ, map(tuple, succ.values())))
         self._succ: dict[str, tuple[str, ...]] = succ
         if order is None:
             # the number of pairs ending at each element that has one, as a

@@ -4,12 +4,13 @@ Each definition restates the README's operator table over the
 specialisation preorder (``a <= b`` when a chain of incidence pairs leads
 from a to b) and computes it by brute force: the preorder as a fixpoint
 closure, its covers by testing every pair, closure and star from the
-enumerated open sets.  The results are built with the validating
-``Space`` constructor.  Nothing here calls a library operator or a
-reachability method, so a fast path cannot agree with its reference by
-sharing code with it.  The definitions are meant for small inputs; the
-pipeline test keeps every space to at most 12 elements, the limit of the
-oracles it checks the linking maps with.
+enumerated open sets, and the topology axioms that family must satisfy.
+The results are built with the validating ``Space`` constructor.
+Nothing here calls a library operator or a reachability method, so a
+fast path cannot agree with its reference by sharing code with it.  The
+definitions are meant for small inputs; the pipeline test keeps every
+space to at most 12 elements, the limit of the oracles it checks the
+linking maps with.
 """
 
 from __future__ import annotations
@@ -81,6 +82,38 @@ def brute_dimension(space: Space, element: str) -> int:
         return max((1 + walk(nxt) for nxt in successors[node]), default=0)
 
     return walk(element)
+
+
+def axiom_violations(space: Space, family) -> list[str]:
+    """The topology axioms a family of element sets of the space breaks, one line each.
+
+    The family must hold the empty set and the whole element set, and be
+    closed under the union and the intersection of every pair.  For a
+    finite family, pairwise closure plus the two identity members already
+    certifies closure under arbitrary unions and intersections, by
+    induction on the size of a sub-family.  Sets are compared as bitmasks
+    over the sorted elements.
+    """
+    order = sorted(space.elements)
+    index = {e: i for i, e in enumerate(order)}
+    masks = [sum(1 << index[e] for e in member) for member in family]
+    held = set(masks)
+
+    def show(mask: int) -> str:
+        return "{" + ",".join(e for e in order if (mask >> index[e]) & 1) + "}"
+
+    violations = []
+    if 0 not in held:
+        violations.append("empty set is not open")
+    if (1 << len(order)) - 1 not in held:
+        violations.append("full element set is not open")
+    for i, m in enumerate(masks):
+        for n in masks[i + 1:]:
+            if m | n not in held:
+                violations.append(f"union {show(m)} | {show(n)} not open")
+            if m & n not in held:
+                violations.append(f"intersection {show(m)} & {show(n)} not open")
+    return violations
 
 
 # -- the operators -------------------------------------------------------------------

@@ -724,3 +724,42 @@ class TestTopologyByDefinition:
             kept = frozenset((a, b) for a in x.elements for b in y.elements if u(a) == p(b))
             expected = {w & kept for w in product_topology(x, y)}
             assert pair_topology(*fibre_product(u, p)) == expected
+
+
+class TestSuccessorsAreTuples:
+    """Every space keeps each element's successors as a tuple, whether
+    ``Space(...)`` checked it or an operator built it unchecked."""
+
+    def test_repeated_pairs(self):
+        space = Space("R", ["a", "b", "c"],
+                      [("a", "b"), ["a", "b"], ("b", "c"), ("a", "b"), ["b", "c"]])
+        assert space._succ == {"a": ("b",), "b": ("c",), "c": ()}
+        assert all(type(s) is tuple for s in space._succ.values())
+
+    def test_operator_results(self, space_x, space_y, theta):
+        left = Space("l", ["e1", "v1", "v2"], [("e1", "v1"), ("e1", "v2")])
+        right = Space("r", ["e1", "e2", "v2", "v3"], [("e1", "v2"), ("e2", "v2"), ("e2", "v3")])
+        chain = Space("c", ["s", "f", "v"], [("s", "f"), ("f", "v"), ("s", "v")])
+        reducible = Space("p", ["s", "f", "v"], [("s", "f"), ("f", "v")])
+        shortcut = Space("q", ["s", "v"], [("s", "v")])
+        merge = Partition.from_classes({"m": ["c", "x"]}, "Y")
+        cycle = Partition.from_classes({"k": ["C", "x"]}, "Y")
+        point = Space("pt", ["p"])
+        u = SpaceMap(space_x, point, {e: "p" for e in space_x.elements})
+        p = SpaceMap(space_y, point, {e: "p" for e in space_y.elements})
+        results = {
+            "select_subspace": select_subspace(space_x, {"B", "a", "e"})[0],
+            "quotient": quotient(space_y, merge)[0],
+            "quotient, collapse": quotient(space_y, cycle, on_cycle="collapse")[0],
+            "paste_union": paste_union(left, right)[0],
+            "paste_union, reduced": paste_union(reducible, shortcut)[0],
+            "pullback_intersection": pullback_intersection(left, right)[0],
+            "product": product(space_x, space_y)[0],
+            "theta_join": theta_join(space_x, space_y, theta)[0],
+            "fibre_product": fibre_product(u, p)[0],
+            "transitive_reduce": chain.transitive_reduce(),
+        }
+        assert results["transitive_reduce"] is not chain
+        for operator, space in results.items():
+            assert space._succ.keys() == space.elements, operator
+            assert all(type(s) is tuple for s in space._succ.values()), operator

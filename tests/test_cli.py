@@ -356,9 +356,14 @@ class TestOracle:
         assert len(out) == 5
         assert "{}" in out and "{e,v1,v2}" in out
 
-    def test_axioms(self, files, capsys):
-        assert main(["oracle", "axioms", files["y.json"]]) == 0
-        assert "6 open sets" in capsys.readouterr().out
+    def test_removed_axioms_subcommand_is_a_usage_error(self, files, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "axioms", files["y.json"]])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: topo oracle ")
+        assert "invalid choice" in captured.err and "axioms" in captured.err
 
     def test_continuous(self, files, capsys):
         code = main(["oracle", "continuous", files["part_of.json"],
@@ -372,9 +377,9 @@ class TestOracle:
         assert code == 1
         assert "not continuous" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [["topology", "seg.json"], ["axioms", "seg.json"],
+    @pytest.mark.parametrize("argv", [["topology", "seg.json"],
                                       ["continuous", "part_of.json", "seg.json", "pt.json"]],
-                             ids=["topology", "axioms", "continuous"])
+                             ids=["topology", "continuous"])
     def test_size_bound_is_input_error(self, files, capsys, argv):
         args = ["oracle", argv[0], *(files[name] for name in argv[1:])]
         assert main(args + ["--max-elements", "2"]) == 2
