@@ -4,6 +4,15 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input, an
 operation error, or an id that stdout cannot encode.  Every subcommand
 is a thin wrapper over one library call; no logic lives only here.
 
+Each command, with its words, positionals and option defaults, is
+declared once, in ``COMMANDS``.  A plain argv, a command's words and as
+many positionals as it takes with no word starting with ``-``, is
+dispatched from that table; argparse is imported, and its parser built,
+only for help, options and errors.  So a plain ``topo run`` runs
+``errors``, ``space``, ``io``, ``maps``, ``script`` and ``algebra``, and a
+plain ``topo validate`` runs ``errors``, ``space``, ``io``, ``maps`` and
+``constraints``, each module when first used.
+
 ``main`` pauses the cyclic collector for one command, restores it and
 freezes nothing, and makes a surrogateescape stdout strict for it, so no
 id prints as a raw byte; ``entry``, the ``topo`` process, also freezes
@@ -12,10 +21,11 @@ the heap so that the interpreter's exit-time collections skip it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import constraints, io, maps, oracle, script
 from .errors import TopologyError
@@ -85,62 +95,77 @@ def cmd_oracle_continuous(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One row per command: its words, its function, its positional names, the
+# names of its optional positionals, its options' defaults and its help.
+Command = namedtuple("Command", "path func positionals optional options help")
+COMMANDS = (
+    Command(("validate",), cmd_validate, ("manifest",), (), {},
+            "validate the constraints and chains of a dataset manifest"),
+    Command(("run",), cmd_run, ("script",), (), {}, "run a query script"),
+    Command(("dim",), cmd_dim, ("space",), ("element",), {},
+            "dimension of a space or one of its elements"),
+    Command(("closure",), cmd_closure_star, ("space", "ids"), (), {},
+            "closure of a comma-separated element set"),
+    Command(("star",), cmd_closure_star, ("space", "ids"), (), {},
+            "star of a comma-separated element set"),
+    Command(("homeo",), cmd_homeo, ("left", "right"), (), {"max_elements": 10},
+            "search for a homeomorphism between two spaces"),
+    Command(("oracle", "topology"), cmd_oracle_topology, ("space",), (),
+            {"max_elements": ENUMERATION_LIMIT}, "enumerate all open sets"),
+    Command(("oracle", "continuous"), cmd_oracle_continuous, ("map", "domain", "codomain"), (),
+            {"max_elements": ENUMERATION_LIMIT}, "open-preimage continuity check"),
+)
+GROUPS = {"oracle": "brute-force reference computations"}  # the help of a command's first word
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="topo",
         description="Finite topological spaces: query algebra, continuity checks, oracles.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate",
-                       help="validate the constraints and chains of a dataset manifest")
-    p.add_argument("manifest")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("run", help="run a query script")
-    p.add_argument("script")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("dim", help="dimension of a space or one of its elements")
-    p.add_argument("space")
-    p.add_argument("element", nargs="?")
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("closure", help="closure of a comma-separated element set")
-    p.add_argument("space")
-    p.add_argument("ids")
-    p.set_defaults(func=cmd_closure_star)
-
-    p = sub.add_parser("star", help="star of a comma-separated element set")
-    p.add_argument("space")
-    p.add_argument("ids")
-    p.set_defaults(func=cmd_closure_star)
-
-    p = sub.add_parser("homeo", help="search for a homeomorphism between two spaces")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--max-elements", type=int, default=10)
-    p.set_defaults(func=cmd_homeo)
-
-    oracle_parser = sub.add_parser("oracle", help="brute-force reference computations")
-    oracle_sub = oracle_parser.add_subparsers(dest="oracle_command", required=True)
-
-    p = oracle_sub.add_parser("topology", help="enumerate all open sets")
-    p.add_argument("space")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
-    p.set_defaults(func=cmd_oracle_topology)
-
-    p = oracle_sub.add_parser("continuous", help="open-preimage continuity check")
-    p.add_argument("map")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("--max-elements", type=int, default=ENUMERATION_LIMIT)
-    p.set_defaults(func=cmd_oracle_continuous)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command in COMMANDS:
+        *group, name = command.path
+        sub = commands
+        for word in group:
+            if word not in groups:
+                groups[word] = commands.add_parser(word, help=GROUPS[word]).add_subparsers(
+                    dest=f"{word}_command", required=True)
+            sub = groups[word]
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        for positional in command.optional:
+            p.add_argument(positional, nargs="?")
+        for option, default in command.options.items():
+            p.add_argument(f"--{option.replace('_', '-')}", type=int, default=default)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, for an argv of a
+    command's words and as many positionals as it takes, none starting with
+    ``-``; None for any other argv, which argparse handles: help, an option,
+    ``--`` or an error."""
+    words = sys.argv[1:] if argv is None else list(argv)
+    if any(word.startswith("-") for word in words):
+        return None
+    for command in COMMANDS:
+        path, given = words[:len(command.path)], words[len(command.path):]
+        names = command.positionals + command.optional
+        if tuple(path) == command.path and len(command.positionals) <= len(given) <= len(names):
+            return SimpleNamespace(
+                **dict(zip(("command", f"{path[0]}_command"), path)),
+                **dict(zip(names, given + [None] * len(command.optional))),
+                **command.options, func=command.func)
+    return None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = plain_args(argv) or build_parser().parse_args(argv)
     # one command frees few cycles, so the cyclic collector waits for its end
     collecting = gc.isenabled()
     gc.disable()

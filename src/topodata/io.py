@@ -41,7 +41,7 @@ from json.encoder import encode_basestring as _string  # the escaper of ensure_a
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .constraints import Dataset, ForeignKeyConstraint
+from . import constraints
 from .errors import (InvalidAttributeError, InvalidElementIdError, InvalidOptionError,
                      ParseError, UnresolvedReferenceError, shown_source)
 from .maps import Partition, SpaceMap, ThetaRelation
@@ -404,7 +404,7 @@ def load_theta(path) -> ThetaRelation:
 
 # -- dataset manifests ---------------------------------------------------------------
 
-def load_dataset(manifest_path) -> Dataset:
+def load_dataset(manifest_path) -> constraints.Dataset:
     """Load a dataset manifest: space files, map files, constraints, chains.
 
     Paths are resolved relative to the manifest.  Spaces are catalogued
@@ -416,7 +416,7 @@ def load_dataset(manifest_path) -> Dataset:
     doc = _load_json(read_text(manifest_path), source)
     base = manifest_path.parent
 
-    dataset = Dataset()
+    dataset = constraints.Dataset()  # constraints runs here: a script never loads a manifest
     spaces = _require(doc, "spaces", list, source)
     for key in ("maps", "constraints", "chains"):
         if not isinstance(doc.get(key, []), list):
@@ -437,8 +437,9 @@ def load_dataset(manifest_path) -> Dataset:
                 and isinstance(entry.get("map"), str)):
             raise ParseError(f"constraints entries need 'name' and 'map', "
                              f"got {entry!r}", source=source)
-        dataset.constraints.append(_build(source, ForeignKeyConstraint, entry["name"],
-                                          entry["map"], entry.get("mode", "continuous")))
+        dataset.constraints.append(_build(source, constraints.ForeignKeyConstraint,
+                                          entry["name"], entry["map"],
+                                          entry.get("mode", "continuous")))
     for entry in doc.get("chains", []):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("maps"), list) and entry["maps"]

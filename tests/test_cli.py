@@ -10,9 +10,13 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from topodata import Space, SpaceMap, cli, constraints
 from topodata.cli import main
@@ -449,6 +453,53 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 2: {folder / 'doc.json'}: ")
         assert err.count("\n") == 1
+
+
+# -- a plain argv is dispatched from the table, as argparse would parse it -----------
+
+WORDS = st.one_of(st.sampled_from(["", "x.json", "a,b", "3", "validate", "oracle", "topology"]),
+                  st.text(max_size=4))
+DASHED = st.sampled_from(["-1", "-", "--", "-h", "--help", "--max-elements", "--max-elements=3"])
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """Sometimes a leading word; a command's words, a part of them or none; then
+    as many words as the command takes, more or fewer, sometimes dashed."""
+    commands = {command.path: command for command in cli.COMMANDS}
+    path = draw(st.sampled_from([*commands, ("oracle",), ("nope",), ("validat",), ()]))
+    wanted = len(commands[path].positionals) if path in commands else 1
+    count = max(0, wanted + draw(st.sampled_from([0, 0, 0, 1, -1, 2, -2])))
+    words = draw(st.sampled_from([WORDS, WORDS, st.one_of(WORDS, DASHED)]))
+    lead = [draw(st.one_of(WORDS, DASHED))] if draw(st.integers(0, 3)) == 0 else []
+    return [*lead, *path, *draw(st.lists(words, min_size=count, max_size=count))]
+
+
+def argparse_args(argv):
+    """``vars`` of what argparse parses from ``argv``, or None where it exits."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@seed(20131008)
+@settings(max_examples=400, deadline=None, database=None)
+@given(argvs())
+@example(["dim", "s"])
+@example(["dim", "s", "e", "f"])
+@example(["oracle", "continuous", "m", "d", "c"])
+@example(["homeo", "a", "b", "--max-elements", "3"])
+@example(["validate", "--", "m"])
+@example(["closure", "s", "-1"])
+@example(["star", "", ""])
+def test_plain_dispatch_is_what_argparse_parses(argv):
+    plain, parsed = cli.plain_args(argv), argparse_args(argv)
+    if plain is not None:
+        assert vars(plain) == parsed
+    else:  # declined: argparse exits, or a word is an option or --
+        assert parsed is None or any(word.startswith("-") for word in argv)
 
 
 def test_startup_does_not_import_dataclasses():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,28 @@ def test_validate_runs_no_operator_script_or_oracle_module():
         "print(code, sorted(name for name, module in sys.modules.items()\n"
         "                   if name.startswith('topodata') and type(module) is not types.ModuleType))\n")
     assert out.splitlines()[-1] == "0 ['topodata.algebra', 'topodata.oracle', 'topodata.script']"
+
+
+def test_run_builds_no_parser_and_runs_no_constraints_or_oracle_module(tmp_path):
+    # a plain argv is dispatched from the command table, so argparse and the
+    # gettext it imports are never loaded, and io reads constraints only in
+    # load_dataset, which a script never calls
+    work = tmp_path / "overlay"
+    shutil.copytree(ROOT / "demo" / "overlay", work, ignore=shutil.ignore_patterns("out"))
+    out = fresh(
+        "import sys, types\n"
+        "from topodata import cli\n"
+        f"code = cli.main(['run', {str(work / 'overlay.topo')!r}])\n"
+        "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules,\n"
+        "      sorted(name for name, module in sys.modules.items()\n"
+        "             if name.startswith('topodata') and type(module) is not types.ModuleType))\n")
+    assert out.splitlines()[-1] == "0 False False ['topodata.constraints', 'topodata.oracle']"
+
+
+def test_plain_validate_builds_no_parser():
+    out = fresh(
+        "import sys\n"
+        "from topodata import cli\n"
+        "code = cli.main(['validate', 'demo/lod/manifest.json'])\n"
+        "print(code, 'argparse' in sys.modules)\n")
+    assert out.splitlines()[-1] == "0 False"
