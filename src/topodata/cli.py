@@ -150,11 +150,10 @@ def plain_args(argv):
     command's words and as many positionals as it takes, none starting with
     ``-``; None for any other argv, which argparse handles: help, an option,
     ``--`` or an error."""
-    words = sys.argv[1:] if argv is None else list(argv)
-    if any(word.startswith("-") for word in words):
+    if any(word.startswith("-") for word in argv):
         return None
     for command in COMMANDS:
-        path, given = words[:len(command.path)], words[len(command.path):]
+        path, given = argv[:len(command.path)], argv[len(command.path):]
         names = command.positionals + command.optional
         if tuple(path) == command.path and len(command.positionals) <= len(given) <= len(names):
             return SimpleNamespace(
@@ -165,6 +164,7 @@ def plain_args(argv):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = plain_args(argv) or build_parser().parse_args(argv)
     # one command frees few cycles, so the cyclic collector waits for its end
     collecting = gc.isenabled()

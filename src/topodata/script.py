@@ -73,19 +73,16 @@ OPS = {
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _REF = rf"{_NAME}(?:\.{_NAME})?"
-# The rows of each statement's first word, tried in order; the named groups are
-# the statement's fields.  A row matches only a line of its first word, since
-# ``\s`` is ``str.isspace``, and its pattern is compiled when first tried,
-# through the cache of ``re``, so a script compiles only the rows it uses.
-_GRAMMAR = {
-    "load": [(LoadStmt, rf'load\s+(?P<name>{_NAME})\s+"(?P<path>[^"]+)"')],
-    "let": [(LetStmt, rf'let\s+(?P<name>{_NAME})\s*=\s*(?P<op>[a-z_]+)\((?P<args>[^)]*)\)')],
-    "check": [(CheckContinuousStmt, rf'check\s+continuous\s+(?P<map_name>{_REF})'),
-              (CheckHomeoStmt, rf'check\s+homeomorphic\s+(?P<left>{_REF})\s+(?P<right>{_REF})')],
-    "dim": [(DimStmt, rf'dim\s+(?P<space>{_REF})(?:\s+(?P<element>\S+))?')],
-    "closure": [(ClosureStmt, rf'closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)')],
-    "emit": [(EmitStmt, rf'emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"')],
-}
+# One row per statement; the named groups are the statement's fields.
+_GRAMMAR = [(cls, re.compile(pattern)) for cls, pattern in (
+    (LoadStmt, rf'load\s+(?P<name>{_NAME})\s+"(?P<path>[^"]+)"'),
+    (LetStmt, rf'let\s+(?P<name>{_NAME})\s*=\s*(?P<op>[a-z_]+)\((?P<args>[^)]*)\)'),
+    (CheckContinuousStmt, rf'check\s+continuous\s+(?P<map_name>{_REF})'),
+    (CheckHomeoStmt, rf'check\s+homeomorphic\s+(?P<left>{_REF})\s+(?P<right>{_REF})'),
+    (DimStmt, rf'dim\s+(?P<space>{_REF})(?:\s+(?P<element>\S+))?'),
+    (ClosureStmt, rf'closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)'),
+    (EmitStmt, rf'emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"'),
+)]
 _CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to its first # outside double quotes
 
 
@@ -95,8 +92,8 @@ def parse_script(text: str, source: str = "<script>") -> tuple:
         line = _CODE.match(raw)[0].strip()
         if not line:
             continue
-        for cls, pattern in _GRAMMAR.get(line.split(None, 1)[0], ()):
-            if m := re.fullmatch(pattern, line):
+        for cls, pattern in _GRAMMAR:
+            if m := pattern.fullmatch(line):
                 break
         else:
             raise ParseError(f"cannot parse statement {line!r}", source=source, line=line_no)

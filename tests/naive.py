@@ -1,5 +1,4 @@
-"""Naive reference definitions: the specialisation preorder, every query operator
-and the script grammar.
+"""Naive reference definitions: the specialisation preorder and every query operator.
 
 Each definition restates the README's operator table over the
 specialisation preorder (``a <= b`` when a chain of incidence pairs leads
@@ -11,19 +10,13 @@ Nothing here calls a library operator or a reachability method, so a
 fast path cannot agree with its reference by sharing code with it.  The
 definitions are meant for small inputs; the pipeline test keeps every
 space to at most 12 elements, the limit of the oracles it checks the
-linking maps with.  The script grammar is the parser as it was before
-its rows were keyed by their first word: every pattern compiled at
-import and each line tried against all of them in order.
+linking maps with.
 """
 
 from __future__ import annotations
 
-import re
-
-from topodata import (CyclicIncidenceError, ParseError, QuotientCycleError, Space, SpaceMap,
-                      ThetaRelation, enumerate_topology)
-from topodata.script import (OPS, CheckContinuousStmt, CheckHomeoStmt, ClosureStmt, DimStmt,
-                             EmitStmt, LetStmt, LoadStmt)
+from topodata import (CyclicIncidenceError, QuotientCycleError, Space, SpaceMap, ThetaRelation,
+                      enumerate_topology)
 
 SEPARATOR = "×"  # joins the two ids of a pair element, as the README states
 
@@ -229,43 +222,3 @@ def naive_quotient(space: Space, label: dict, on_cycle: str = "error") -> tuple[
                  for e, c in label.items()}
     result = Space(f"{space.name}/~", set(label.values()), image(label))
     return result, _map(space, result, label.get)
-
-
-# -- the script grammar: every pattern compiled, each line tried against all -------
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_REF = rf"{_NAME}(?:\.{_NAME})?"
-EAGER_GRAMMAR = [(cls, re.compile(pattern)) for cls, pattern in (
-    (LoadStmt, rf'load\s+(?P<name>{_NAME})\s+"(?P<path>[^"]+)"'),
-    (LetStmt, rf'let\s+(?P<name>{_NAME})\s*=\s*(?P<op>[a-z_]+)\((?P<args>[^)]*)\)'),
-    (CheckContinuousStmt, rf'check\s+continuous\s+(?P<map_name>{_REF})'),
-    (CheckHomeoStmt, rf'check\s+homeomorphic\s+(?P<left>{_REF})\s+(?P<right>{_REF})'),
-    (DimStmt, rf'dim\s+(?P<space>{_REF})(?:\s+(?P<element>\S+))?'),
-    (ClosureStmt, rf'closure\s+(?P<space>{_REF})\s+(?P<ids>\S+)'),
-    (EmitStmt, rf'emit\s+(?P<name>{_REF})\s+"(?P<path>[^"]+)"'),
-)]
-EAGER_CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to its first # outside quotes
-
-
-def eager_parse_script(text: str, source: str = "<script>") -> tuple:
-    """The statements of a script, each line tried against every row in order."""
-    statements = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = EAGER_CODE.match(raw)[0].strip()
-        if not line:
-            continue
-        for cls, pattern in EAGER_GRAMMAR:
-            if m := pattern.fullmatch(line):
-                break
-        else:
-            raise ParseError(f"cannot parse statement {line!r}", source=source, line=line_no)
-        fields = m.groupdict()
-        if cls is LetStmt:
-            if fields["op"] not in OPS:
-                raise ParseError(f"unknown operation {fields['op']!r}",
-                                 source=source, line=line_no)
-            fields["args"] = tuple(a.strip() for a in fields["args"].split(",") if a.strip())
-        elif cls is ClosureStmt:
-            fields["ids"] = tuple(fields["ids"].split(","))
-        statements.append(cls(line_no, **fields))
-    return tuple(statements)

@@ -351,6 +351,9 @@ class TestHomeo:
         path.write_text(serialize_space(big))
         assert main(["homeo", str(path), str(path)]) == 2
         assert main(["homeo", str(path), str(path), "--max-elements", "11"]) == 0
+        # an argv the plain dispatch declines reaches argparse whole, also when
+        # it is a one-shot iterator
+        assert main(iter(["homeo", str(path), str(path), "--max-elements", "11"])) == 0
 
 
 class TestOracle:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, seed, settings
-from hypothesis import strategies as st
 
 from topodata import (
     ParseError,
@@ -27,8 +25,6 @@ from topodata.script import (
     LetStmt,
     LoadStmt,
 )
-
-from naive import eager_parse_script
 
 
 @pytest.fixture
@@ -74,39 +70,6 @@ class TestParse:
     def test_select_with_ids(self):
         script = parse_script("let S = select(X, a, b)\n")
         assert script[0].args == ("X", "a", "b")
-
-
-# words and separators a line is glued from: every keyword, alone and glued to
-# text, names, operator calls, quoted paths with a # inside, and the Unicode
-# whitespace that \s and str.split agree on (\x1c and \x85 also end a line)
-SCRIPT_WORDS = ["load", "let", "check", "continuous", "homeomorphic", "dim", "closure", "emit",
-                "loadX", "let=", "checkcontinuous", "dimJ", "X", "J.pleft", "J.", "=",
-                "theta_join(X, Y, T)", "select(X,a,,b)", "frob(X)", "reduce()", '"x.json"',
-                '"a#b.json"', '"', '""', "#", "# note", "a,b", "B×b", "Ǆ"]
-SEPARATORS = [" ", "  ", "\t", "", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
-script_lines = st.lists(st.tuples(st.sampled_from(SCRIPT_WORDS), st.sampled_from(SEPARATORS)),
-                        max_size=6).map(lambda parts: "".join(w + s for w, s in parts))
-
-
-def parsed(parse, text):
-    """The statements with their types, or the ParseError's message and line."""
-    try:
-        return [(type(stmt), stmt) for stmt in parse(text, source="s.topo")]
-    except ParseError as err:
-        return str(err), err.line
-
-
-@seed(20131008)
-@settings(max_examples=400, deadline=None, database=None)
-@given(st.lists(st.one_of(script_lines, st.text(max_size=12)), max_size=5).map("\n".join))
-@example('loadX "x.json"')
-@example('load\u3000X\x1f"x.json"\ndim\x1cJ')
-@example('load X "a#b.json"  # "c#d"\nemit X "e#f"#')
-@example("check")
-@example("let")
-@example("check homeomorphic X Y\ncheck continuous J.pleft\ncheck continuous")
-def test_rows_keyed_by_first_word_match_the_eager_loop(text):
-    assert parsed(parse_script, text) == parsed(eager_parse_script, text)
 
 
 class TestRun:
