@@ -146,10 +146,10 @@ def build_parser():
 
 
 def plain_args(argv):
-    """The namespace ``build_parser().parse_args(argv)`` gives, for an argv of a
-    command's words and as many positionals as it takes, none starting with
-    ``-``; None for any other argv, which argparse handles: help, an option,
-    ``--`` or an error."""
+    """The namespace ``build_parser().parse_args(argv)`` gives, for an argv list
+    of a command's words and as many positionals as it takes, none starting
+    with ``-``; None for any other argv, which argparse handles: help, an
+    option, ``--`` or an error."""
     if any(word.startswith("-") for word in argv):
         return None
     for command in COMMANDS:
