@@ -86,10 +86,10 @@ def cmd_oracle_topology(args) -> int:
 
 
 def cmd_oracle_continuous(args) -> int:
-    domain = io.load_space(args.domain)
-    codomain = io.load_space(args.codomain)
-    spaces = {domain.name: domain, codomain.name: codomain}
-    space_map = io.load_map(args.map, spaces)
+    dataset = constraints.Dataset()
+    for path in (args.domain, args.codomain):
+        dataset.add_space(io.load_space(path))
+    space_map = io.load_map(args.map, dataset.spaces)
     ok = oracle.oracle_is_continuous(space_map, args.max_elements)
     print("continuous" if ok else "not continuous")
     return 0 if ok else 1

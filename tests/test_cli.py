@@ -7,18 +7,21 @@ import gc
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from topodata import Space, SpaceMap, cli, constraints
+from conftest import random_space, random_total_map
+from topodata import Space, SpaceMap, cli, constraints, oracle_is_continuous
 from topodata.cli import main
 from topodata.io import serialize_map, serialize_space, serialize_theta
 
@@ -393,6 +396,57 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert main(args + ["--max-elements", "3"]) == 0
+
+    def test_two_spaces_of_one_name_are_refused(self, tmp_path, capsys):
+        # a map names its spaces, so the oracle looks them up as a manifest
+        # does: two different spaces named s are an error, not a verdict
+        bounded = Space("s", ["a", "b"], [("a", "b")])
+        unrelated = Space("s", ["a", "b"], [])
+        real = SpaceMap(bounded, unrelated, {"a": "a", "b": "b"})
+        paths = {}
+        for stem, text in (("bounded", serialize_space(bounded)),
+                           ("unrelated", serialize_space(unrelated)),
+                           ("map", serialize_map(real))):
+            paths[stem] = str(tmp_path / f"{stem}.json")
+            Path(paths[stem]).write_text(text, encoding="utf-8")
+        for domain, codomain in (("bounded", "unrelated"), ("unrelated", "bounded")):
+            argv = ["oracle", "continuous", paths["map"], paths[domain], paths[codomain]]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: space name 's' already bound to different content\n"
+        assert main(["oracle", "continuous", paths["map"], paths["bounded"],
+                     paths["bounded"]]) == 0
+        assert capsys.readouterr().out == "continuous\n"
+        # read against either space alone the identity is continuous; the real map is not
+        assert not oracle_is_continuous(real)
+
+
+@seed(20131008)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from("st"), st.sampled_from("st"))
+def test_oracle_continuous_answers_as_the_oracle(draw_seed, domain_name, codomain_name):
+    rng = random.Random(draw_seed)
+    domain = random_space(rng, 6, domain_name)
+    codomain = random_space(rng, 6, codomain_name, min_elements=1)
+    space_map = random_total_map(rng, domain, codomain)
+    out, err = StringIO(), StringIO()
+    with TemporaryDirectory() as folder:
+        paths = []
+        for stem, text in (("map", serialize_map(space_map)), ("domain", serialize_space(domain)),
+                           ("codomain", serialize_space(codomain))):
+            paths.append(str(Path(folder) / f"{stem}.json"))
+            Path(paths[-1]).write_text(text, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["oracle", "continuous", *paths])
+    if domain.name == codomain.name and domain != codomain:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (f"error: space name {domain.name!r} "
+                                  "already bound to different content\n")
+    else:
+        ok = oracle_is_continuous(space_map)
+        assert (code, err.getvalue()) == (0 if ok else 1, "")
+        assert out.getvalue() == ("continuous\n" if ok else "not continuous\n")
 
 
 class TestUndecodableInput:

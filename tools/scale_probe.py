@@ -45,11 +45,11 @@ every pair of cells whose closures meet (the shape of the bench's
 folds into no cycle.  It prints one JSON document with each operation's
 least and median process CPU time and its tracemalloc peak.
 
-- A deep chain of n elements is k0 > k1 > ... > k(n-1) plus one seeded
-  skip pair of length 2-16 from each element, so its reduction, the
-  selection and the intersection of two chains are all plain chains.
-- The grid is an n x n cubical grid, (2n + 1)^2 cells, intersected with
-  a second copy of itself.
+The inputs are the bench's generators, read from ``bench/workloads.py``,
+which describes each; none is described or defined here twice.  The grid
+is ``grid("g", n)``, each deep chain ``_deep_chain(n, rng)`` with the
+probe's own ``random.Random(f"scale_probe:{seed}:{n}")``, the coarsening
+steps are ``coarsen1`` and the overlap is ``_overlap_1d`` along each axis.
 
 Every run gets inputs built anew with ``Space(...)``, outside the timer,
 so that no cache of an earlier run is read.  The times are the least
@@ -85,37 +85,31 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import topodata  # noqa: E402  (the tree that holds this script)
 
-MAX_SKIP = 16
+# the bench's generators, read by path; its dataclass looks its module up in sys.modules
+_spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
 SEGMENTS = 4  # the chain the grid is extruded along
 
 
 def deep_chain(n: int, seed: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """The ids and pairs of a chain of n elements with one skip pair per element."""
+    """The ids and pairs of the bench's deep chain of n elements, seeded by ``seed`` and n."""
     rng = random.Random(f"scale_probe:{seed}:{n}")
-    ids = [f"k{i}" for i in range(n)]
-    pairs = [(ids[i], ids[i + 1]) for i in range(n - 1)]
-    for i in range(n):
-        j = i + rng.randint(2, MAX_SKIP)
-        if j < n:
-            pairs.append((ids[i], ids[j]))
-    return ids, pairs
+    return [f"k{i}" for i in range(n)], workloads._deep_chain(n, rng)
 
 
 def grid(n: int) -> tuple[list[str], list[tuple[str, str]]]:
-    """The ids and pairs of an n x n cubical grid, each cell bounded by its faces."""
-    ids = {(cx, cy): f"g{cx}_{cy}" for cx in range(2 * n + 1) for cy in range(2 * n + 1)}
-    pairs = []
-    for (cx, cy), cell in ids.items():
-        if cx % 2:
-            pairs += [(cell, ids[cx - 1, cy]), (cell, ids[cx + 1, cy])]
-        if cy % 2:
-            pairs += [(cell, ids[cx, cy - 1]), (cell, ids[cx, cy + 1])]
+    """The ids and pairs of the bench's n x n cubical grid, ids prefixed ``g``."""
+    ids, pairs = workloads.grid("g", n)
     return list(ids.values()), pairs
 
 
@@ -137,23 +131,16 @@ def star(n: int) -> tuple[list[str], list[tuple[str, str]]]:
     return ids, [("h", leaf) for leaf in ids[1:]]
 
 
-def coarsen(c: int) -> int:
-    """The centre of the 2x coarser 1-D cell that holds the cell of centre c."""
-    if c % 2 == 0:
-        return c // 2
-    i = (c - 1) // 2
-    return i if i % 2 else i + 1
-
-
 def coarsening(n: int) -> list[list[str]]:
-    """The pairs of the 2x coarsening of the n x n grid onto the grid of side n // 2.
+    """The pairs of the bench's 2x coarsening of the n x n grid onto the grid of
+    side n // 2.
 
     For an odd n the cells past the last row or column of the smaller grid
     go to that row or column, which keeps the map continuous."""
     top = 2 * (n // 2)
 
     def down(c):
-        return min(coarsen(c), top)
+        return min(workloads.coarsen1(c), top)
 
     return [[f"g{cx}_{cy}", f"g{down(cx)}_{down(cy)}"]
             for cx in range(2 * n + 1) for cy in range(2 * n + 1)]
@@ -161,10 +148,9 @@ def coarsening(n: int) -> list[list[str]]:
 
 def overlap(n: int) -> list[tuple[str, str]]:
     """The pairs of cells of the n x n grid and of a copy shifted by one doubled
-    unit along both axes whose closures meet, left id first.  Along an axis
-    the closure of the cell of centre c spans c - c % 2 to c + c % 2."""
-    cells = range(2 * n + 1)
-    axis = [(c, d) for c in cells for d in cells if abs(c - (d + 1)) <= c % 2 + d % 2]
+    unit along both axes whose closures meet, left id first: the product of
+    the bench's per-axis ``overlay`` pairs."""
+    axis = workloads._overlap_1d(n)
     return [(f"g{cx}_{cy}", f"g{dx}_{dy}") for cx, dx in axis for cy, dy in axis]
 
 
@@ -392,58 +378,36 @@ def measure(run, build, repeat: int, against=None) -> dict:
 def probe(chains: list[int], grid_n: int, star_n: int, repeat: int, limit: float,
           folder: Path, against=None) -> dict:
     """The rows of every input; ``emit`` and the load write their files to ``folder``."""
+    chains = sorted(chains)
+    target = folder / "emitted.json"
+    g, square = grid(grid_n), f"{grid_n}x{grid_n}"
+    # (kind, size, input, its operations in a library given the input); a row's
+    # label is "kind_size", and its kind groups the over-limit skips
+    rows = [("chain", n, deep_chain(n, "C"), partial(operations, second=deep_chain(n, "D")))
+            for n in chains]
+    if grid_n:
+        rows += [("grid", square, g, lambda lib, first: {**operations(lib, first, first),
+                                                        **extrusion(lib, first, target)}),
+                 ("load", square, g, lambda lib, _: loading(lib, grid_n, folder))]
+    if star_n:
+        rows += [("continuity_star", star_n, star(star_n), continuity),
+                 ("emit_star", star_n, star(star_n), partial(star_emit, target=target))]
+    rows += [("continuity_chain", n, plain_chain(n, "x"),
+              partial(chain_map, y=plain_chain(2 * n, "y"))) for n in chains]
+    rows += [("closure_chain", n, deep_chain(n, "C"), chain_closure) for n in chains]
+    if grid_n:  # a vertex bounded by a square that it bounds
+        rows.append(("cycle_grid", square, (g[0], g[1] + [("g0_0", "g1_1")]), cyclic_space))
+    rows += [("collapse_chain", n, deep_chain(n, "C"), chain_collapse) for n in chains]
+    if grid_n:
+        rows += [("theta_grid", square, g, partial(grid_theta, n=grid_n)),
+                 ("quotient_grid", square, g, partial(grid_quotient, n=grid_n))]
     results = {}
     too_slow: dict[tuple[str, str], str] = {}  # (row kind, operation) -> why
-    inputs = [("chain", f"chain_{n}", deep_chain(n, "C"), deep_chain(n, "D"))
-              for n in sorted(chains)]
-    if grid_n:
-        inputs.append(("grid", f"grid_{grid_n}x{grid_n}", grid(grid_n), grid(grid_n)))
-        inputs.append(("load", f"load_{grid_n}x{grid_n}", grid(grid_n), None))
-    if star_n:
-        inputs.append(("continuity_star", f"continuity_star_{star_n}", star(star_n), None))
-        inputs.append(("emit_star", f"emit_star_{star_n}", star(star_n), None))
-    inputs += [("continuity_chain", f"continuity_chain_{n}", plain_chain(n, "x"),
-                plain_chain(2 * n, "y")) for n in sorted(chains)]
-    inputs += [("closure_chain", f"closure_chain_{n}", deep_chain(n, "C"), None)
-               for n in sorted(chains)]
-    if grid_n:  # a vertex bounded by a square that it bounds
-        ids, pairs = grid(grid_n)
-        inputs.append(("cycle_grid", f"cycle_grid_{grid_n}x{grid_n}",
-                       (ids, pairs + [("g0_0", "g1_1")]), None))
-    inputs += [("collapse_chain", f"collapse_chain_{n}", deep_chain(n, "C"), None)
-               for n in sorted(chains)]
-    if grid_n:
-        inputs.append(("theta_grid", f"theta_grid_{grid_n}x{grid_n}", grid(grid_n), None))
-        inputs.append(("quotient_grid", f"quotient_grid_{grid_n}x{grid_n}", grid(grid_n), None))
-    for kind, label, first, second in inputs:
+    for kind, size, first, timed in rows:
+        label = f"{kind}_{size}"
         row = {"elements": len(first[0]), "pairs": len(first[1])}
-
-        def timed(lib):
-            if kind == "load":
-                return loading(lib, grid_n, folder)
-            if kind == "continuity_star":
-                return continuity(lib, first)
-            if kind == "emit_star":
-                return star_emit(lib, first, folder / "emitted.json")
-            if kind == "continuity_chain":
-                return chain_map(lib, first, second)
-            if kind == "closure_chain":
-                return chain_closure(lib, first)
-            if kind == "cycle_grid":
-                return cyclic_space(lib, first)
-            if kind == "collapse_chain":
-                return chain_collapse(lib, first)
-            if kind == "theta_grid":
-                return grid_theta(lib, first, grid_n)
-            if kind == "quotient_grid":
-                return grid_quotient(lib, first, grid_n)
-            found = operations(lib, first, second)
-            if kind == "grid":
-                found.update(extrusion(lib, first, folder / "emitted.json"))
-            return found
-
-        theirs = timed(against) if against else {}
-        for name, (run, build) in timed(topodata).items():
+        theirs = timed(against, first) if against else {}
+        for name, (run, build) in timed(topodata, first).items():
             if (kind, name) in too_slow:
                 row[name] = {"skipped": too_slow[kind, name]}
                 continue
