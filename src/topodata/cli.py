@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input, an
-operation error, or an id that stdout cannot encode.  Every subcommand
+operation error, an id that stdout cannot encode, or a stdout that
+cannot take the output (a closed pipe, a full disk).  Every subcommand
 is a thin wrapper over one library call; no logic lives only here.
 
 Each command, with its words, positionals and option defaults, is
@@ -15,13 +16,15 @@ plain ``topo validate`` runs ``errors``, ``space``, ``io``, ``maps`` and
 
 ``main`` pauses the cyclic collector for one command, restores it and
 freezes nothing, and makes a surrogateescape stdout strict for it, so no
-id prints as a raw byte; ``entry``, the ``topo`` process, also freezes
-the heap so that the interpreter's exit-time collections skip it.
+id prints as a raw byte; ``entry``, the ``topo`` process, also flushes
+stdout, so that a block-buffered stdout fails where it reports, and
+freezes the heap so that the interpreter's exit-time collections skip it.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -182,14 +185,27 @@ def main(argv=None) -> int:
         return 2
     finally:
         if escaping:
-            sys.stdout.reconfigure(errors="surrogateescape")
+            try:
+                sys.stdout.reconfigure(errors="surrogateescape")
+            except OSError:  # its flush failed: the output stays buffered, and entry reports it
+                pass
         if collecting:
             gc.enable()
 
 
 def entry() -> None:
-    """The ``topo`` process: ``main``, then a heap freeze, then exit with its code."""
+    """The ``topo`` process: ``main``, a flush of stdout, a heap freeze, then exit."""
     code = main()
+    try:  # a block-buffered stdout is written here, not at exit; None if fd 1 was closed
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as err:  # a closed pipe or a full disk: the rest goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code != 2:  # main has not reported an error yet
+            print(f"error: {err}", file=sys.stderr)
+        code = 2
     gc.freeze()  # the collections at interpreter exit skip the permanent generation
     sys.exit(code)
 

@@ -78,27 +78,6 @@ def check_pairs(entries: Iterable, what: str) -> Iterator[Pair]:
         yield entry[0], entry[1]
 
 
-def _walk_checked(name: str, held: Mapping[str, str], succ: dict[str, list[str]],
-                  pairs: Iterator[Pair]) -> None:
-    """Put each pair of ``check_pairs`` in its source's list, as the held ids.
-
-    A malformed entry raises at once, the first self or dangling pair
-    after the rest is checked: a malformed entry later on is reported first.
-    """
-    get = held.get
-    for a, b in pairs:
-        ha, hb = get(a), get(b)
-        if ha is hb or ha is None or hb is None:
-            for _ in pairs:
-                pass
-            if a == b:
-                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
-            raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} "
-                                         f"references unknown element "
-                                         f"{a if a not in held else b!r}")
-        succ[ha].append(hb)
-
-
 ENUMERATION_LIMIT = 12  # default bound of the exhaustive oracles
 
 
@@ -311,23 +290,30 @@ class Space:
             raise DuplicateElementError(f"duplicate element ids in {name!r}: {dupes}")
         elements = frozenset(held)
 
-        # one walk that puts each pair in its source's list: a list or tuple
-        # of two str ids, both held and not equal, passes the test here; at
-        # the first entry that does not, the checked walk takes over
+        # one loop puts each pair in its source's list.  A list or tuple of two
+        # str ids passes the type test here, and ``check_pairs`` reads any other
+        # entry, raising for a malformed one.  The first self or dangling pair
+        # raises once the later entries are checked: a malformed one goes first.
         succ: dict[str, list[str]] = {e: [] for e in held}
         get = held.get
         what = f"incidence of {name!r}"
         entries = _iterate(incidence, what)
         for entry in entries:
+            a = None
             if (type(entry) is list or type(entry) is tuple) and len(entry) == 2:
                 a, b = entry
-                if type(a) is str and type(b) is str:
-                    ha, hb = get(a), get(b)
-                    if ha is not hb and ha is not None and hb is not None:
-                        succ[ha].append(hb)
-                        continue
-            _walk_checked(name, held, succ, check_pairs(chain((entry,), entries), what))
-            break
+            if type(a) is not str or type(b) is not str:
+                a, b = next(check_pairs((entry,), what))
+            ha, hb = get(a), get(b)
+            if ha is hb or ha is None or hb is None:
+                for _ in check_pairs(entries, what):
+                    pass
+                if a == b:
+                    raise SelfLoopError(f"self pair ({a!r}, {a!r}) in {name!r}")
+                raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in {name!r} "
+                                             f"references unknown element "
+                                             f"{a if a not in held else b!r}")
+            succ[ha].append(hb)
 
         if attributes is not None and not isinstance(attributes, Mapping):
             raise InvalidAttributeError(f"attributes of {name!r} are not a mapping")

@@ -11,7 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -635,15 +635,18 @@ def surrogate_files(tmp_path):
 
 
 def topo_process(*args: str, cwd: Path, errors: str | None = None,
-                 program: tuple[str, ...] = ("-m", "topodata.cli")) -> subprocess.CompletedProcess:
-    """``topo`` (or another ``program``) in a child, with stdout's error handler
-    the platform's default or ``errors``."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+                 program: tuple[str, ...] = ("-m", "topodata.cli"),
+                 stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``topo`` (or another ``program``) in a child, as a shell runs it: stdout
+    block-buffered unless it is a terminal, with its error handler the
+    platform's default or ``errors``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(ROOT / "src")
     if errors:
         env["PYTHONIOENCODING"] = f"utf-8:{errors}"
     return subprocess.run([sys.executable, *program, *args], cwd=cwd, env=env,
-                          capture_output=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 # a child that calls main in process, then prints the error handler main left on stdout
@@ -674,3 +677,77 @@ def test_an_unprintable_id_is_an_error_line(surrogate_files, lone, args, printed
         err = done.stderr.decode("utf-8")
         assert err.startswith("error: cannot print output: ") and err.count("\n") == 1
         assert ascii(lone[-1])[1:-1] in err
+
+
+# -- a stdout that cannot take the output ------------------------------------------------
+# A block-buffered stdout is first written after the command: a full disk or a
+# pipe whose reader has exited then fails there, not in a print that main
+# catches.  The process still ends in exit 2 and one error line.
+
+@pytest.fixture
+def overlay_copy(tmp_path):
+    """A copy of the overlay demo with a manifest of one continuous constraint, and
+    twelve points whose topology takes more lines than stdout's buffer holds."""
+    folder = tmp_path / "overlay"
+    shutil.copytree(DEMO_OVERLAY, folder, ignore=shutil.ignore_patterns("out"))
+    ids = [e["id"] for e in json.loads((folder / "x.json").read_text(encoding="utf-8"))["elements"]]
+    (folder / "same.json").write_text(json.dumps(
+        {"domain": "X", "codomain": "X", "pairs": [[e, e] for e in ids]}), encoding="utf-8")
+    (folder / "manifest.json").write_text(json.dumps(
+        {"spaces": ["x.json"], "maps": ["same.json"],
+         "constraints": [{"name": "same", "map": "same"}]}), encoding="utf-8")
+    (folder / "points.json").write_text(json.dumps(
+        {"name": "P", "elements": [{"id": f"p{i}"} for i in range(12)], "incidence": []}),
+        encoding="utf-8")
+    return folder
+
+
+@contextmanager
+def unwritable_stdout(sink: str):
+    """A file descriptor that refuses every write: /dev/full, or a pipe with no reader."""
+    if sink == "full disk":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            yield full.fileno()
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            yield write
+        finally:
+            os.close(write)
+
+
+@pytest.mark.parametrize("errors", [None, "strict", "surrogateescape"])
+@pytest.mark.parametrize("sink", ["full disk", "closed pipe"])
+@pytest.mark.parametrize("args", [("dim", "x.json"), ("validate", "manifest.json"),
+                                  ("run", "overlay.topo"), ("oracle", "topology", "points.json")],
+                         ids=["dim", "validate", "run", "long output"])
+def test_a_stdout_that_cannot_take_the_output_is_an_error_line(overlay_copy, args, sink, errors):
+    with unwritable_stdout(sink) as stdout:
+        done = topo_process(*args, cwd=overlay_copy, errors=errors, stdout=stdout)
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("sink", ["full disk", "closed pipe"])
+def test_an_unprintable_id_after_buffered_lines_is_one_error_line(surrogate_files, sink):
+    # main reports the id; the line before it, still buffered, fails too
+    with unwritable_stdout(sink) as stdout:
+        done = topo_process("validate", "manifest.json", cwd=surrogate_files("e\ud800"),
+                            stdout=stdout)
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 2, err
+    assert err.startswith("error: cannot print output: ") and err.count("\n") == 1, err
+
+
+def test_a_closed_stdout_still_runs_the_command(overlay_copy):
+    # with fd 1 closed at start sys.stdout is None, and print writes nothing
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                           "topodata.cli", "run", "overlay.topo"], cwd=overlay_copy,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (overlay_copy / "out" / "overlay.json").exists()

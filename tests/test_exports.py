@@ -1,6 +1,7 @@
 """The package's ``__all__`` lists exactly the public names it binds,
-every module uses each name it imports, and a command runs only the
-submodules it uses, while every submodule is registered at import."""
+every module uses each name it imports, every source parses at the
+declared Python floor, and a command runs only the submodules it uses,
+while every submodule is registered at import."""
 
 from __future__ import annotations
 
@@ -42,6 +43,20 @@ def test_every_imported_name_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # the grammar only: a library name or API that a later Python added is not checked
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = project["requires-python"]
+    assert declared.startswith(">=")
+    floor = tuple(int(part) for part in declared[2:].split("."))
+    package = sorted(Path(topodata.__file__).parent.glob("*.py"))
+    tools = sorted(ROOT.glob("tools/*.py"))
+    assert package and tools
+    for path in package + tools:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
 
 
 def test_the_tables_of_ids_live_in_maps():

@@ -47,7 +47,7 @@ from topodata import io
 from topodata.cli import main
 from topodata.io import (load_dataset, parse_map, parse_space, serialize_map,
                          serialize_partition, serialize_space)
-from topodata.space import _walk_checked, check_pairs
+from topodata.space import check_pairs
 
 from naive import naive_product, naive_quotient, naive_select
 
@@ -486,11 +486,13 @@ def test_space_matches_reference_in_every_form(data):
         assert_shared_space(got[1])
 
 
-# ``Space(...)`` tests each entry inline, and hands the first entry that test
-# refuses, with the rest, to the checked walk (``check_pairs`` and
-# ``_walk_checked``).  Both must give what the checked walk gives over every
-# entry from the first.  The refused entries include 2-strings, dicts and
-# sets of two held ids, which unpack into a pair of ids.
+# ``Space(...)`` tests each entry inline and reads any entry that test
+# refuses with ``check_pairs``, in one loop.  It must give what the checked
+# walk below gives over every entry from the first: each pair of
+# ``check_pairs`` placed as the held ids, a malformed entry raised at once,
+# the first self or dangling pair after the rest is checked.  The refused
+# entries include 2-strings, dicts and sets of two held ids, which unpack
+# into a pair of ids.
 WALK_IDS = ["a", "b", "c", "d", "e"]
 WALK_FAULTS = [("a", "zz"), ["zz", "b"], ("zz", "zz"), ("b", "b"), ["c", "c"],
                "ab", "ba", {"a": 1, "b": 2}, frozenset({"c", "d"}), ("a",), ("a", "b", "c"),
@@ -503,7 +505,17 @@ def checked_walk(entries) -> dict[str, tuple[str, ...]]:
     ``entries`` from the first, each pair held once."""
     held = {e: e for e in WALK_IDS}
     succ = {e: [] for e in WALK_IDS}
-    _walk_checked("s", held, succ, check_pairs(entries, "incidence of 's'"))
+    pairs = check_pairs(entries, "incidence of 's'")
+    for a, b in pairs:
+        ha, hb = held.get(a), held.get(b)
+        if ha is hb or ha is None or hb is None:
+            for _ in pairs:
+                pass
+            if a == b:
+                raise SelfLoopError(f"self pair ({a!r}, {a!r}) in 's'")
+            raise DanglingIncidenceError(f"incidence pair ({a!r}, {b!r}) in 's' references "
+                                         f"unknown element {a if a not in held else b!r}")
+        succ[ha].append(hb)
     return {a: tuple(dict.fromkeys(below)) for a, below in succ.items()}
 
 
@@ -791,7 +803,9 @@ def test_output_is_independent_of_the_hash_seed(tmp_path, capsys):
 
     seen = {name: set() for name in commands}
     for hash_seed in range(4):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
+        # stdout block-buffered, as a shell runs topo
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
         for name, command in commands.items():
             done = subprocess.run([sys.executable, "-m", "topodata.cli", *command],
                                   env=env, capture_output=True, text=True, timeout=60)

@@ -138,7 +138,11 @@ def test_bench_pairs_failures_and_src_lines(tmp_path):
     (tmp_path / "src" / "notes.txt").write_text("not code\n", encoding="utf-8")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "c.py").write_text("w = 4\n", encoding="utf-8")
-    assert tool.src_lines(tmp_path) == 2
+    (tmp_path / "tools" / "sub").mkdir(parents=True)
+    (tmp_path / "tools" / "d.py").write_text("v = 5\nu = 6\nt = 7\n", encoding="utf-8")
+    (tmp_path / "tools" / "sub" / "e.py").write_text("s = 8\n", encoding="utf-8")  # not counted
+    counts = {key: tool.lines(tmp_path, pattern) for key, pattern in tool.LINE_COUNTS.items()}
+    assert counts == {"src_lines": 2, "tools_lines": 3}
 
 
 # -- tools/scale_probe.py: a run at tiny sizes ------------------------------------

@@ -22,10 +22,10 @@ The result is written to ``BENCH_<slug>.json`` at the repository root
 after every pair, so an interrupted session keeps what it measured.  It
 holds every pair's final JSON line per side, a summary per end-to-end
 metric (median and quartiles per side, the pairs the change won, the
-parent's interquartile range), each side's failed invocations and
-``src/`` line count, and a no-regression verdict per metric: the
-change's median may be worse than the parent's by at most the metric's
-``BENCHMARK.json`` bound, relative to the parent's median.  With
+parent's interquartile range), each side's failed invocations and line
+counts of ``src/`` and ``tools/``, and a no-regression verdict per
+metric: the change's median may be worse than the parent's by at most
+the metric's ``BENCHMARK.json`` bound, relative to the parent's median.  With
 ``--claim`` it also holds the verdict of the gain rule: a gain counts
 when the change is better in at least nine tenths of the pairs and the
 two medians differ by more than the parent's interquartile range.
@@ -114,9 +114,13 @@ def failures(pairs: list[dict], side: str) -> dict[str, int]:
             "failed": sum(r["failed"] for r in runs)}
 
 
-def src_lines(tree: Path) -> int:
-    """The lines of the Python files under ``src/``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in sorted(tree.glob("src/**/*.py")))
+# each side's line counts, of the Python files these patterns match
+LINE_COUNTS = {"src_lines": "src/**/*.py", "tools_lines": "tools/*.py"}
+
+
+def lines(tree: Path, pattern: str) -> int:
+    """The lines of the files of ``tree`` that ``pattern`` matches, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in sorted(tree.glob(pattern)))
 
 
 def export(rev: str, target: Path) -> str:
@@ -185,7 +189,8 @@ def main(argv=None) -> int:
                     f"{args.seeds[-1]}, parent first in even pairs (0-based); each side "
                     "ran from its own tree exported with git archive",
         "rule": RULE,
-        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        **{key: {side: lines(tree, pattern) for side, tree in trees.items()}
+           for key, pattern in LINE_COUNTS.items()},
         "pairs": [],
     }
     for i, s in enumerate(args.seeds):
@@ -224,7 +229,7 @@ def main(argv=None) -> int:
         trace["summary"] = summarize(trace["rounds"], layer_better)
         trace["failures"] = {side: failures(trace["rounds"], side) for side in trees}
         out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({"src_lines": result["src_lines"], "failures": result["failures"],
+    print(json.dumps({**{key: result[key] for key in LINE_COUNTS}, "failures": result["failures"],
                       "traced_failures": trace["failures"],
                       "regressed": sorted(k for k, v in result["no_regression"].items()
                                           if not v["holds"]),
